@@ -144,13 +144,8 @@ class RunConfig:
     timing: bool = False
 
 
-_COMMAND_DEFAULTS = {
-    "eval": {"i": 20, "N": 10_000, "tol": 1e-6},
-    "identity-check": {"i": 20, "N": 10_000, "tol": 1e-6},
-    "converge": {"i": 20, "N": 10_000, "tol": 1e-6},
-    "exclusion": {"i": 3, "N": 10_000, "tol": 1e-6},
-    "oracle-compare": {"i": 3, "N": 10_000, "tol": 1e-6},
-}
+# Commands whose prime index defaults below TruncationSpec's.
+_PRIME_INDEX_DEFAULTS = {"exclusion": 3, "oracle-compare": 3}
 
 
 def _load_config_file(path: str) -> dict[str, list[str]]:
@@ -170,7 +165,7 @@ def _load_config_file(path: str) -> dict[str, list[str]]:
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     command = args.command
     file_entries = _load_config_file(args.config) if args.config else {}
-    defaults = _COMMAND_DEFAULTS[command]
+    defaults = TruncationSpec()
 
     def pick(key: str, cli_value, convert, fallback):
         if cli_value is not None:
@@ -192,9 +187,12 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ValueError("--s is required (repeat the flag for a grid of points)")
 
     spec = TruncationSpec(
-        prime_index_i=pick("i", getattr(args, "i", None), _validate_positive_int, defaults["i"]),
-        dirichlet_cutoff_N=pick("N", getattr(args, "N", None), _validate_positive_int, defaults["N"]),
-        tolerance=pick("tol", getattr(args, "tol", None), _validate_tolerance, defaults["tol"]),
+        prime_index_i=pick("i", getattr(args, "i", None), _validate_positive_int,
+                           _PRIME_INDEX_DEFAULTS.get(command, defaults.prime_index_i)),
+        dirichlet_cutoff_N=pick("N", getattr(args, "N", None), _validate_positive_int,
+                                defaults.dirichlet_cutoff_N),
+        tolerance=pick("tol", getattr(args, "tol", None), _validate_tolerance,
+                       defaults.tolerance),
     )
     return RunConfig(
         command=command,

@@ -2,12 +2,20 @@
 plain Dirichlet partial sums, and certified evaluation of zeta(s) for
 Re(s) > 1.
 
-The three evaluation methods share one driver: grow the truncation, record
-the value together with an honest upper bound on its distance to the limit,
-and stop once that bound drops below the requested tolerance.  The product
-tail is certified through |log(1-z)| <= 2|z| for |z| <= 1/2 plus the
-integral estimate sum_{n > m} n^{-sigma} <= m^(1-sigma)/(sigma-1); the
-Dirichlet tail uses the integral estimate directly.
+One vectorised n^{-s} (`_power_terms`) serves every route.  Over primes,
+one block iterator (`_blocks`) yields p, t = p^{-s} and f = 1/(1 - t) chunk
+by chunk, with the overflow and singular-point checks, and two reductions
+consume it: the product multiplies the factors, and the prime-indexed sum
+folds forward by the paper's induction step S_{i+1} = f_{i+1}*(t_{i+1} + S_i).
+
+The three evaluation methods and the tail products share one doubling
+driver (`_trace`): fold each new window of terms into a running product,
+sum or Dirichlet total, record the value together with an honest upper
+bound on its distance to the limit, and stop once that bound drops below
+the requested tolerance.  The product tail is certified through
+|log(1-z)| <= 2|z| for |z| <= 1/2 plus the integral estimate
+sum_{n > m} n^{-sigma} <= m^(1-sigma)/(sigma-1); the Dirichlet tail uses the
+integral estimate directly.
 """
 
 from __future__ import annotations
@@ -80,11 +88,11 @@ class EvaluationResult:
 
 
 # ----------------------------------------------------------------------
-# vectorized factor blocks
+# vectorised powers, the prime block iterator and its two reductions
 
-def _power_terms(parr: np.ndarray, z: complex) -> np.ndarray:
-    """p^{-z} for every p in an integer array, checked finite."""
-    base = parr.astype(np.float64)
+def _power_terms(n: np.ndarray, z: complex) -> np.ndarray:
+    """n^{-z} for every n in an array of positive integers, checked finite."""
+    base = np.asarray(n, dtype=np.float64)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         if z.imag == 0.0:
             t = np.power(base, -z.real)
@@ -92,37 +100,71 @@ def _power_terms(parr: np.ndarray, z: complex) -> np.ndarray:
             t = np.exp(-z * np.log(base))
     if not np.isfinite(t).all():
         bad = np.flatnonzero(~np.isfinite(t))
-        raise PowerOverflowError(int(parr[bad[0]]), z)
+        raise PowerOverflowError(int(n[bad[0]]), z)
     return t
 
 
-def _euler_factors(parr: np.ndarray, t: np.ndarray, z: complex, tol: float) -> np.ndarray:
-    d = 1.0 - t
-    gap = np.abs(d)
-    worst = int(np.argmin(gap))
-    if gap[worst] < tol:
-        raise SingularPointError(int(parr[worst]), z, float(gap[worst]))
-    return 1.0 / d
+def _blocks(p_all: np.ndarray, z: complex):
+    """Yield (p, t, f) with t = p^{-z} and f = 1/(1 - t) over p_all,
+    ascending, in chunks of at most _CHUNK primes."""
+    for a in range(0, len(p_all), _CHUNK):
+        p = p_all[a : a + _CHUNK]
+        t = _power_terms(p, z)
+        d = 1.0 - t
+        gap = np.abs(d)
+        worst = int(np.argmin(gap))
+        if gap[worst] < DEFAULT_SINGULAR_TOL:
+            raise SingularPointError(int(p[worst]), z, float(gap[worst]))
+        # This frame lives on across the yield: hold no array beyond t and f.
+        del gap
+        yield p, t, np.divide(1.0, d, out=d)
 
 
-def _first_bad_prime(parr: np.ndarray, cumulative: np.ndarray) -> int:
+def _first_bad_prime(p: np.ndarray, cumulative: np.ndarray) -> int:
     bad = np.flatnonzero(~np.isfinite(cumulative))
-    return int(parr[bad[0]]) if bad.size else int(parr[-1])
+    return int(p[bad[0]]) if bad.size else int(p[-1])
 
 
-def _factor_product(all_p: np.ndarray, lo: int, hi: int, z: complex) -> complex:
-    """Product of 1/(1 - p^{-z}) over all_p[lo:hi], ascending."""
+def _finite(x: complex) -> bool:
+    return math.isfinite(x.real) and math.isfinite(x.imag)
+
+
+def _product(blocks, z: complex) -> complex:
+    """Product of every factor f in the blocks, one block product at a time."""
     out = complex(1.0)
-    for a in range(lo, hi, _CHUNK):
-        parr = all_p[a : min(hi, a + _CHUNK)]
-        t = _power_terms(parr, z)
-        f = _euler_factors(parr, t, z, DEFAULT_SINGULAR_TOL)
+    for p, _, f in blocks:
         with np.errstate(over="ignore", under="ignore"):
             out *= complex(f.prod())
-        if not (math.isfinite(out.real) and math.isfinite(out.imag)):
+        if not _finite(out):
             with np.errstate(over="ignore", under="ignore"):
-                raise PowerOverflowError(_first_bad_prime(parr, np.cumprod(f)), z)
+                raise PowerOverflowError(_first_bad_prime(p, np.cumprod(f)), z)
     return out
+
+
+def _sum(blocks, z: complex, total: complex = 0j) -> complex:
+    """Fold the blocks into the prime-indexed sum `total`.
+
+    The induction step S_{i+1} = f_{i+1}*(t_{i+1} + S_i), applied to a whole
+    block at once: S <- (product of the block's f)*S + sum of t times the
+    block's suffix products of f.
+    """
+    for p, t, f in blocks:
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            # Complex even for real s: numpy sums complex arrays in another
+            # order than real ones, and the real-s reports follow the former.
+            suffix = np.cumprod(f[::-1], dtype=complex)[::-1]
+            total = complex(suffix[0]) * total + complex((t * suffix).sum())
+        if not (_finite(total) and np.isfinite(suffix).all()):
+            raise PowerOverflowError(_first_bad_prime(p[::-1], suffix[::-1]), z)
+    return total
+
+
+def _dirichlet_fold(total: complex, lo: int, hi: int, z: complex) -> complex:
+    """`total` plus n^{-z} for lo < n <= hi, one chunk sum at a time."""
+    for a in range(lo + 1, hi + 1, _CHUNK):
+        n = np.arange(a, min(hi + 1, a + _CHUNK), dtype=np.float64)
+        total += complex(_power_terms(n, z).sum())
+    return total
 
 
 # ----------------------------------------------------------------------
@@ -133,49 +175,20 @@ def euler_partial(i: int, s) -> complex:
     if i < 0:
         raise ValueError("i must be >= 0")
     z = as_complex(s)
-    if i == 0:
-        return complex(1.0)
-    return _factor_product(primes.first_primes(i), 0, i, z)
+    return _product(_blocks(primes.first_primes(i), z), z)
 
 
 def reform_partial(i: int, s) -> complex:
     """Sum over k <= i of p_k^{-s} times the product of 1/(1 - p_j^{-s}) for
     j = k..i; 0 for i = 0.
 
-    Accumulated right to left with a running suffix product, so the cost is
-    one factor evaluation per prime rather than one per (k, j) pair.
+    Folded forward block by block (see `_sum`), so the cost is one factor
+    evaluation per prime rather than one per (k, j) pair.
     """
     if i < 0:
         raise ValueError("i must be >= 0")
     z = as_complex(s)
-    if i == 0:
-        return complex(0.0)
-    all_p = primes.first_primes(i)
-    carry = complex(1.0)
-    total = complex(0.0)
-    hi = i
-    while hi > 0:
-        lo = max(0, hi - _CHUNK)
-        parr = all_p[lo:hi]
-        t = _power_terms(parr, z)
-        f = _euler_factors(parr, t, z, DEFAULT_SINGULAR_TOL)
-        with np.errstate(over="ignore", under="ignore"):
-            suffix = np.cumprod(f[::-1])[::-1] * carry
-            total += complex((t * suffix).sum())
-            carry = complex(suffix[0])
-        ok = (
-            math.isfinite(total.real)
-            and math.isfinite(total.imag)
-            and math.isfinite(carry.real)
-            and math.isfinite(carry.imag)
-            and bool(np.isfinite(suffix).all())
-        )
-        if not ok:
-            with np.errstate(over="ignore", under="ignore"):
-                rev = np.cumprod(f[::-1])
-            raise PowerOverflowError(_first_bad_prime(parr[::-1], rev), z)
-        hi = lo
-    return total
+    return _sum(_blocks(primes.first_primes(i), z), z)
 
 
 def identity_residual(i: int, s) -> float:
@@ -209,24 +222,7 @@ def dirichlet_partial(N: int, s) -> complex:
     N = int(N)
     if N < 1:
         raise ValueError("N must be >= 1")
-    z = as_complex(s)
-    total = complex(0.0)
-    for lo in range(1, N + 1, _CHUNK):
-        total += _dirichlet_block(lo, min(N, lo + _CHUNK - 1), z)
-    return total
-
-
-def _dirichlet_block(lo: int, hi: int, z: complex) -> complex:
-    n = np.arange(lo, hi + 1, dtype=np.float64)
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        if z.imag == 0.0:
-            terms = np.power(n, -z.real)
-        else:
-            terms = np.exp(-z * np.log(n))
-    if not np.isfinite(terms).all():
-        bad = np.flatnonzero(~np.isfinite(terms))
-        raise PowerOverflowError(int(n[bad[0]]), z)
-    return complex(terms.sum())
+    return _dirichlet_fold(complex(0.0), 0, N, as_complex(s))
 
 
 # ----------------------------------------------------------------------
@@ -274,6 +270,54 @@ def _ensure_feasible_count(count: int) -> None:
 # ----------------------------------------------------------------------
 # adaptive evaluation
 
+def _trace(z: complex, method: str, tolerance: float, window: int,
+           offset: int = 0) -> list[EvaluationResult]:
+    """The doubling driver behind every adaptive evaluation.
+
+    Folds windows of `window`, 2*`window`, ... terms, past the first
+    `offset` primes, into one running product, prime-indexed sum or
+    Dirichlet total, so each power is computed once over the whole run.
+    Records one result per window and stops once its certified bound is
+    <= tolerance.
+    """
+    sigma = z.real
+    if method == METHOD_DIRICHLET:
+        # The tail alone fixes the window that meets the tolerance, so an
+        # infeasible request is refused before any term is summed.
+        needed = window
+        while needed <= MAX_DIRICHLET_TERMS and _dirichlet_tail(needed, sigma) > tolerance:
+            needed *= 2
+        if needed > MAX_DIRICHLET_TERMS:
+            raise RuntimeError(
+                f"certifying this tolerance needs more than {MAX_DIRICHLET_TERMS} "
+                "Dirichlet terms; relax the tolerance or pick another method"
+            )
+    steps: list[EvaluationResult] = []
+    running = complex(1.0) if method == METHOD_EULER_PRODUCT else complex(0.0)
+    lo = offset
+    while True:
+        hi = offset + window
+        if method == METHOD_DIRICHLET:
+            running = value = _dirichlet_fold(running, lo, hi, z)
+            bound = _dirichlet_tail(hi, sigma)
+        else:
+            _ensure_feasible_count(hi)
+            blocks = _blocks(primes.first_primes(hi)[lo:], z)
+            if method == METHOD_EULER_PRODUCT:
+                # The window's own product first, then into the running one:
+                # that order fixes the digits the euler_product reports print.
+                running *= _product(blocks, z)
+                value = running
+            else:
+                running = _sum(blocks, z, running)
+                value = 1.0 + running
+            bound = _product_tail(abs(value), tail_bound(hi, sigma))
+        steps.append(EvaluationResult(value, method, window, float(bound)))
+        if bound <= tolerance:
+            return steps
+        lo, window = hi, 2 * window
+
+
 def correction_coefficient(k: int, s, spec: TruncationSpec) -> EvaluationResult:
     """Truncation of the infinite product of 1/(1 - p_j^{-s}) over j >= k.
 
@@ -285,20 +329,7 @@ def correction_coefficient(k: int, s, spec: TruncationSpec) -> EvaluationResult:
     z = as_complex(s)
     if z.real <= 1.0:
         raise NonConvergentError("the tail product", z)
-    sigma = z.real
-    product = complex(1.0)
-    consumed = k - 1
-    window = 16
-    while True:
-        hi = k - 1 + window
-        _ensure_feasible_count(hi)
-        all_p = primes.first_primes(hi)
-        product *= _factor_product(all_p, consumed, hi, z)
-        consumed = hi
-        bound = _product_tail(abs(product), tail_bound(hi, sigma))
-        if bound <= spec.tolerance:
-            return EvaluationResult(product, METHOD_EULER_PRODUCT, hi - k + 1, float(bound))
-        window *= 2
+    return _trace(z, METHOD_EULER_PRODUCT, spec.tolerance, window=16, offset=k - 1)[-1]
 
 
 def convergence_trace(s, method: str, tolerance: float) -> list[EvaluationResult]:
@@ -315,53 +346,7 @@ def convergence_trace(s, method: str, tolerance: float) -> list[EvaluationResult
         raise ValueError(f"tolerance must be a finite value >= {MIN_EVAL_TOLERANCE}")
     if z.real <= 1.0:
         raise NonConvergentError("zeta evaluation", z)
-    if method == METHOD_DIRICHLET:
-        return _dirichlet_trace(z, tolerance)
-    return _product_trace(z, method, tolerance)
-
-
-def _product_trace(z: complex, method: str, tolerance: float) -> list[EvaluationResult]:
-    sigma = z.real
-    steps: list[EvaluationResult] = []
-    count = 1
-    consumed = 0
-    product = complex(1.0)
-    while True:
-        _ensure_feasible_count(count)
-        all_p = primes.first_primes(count)
-        product *= _factor_product(all_p, consumed, count, z)
-        consumed = count
-        if method == METHOD_EULER_PRODUCT:
-            value = product
-        else:
-            value = 1.0 + reform_partial(count, z)
-        bound = _product_tail(abs(value), tail_bound(count, sigma))
-        steps.append(EvaluationResult(complex(value), method, count, float(bound)))
-        if bound <= tolerance:
-            return steps
-        count *= 2
-
-
-def _dirichlet_trace(z: complex, tolerance: float) -> list[EvaluationResult]:
-    sigma = z.real
-    steps: list[EvaluationResult] = []
-    target = 16
-    consumed = 0
-    total = complex(0.0)
-    while True:
-        if target > MAX_DIRICHLET_TERMS:
-            raise RuntimeError(
-                f"certifying this tolerance needs more than {MAX_DIRICHLET_TERMS} "
-                "Dirichlet terms; relax the tolerance or pick another method"
-            )
-        for lo in range(consumed + 1, target + 1, _CHUNK):
-            total += _dirichlet_block(lo, min(target, lo + _CHUNK - 1), z)
-        consumed = target
-        bound = _dirichlet_tail(target, sigma)
-        steps.append(EvaluationResult(total, METHOD_DIRICHLET, target, float(bound)))
-        if bound <= tolerance:
-            return steps
-        target *= 2
+    return _trace(z, method, tolerance, window=16 if method == METHOD_DIRICHLET else 1)
 
 
 def zeta_eval(s, method: str = METHOD_REFORMULATED, tolerance: float = 1e-6) -> EvaluationResult:

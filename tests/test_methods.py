@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zetasum import methods
 from zetasum.kernel import PowerOverflowError, SingularPointError, euler_factor, prime_power_term
 from zetasum.methods import (
     METHOD_DIRICHLET,
@@ -158,10 +159,18 @@ def test_identity_residual_random_box():
 
 @pytest.mark.parametrize("i", [1, 5, 17, 50])
 @pytest.mark.parametrize("s", [3, 2.5, 2 + 1j, 4 - 3j, -1.5 + 7j])
-def test_reform_partial_matches_naive_double_loop(i, s):
-    fast = reform_partial(i, s)
+def test_reform_partial_matches_naive_double_loop(i, s, monkeypatch):
+    whole = euler_partial(i, s), reform_partial(i, s), identity_residual(i, s)
+    # Blocks of 7 primes: up to 8 blocks, so the carry between them is used.
+    monkeypatch.setattr(methods, "_CHUNK", 7)
+    product, fast, residual = euler_partial(i, s), reform_partial(i, s), identity_residual(i, s)
     slow = reform_naive(i, s)
-    assert abs(fast - slow) <= 1e-12 * max(1.0, abs(slow))
+    scale = max(1.0, abs(slow))
+    assert abs(fast - slow) <= 1e-12 * scale
+    assert abs(fast - whole[1]) <= 1e-12 * scale
+    assert abs(product - 1.0 - slow) <= 1e-12 * scale
+    assert abs(product - whole[0]) <= 1e-12 * max(1.0, abs(whole[0]))
+    assert abs(residual - whole[2]) <= 1e-12 * scale
 
 
 def test_induction_step_examples():
@@ -293,6 +302,16 @@ def test_convergence_trace_steps_double_and_certify():
     reference = zeta_eval(3, METHOD_REFORMULATED, 1e-10).value
     for step in trace:
         assert abs(step.value - reference) <= step.tail_error_bound
+
+
+@pytest.mark.parametrize("s", [3, 2.5 + 1j, 2 + 10j])
+def test_reformulated_trace_is_the_folded_sum(s):
+    trace = convergence_trace(s, METHOD_REFORMULATED, 1e-6)
+    for step in trace:
+        expected = 1.0 + reform_partial(step.terms_used, s)
+        assert abs(step.value - expected) <= 1e-12 * abs(expected)
+    product_counts = [step.terms_used for step in convergence_trace(s, METHOD_EULER_PRODUCT, 1e-6)]
+    assert [step.terms_used for step in trace] == product_counts
 
 
 def test_monotone_convergence_on_real_axis():

@@ -1,6 +1,7 @@
 """Prime generation, caching, persistence, and smooth numbers."""
 
 import math
+from itertools import count, islice
 
 import pytest
 from hypothesis import given, settings
@@ -99,7 +100,7 @@ def test_smallest_prime_factor_divides_and_is_minimal(n):
 
 
 def smooth_by_filtering(i: int, bound: int) -> list[int]:
-    allowed = trial_division_primes(10**6)[:i]
+    allowed = list(islice(filter(trial_division_is_prime, count(2)), i))
     out = []
     for n in range(1, bound + 1):
         m = n
