@@ -270,21 +270,23 @@ def _ensure_feasible_count(count: int) -> None:
 # ----------------------------------------------------------------------
 # adaptive evaluation
 
-def _trace(z: complex, method: str, tolerance: float, window: int,
+def _trace(z: complex, method: str, tolerance: float, count: int,
            offset: int = 0) -> list[EvaluationResult]:
     """The doubling driver behind every adaptive evaluation.
 
-    Folds windows of `window`, 2*`window`, ... terms, past the first
-    `offset` primes, into one running product, prime-indexed sum or
+    Truncates at `count`, 2*`count`, 4*`count`, ... terms past the first
+    `offset` primes (Dirichlet runs have offset 0).  Each step folds only
+    its new terms, those at positions lo..offset+count-1 (0-based) with lo
+    the previous step's end, into one running product, prime-indexed sum or
     Dirichlet total, so each power is computed once over the whole run.
-    Records one result per window and stops once its certified bound is
-    <= tolerance.
+    Records one result per step, with terms_used = count, and stops once
+    its certified bound is <= tolerance.
     """
     sigma = z.real
     if method == METHOD_DIRICHLET:
-        # The tail alone fixes the window that meets the tolerance, so an
+        # The tail alone fixes the count that meets the tolerance, so an
         # infeasible request is refused before any term is summed.
-        needed = window
+        needed = count
         while needed <= MAX_DIRICHLET_TERMS and _dirichlet_tail(needed, sigma) > tolerance:
             needed *= 2
         if needed > MAX_DIRICHLET_TERMS:
@@ -296,7 +298,7 @@ def _trace(z: complex, method: str, tolerance: float, window: int,
     running = complex(1.0) if method == METHOD_EULER_PRODUCT else complex(0.0)
     lo = offset
     while True:
-        hi = offset + window
+        hi = offset + count
         if method == METHOD_DIRICHLET:
             running = value = _dirichlet_fold(running, lo, hi, z)
             bound = _dirichlet_tail(hi, sigma)
@@ -304,18 +306,18 @@ def _trace(z: complex, method: str, tolerance: float, window: int,
             _ensure_feasible_count(hi)
             blocks = _blocks(primes.first_primes(hi)[lo:], z)
             if method == METHOD_EULER_PRODUCT:
-                # The window's own product first, then into the running one:
-                # that order fixes the digits the euler_product reports print.
+                # The new primes' own product first, then into the running
+                # one: that order fixes the digits euler_product reports print.
                 running *= _product(blocks, z)
                 value = running
             else:
                 running = _sum(blocks, z, running)
                 value = 1.0 + running
             bound = _product_tail(abs(value), tail_bound(hi, sigma))
-        steps.append(EvaluationResult(value, method, window, float(bound)))
+        steps.append(EvaluationResult(value, method, count, float(bound)))
         if bound <= tolerance:
             return steps
-        lo, window = hi, 2 * window
+        lo, count = hi, 2 * count
 
 
 def correction_coefficient(k: int, s, spec: TruncationSpec) -> EvaluationResult:
@@ -329,7 +331,7 @@ def correction_coefficient(k: int, s, spec: TruncationSpec) -> EvaluationResult:
     z = as_complex(s)
     if z.real <= 1.0:
         raise NonConvergentError("the tail product", z)
-    return _trace(z, METHOD_EULER_PRODUCT, spec.tolerance, window=16, offset=k - 1)[-1]
+    return _trace(z, METHOD_EULER_PRODUCT, spec.tolerance, count=16, offset=k - 1)[-1]
 
 
 def convergence_trace(s, method: str, tolerance: float) -> list[EvaluationResult]:
@@ -346,7 +348,7 @@ def convergence_trace(s, method: str, tolerance: float) -> list[EvaluationResult
         raise ValueError(f"tolerance must be a finite value >= {MIN_EVAL_TOLERANCE}")
     if z.real <= 1.0:
         raise NonConvergentError("zeta evaluation", z)
-    return _trace(z, method, tolerance, window=16 if method == METHOD_DIRICHLET else 1)
+    return _trace(z, method, tolerance, count=16 if method == METHOD_DIRICHLET else 1)
 
 
 def zeta_eval(s, method: str = METHOD_REFORMULATED, tolerance: float = 1e-6) -> EvaluationResult:

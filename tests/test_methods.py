@@ -166,6 +166,8 @@ def test_reform_partial_matches_naive_double_loop(i, s, monkeypatch):
     product, fast, residual = euler_partial(i, s), reform_partial(i, s), identity_residual(i, s)
     slow = reform_naive(i, s)
     scale = max(1.0, abs(slow))
+    assert abs(whole[1] - slow) <= 1e-12 * scale
+    assert abs(whole[0] - 1.0 - slow) <= 1e-12 * scale
     assert abs(fast - slow) <= 1e-12 * scale
     assert abs(fast - whole[1]) <= 1e-12 * scale
     assert abs(product - 1.0 - slow) <= 1e-12 * scale
@@ -195,6 +197,20 @@ def test_partials_signal_overflowing_product():
     # every factor is ~1e7, so the 50-prime product leaves double range
     with pytest.raises(PowerOverflowError):
         euler_partial(50, 1e-7)
+
+
+@pytest.mark.parametrize("i, s, error, prime", [
+    (50, 1e-11, SingularPointError, 2),  # every block holds a singular prime
+    (200, 1.5e-10, SingularPointError, 2),  # singular low blocks, overflowing high ones
+    (50, 1e-7, PowerOverflowError, 191),  # the sum first overflows in primes 191..227
+])
+def test_reform_partial_reports_the_lowest_failing_block(i, s, error, prime, monkeypatch):
+    # The forward fold checks blocks in ascending order, as the product does,
+    # so with several failing blocks the lowest one is reported.
+    monkeypatch.setattr(methods, "_CHUNK", 7)
+    with pytest.raises(error) as excinfo:
+        reform_partial(i, s)
+    assert excinfo.value.prime == prime
 
 
 # ----------------------------------------------------------------------
