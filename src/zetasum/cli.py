@@ -310,8 +310,7 @@ def _run_identity_check(config: RunConfig):
     rows = []
     i = config.spec.prime_index_i
     for s in config.s_values:
-        product = methods.euler_partial(i, s)
-        residual = methods.identity_residual(i, s)
+        product, residual = methods._identity(i, s)
         scale = max(1.0, abs(product))
         rows.append([s.real, s.imag, i, residual, abs(product), residual / scale])
     return header, rows

@@ -129,9 +129,8 @@ def _finite(x: complex) -> bool:
     return math.isfinite(x.real) and math.isfinite(x.imag)
 
 
-def _product(blocks, z: complex) -> complex:
-    """Product of every factor f in the blocks, one block product at a time."""
-    out = complex(1.0)
+def _product(blocks, z: complex, out: complex = complex(1.0)) -> complex:
+    """`out` times every factor f in the blocks, one block product at a time."""
     for p, _, f in blocks:
         with np.errstate(over="ignore", under="ignore"):
             out *= complex(f.prod())
@@ -191,13 +190,37 @@ def reform_partial(i: int, s) -> complex:
     return _sum(_blocks(primes.first_primes(i), z), z)
 
 
+def _identity(i: int, s) -> tuple[complex, float]:
+    """euler_partial(i, s) and identity_residual(i, s) from one pass over the
+    blocks, each power computed once.
+
+    Bit-identical to the two separate calls, and fails as they do: the
+    product's errors come first, and a failure of the sum alone is raised
+    only after the product has run over every block.
+    """
+    if i < 0:
+        raise ValueError("i must be >= 0")
+    z = as_complex(s)
+    product, total, sum_error = complex(1.0), 0j, None
+    for block in _blocks(primes.first_primes(i), z):
+        product = _product([block], z, product)
+        if sum_error is None:
+            try:
+                total = _sum([block], z, total)
+            except PowerOverflowError as exc:
+                sum_error = exc
+    if sum_error is not None:
+        raise sum_error
+    return product, abs(product - 1.0 - total)
+
+
 def identity_residual(i: int, s) -> float:
     """|product - 1 - sum| over the first i primes.
 
     Analytically zero everywhere off the singular lattice, so the returned
     size is pure floating-point error.
     """
-    return abs(euler_partial(i, s) - 1.0 - reform_partial(i, s))
+    return _identity(i, s)[1]
 
 
 def induction_step_check(i: int, s) -> float:
@@ -281,6 +304,21 @@ def _trace(z: complex, method: str, tolerance: float, count: int,
     Dirichlet total, so each power is computed once over the whole run.
     Records one result per step, with terms_used = count, and stops once
     its certified bound is <= tolerance.
+
+    Impossible product requests are refused before any prime is sieved.
+    Each factor has |1/(1 - p^{-s})| >= 1/(1 + p^{-sigma}), so every
+    truncated product and tail product, and so every value this loop
+    records, has modulus at least prod_p 1/(1 + p^{-sigma}) >= 1/zeta(sigma)
+    > (sigma-1)/sigma.  Half of that, `floor`, is a floor rounding cannot
+    undercut.  A step ending at the prime p certifies only if
+    floor*expm1(2*p^(1-sigma)/(sigma-1)) <= tolerance (see `tail_bound`),
+    that is, only if p >= p_min = (L*(sigma-1)/2)^(1/(1-sigma)) with
+    L = log1p(tolerance/floor).  When p_min exceeds MAX_PRIME_LIMIT, no
+    step the sieve may reach can certify, so the doubling counts are walked
+    with `_ensure_feasible_count` alone to the count at which the loop would
+    refuse, and the same error is raised there.  Requests the floor cannot
+    rule out are refused, if at all, only once the sieve would pass
+    MAX_PRIME_LIMIT.
     """
     sigma = z.real
     if method == METHOD_DIRICHLET:
@@ -294,6 +332,15 @@ def _trace(z: complex, method: str, tolerance: float, count: int,
                 f"certifying this tolerance needs more than {MAX_DIRICHLET_TERMS} "
                 "Dirichlet terms; relax the tolerance or pick another method"
             )
+    else:
+        floor = 0.5 * (sigma - 1.0) / sigma
+        log_p_min = math.log(0.5 * (sigma - 1.0) * math.log1p(tolerance / floor)) / (1.0 - sigma)
+        if log_p_min > math.log(MAX_PRIME_LIMIT):
+            # No step the sieve may reach can certify (see above).
+            needed = count
+            while True:
+                _ensure_feasible_count(offset + needed)
+                needed *= 2
     steps: list[EvaluationResult] = []
     running = complex(1.0) if method == METHOD_EULER_PRODUCT else complex(0.0)
     lo = offset

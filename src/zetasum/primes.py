@@ -2,10 +2,14 @@
 
 A single growing sieve backs every prime-indexed computation in this
 package.  The cache extends itself on demand, at least doubling the sieved
-range each time so repeated extension stays amortized, and can persist to a
-flat text file with one decimal prime per line, ascending.  Point the
-ZETA_PRIME_CACHE environment variable at a file to give the shared default
-cache a backing store; without it the default cache is in-memory only.
+range each time so repeated extension stays amortized.  Each extension
+sieves odd numbers only, in segments of `_SEGMENT` flags that stay in
+cache, and writes each segment's primes straight into one int64 array
+preallocated by the Rosser & Schoenfeld (1962) bound pi(x) < 1.25506*x/ln x.
+The cache can persist to a flat text file with one decimal prime per line,
+ascending.  Point the ZETA_PRIME_CACHE environment variable at a file to
+give the shared default cache a backing store; without it the default cache
+is in-memory only.
 """
 
 from __future__ import annotations
@@ -13,12 +17,22 @@ from __future__ import annotations
 import math
 import os
 import tempfile
+import threading
 
 import numpy as np
 
 ENV_CACHE_PATH = "ZETA_PRIME_CACHE"
 
-_SEGMENT = 1 << 22
+_SEGMENT = 1 << 20  # odd numbers per sieve segment: 1 MB of flags
+
+
+def _count_bound(x: int) -> int:
+    """An upper bound on the number of primes <= x, for x >= 2.
+
+    pi(x) < 1.25506*x/ln x for x > 1 (Rosser & Schoenfeld, Illinois J.
+    Math. 6, 1962); the + 1 absorbs rounding of the float.
+    """
+    return int(1.25506 * x / math.log(x)) + 1
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -29,9 +43,11 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 class PrimeCache:
     """Monotonically growing, sorted sequence of primes.
 
-    Growth is append-only and never rewrites published entries, so a reader
-    holding a slice of :attr:`primes` always sees a consistent prefix; one
-    writer plus any number of readers need no locking.
+    Growth is append-only: each extension publishes a new array whose prefix
+    is the old one, and never writes an array once published, so a reader
+    holding a slice of :attr:`primes` always sees a consistent prefix and
+    needs no lock.  Extensions hold a lock, so any number of threads may
+    grow one cache at the same time.
 
     Args:
         path: Optional backing file.  Loaded on construction if it exists,
@@ -40,6 +56,7 @@ class PrimeCache:
 
     def __init__(self, path: str | None = None):
         self.path = path
+        self._lock = threading.Lock()
         self._primes = _read_only(np.empty(0, dtype=np.int64))
         self._source_limit = 1
         if path and os.path.exists(path):
@@ -96,9 +113,10 @@ class PrimeCache:
     def extend_to(self, limit: int) -> None:
         """Ensure every prime <= limit is cached, sieving forward if needed."""
         limit = int(limit)
-        if limit <= self._source_limit:
-            return
-        self._grow(max(limit, 2 * self._source_limit, 256))
+        with self._lock:
+            if limit <= self._source_limit:
+                return
+            self._grow(max(limit, 2 * self._source_limit, 256))
 
     def _grow(self, target: int) -> None:
         root = math.isqrt(target)
@@ -106,22 +124,32 @@ class PrimeCache:
             self._grow(root)
         if target <= self._source_limit:
             return
-        base = self._primes[: int(np.searchsorted(self._primes, root, side="right"))]
-        base_list = base.tolist()
-        pieces = []
+        n = len(self)
+        buf = np.empty(_count_bound(target), dtype=np.int64)
+        buf[:n] = self._primes
         lo = self._source_limit + 1
-        while lo <= target:
-            hi = min(lo + _SEGMENT - 1, target)
-            flags = np.ones(hi - lo + 1, dtype=bool)
-            for p in base_list:
-                if p * p > hi:
-                    break
-                start = max(p * p, ((lo + p - 1) // p) * p)
-                flags[start - lo :: p] = False
-            pieces.append((np.flatnonzero(flags) + lo).astype(np.int64))
-            lo = hi + 1
-        if pieces:
-            self._primes = _read_only(np.concatenate([self._primes, *pieces]))
+        if lo == 2:
+            buf[n] = 2
+            n += 1
+        base = self._primes[1 : int(np.searchsorted(self._primes, root, side="right"))]
+        squares = base * base
+        flags = np.empty(min(_SEGMENT, target // 2 + 1), dtype=bool)
+        for a in range(lo | 1, target + 1, 2 * _SEGMENT):
+            seg = flags[: min(_SEGMENT, (target - a) // 2 + 1)]
+            seg[:] = True
+            # Flag j stands for a + 2j, so an odd prime's odd multiples are p
+            # flags apart.  Mark them from p*p or from the first one >= a,
+            # j = -a*(p+1)/2 mod p, since (p+1)/2 inverts 2 mod p.
+            ps = base[: int(np.searchsorted(squares, a + 2 * (seg.size - 1), side="right"))]
+            first = np.maximum(-a % ps * ((ps + 1) // 2) % ps, (squares[: ps.size] - a) // 2)
+            for p, j in zip(ps.tolist(), first.tolist()):
+                seg[j::p] = False
+            found = np.flatnonzero(seg)
+            out = buf[n : n + found.size]
+            np.multiply(found, 2, out=out)
+            out += a
+            n += found.size
+        self._primes = _read_only(buf[:n])
         self._source_limit = target
         if self.path:
             self.save()

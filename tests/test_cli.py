@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from zetasum import primes
 from zetasum.cli import main, parse_complex_literal, parse_k_range
 
 
@@ -109,6 +110,20 @@ def test_eval_near_boundary_warns_on_stderr(capsys):
     assert code == 1
     assert "barely above 1" in err
     assert out == ""
+
+
+def test_eval_unreachable_product_tolerance_exits_1_before_sieving(capsys, monkeypatch):
+    cache = primes.PrimeCache()
+    monkeypatch.setattr(primes, "_default_cache", cache)
+    code, out, err = run_cli(capsys, "eval", "--s", "1.5", "--tol", "1e-6",
+                             "--method", "euler_product")
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: certifying this tolerance needs roughly the first 67108864 primes "
+        "(a sieve past 1.538e+09); relax the tolerance or pick another method\n"
+    )
+    assert len(cache) == 0
 
 
 def test_eval_timing_flag_fills_elapsed(capsys):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetasum import methods
+from zetasum import methods, primes
 from zetasum.kernel import PowerOverflowError, SingularPointError, euler_factor, prime_power_term
 from zetasum.methods import (
     METHOD_DIRICHLET,
@@ -199,6 +199,27 @@ def test_partials_signal_overflowing_product():
         euler_partial(50, 1e-7)
 
 
+@pytest.mark.parametrize("chunk", [7, methods._CHUNK])
+@pytest.mark.parametrize("s", [2, 0.5 + 14.1j, 3 - 4j, -1.5 + 2j])
+def test_identity_pass_is_the_two_partials_bit_for_bit(s, chunk, monkeypatch):
+    monkeypatch.setattr(methods, "_CHUNK", chunk)
+    product = euler_partial(1000, s)
+    assert methods._identity(1000, s) == (product, abs(product - 1.0 - reform_partial(1000, s)))
+
+
+def test_identity_residual_reports_the_product_failure_first(monkeypatch):
+    # With 7-prime blocks at s = 2i the sum first overflows in a lower block
+    # than the product does; the residual reports the product's failure, as
+    # computing the product before the sum would.
+    monkeypatch.setattr(methods, "_CHUNK", 7)
+    failures = []
+    for partial in (euler_partial, reform_partial, identity_residual):
+        with pytest.raises(PowerOverflowError) as excinfo:
+            partial(3000, 2j)
+        failures.append(excinfo.value.prime)
+    assert failures == [14071, 12659, 14071]
+
+
 @pytest.mark.parametrize("i, s, error, prime", [
     (50, 1e-11, SingularPointError, 2),  # every block holds a singular prime
     (200, 1.5e-10, SingularPointError, 2),  # singular low blocks, overflowing high ones
@@ -308,6 +329,47 @@ def test_zeta_eval_rejects_bad_requests():
 def test_zeta_eval_infeasible_tolerance_is_a_clear_error():
     with pytest.raises(RuntimeError):
         zeta_eval(2, METHOD_EULER_PRODUCT, 1e-12)
+
+
+PRODUCT_REFUSAL = (
+    "certifying this tolerance needs roughly the first 67108864 primes "
+    "(a sieve past 1.538e+09); relax the tolerance or pick another method"
+)
+
+
+@pytest.mark.parametrize("request_", [
+    lambda: zeta_eval(2, METHOD_EULER_PRODUCT, 1e-12),
+    lambda: zeta_eval(1.5, METHOD_REFORMULATED, 1e-6),
+    lambda: correction_coefficient(1, 1.5, TruncationSpec(tolerance=1e-6)),
+], ids=["euler_product", "reformulated", "correction_coefficient"])
+def test_unreachable_product_tolerance_is_refused_before_sieving(request_, monkeypatch):
+    cache = primes.PrimeCache()
+    monkeypatch.setattr(primes, "_default_cache", cache)
+    with pytest.raises(RuntimeError) as excinfo:
+        request_()
+    assert str(excinfo.value) == PRODUCT_REFUSAL
+    assert (len(cache), cache.source_limit) == (0, 1)
+
+
+@pytest.mark.parametrize("s", [1.5 + 14.13j, 1.5, 2 + 10j, 3 - 4j])
+def test_every_product_clears_the_refusal_floor(s):
+    # The up-front refusal rests on |truncated or tail product| > (sigma-1)/sigma.
+    sigma = complex(s).real
+    spec = TruncationSpec(tolerance=1e-2)
+    results = convergence_trace(s, METHOD_EULER_PRODUCT, 1e-2)
+    results += [correction_coefficient(k, s, spec) for k in (2, 5, 50)]
+    for result in results:
+        assert abs(result.value) > (sigma - 1.0) / sigma
+
+
+def test_feasible_tolerance_near_the_floor_is_still_answered():
+    # sigma = 2.5, tol = 1e-10 is not ruled out by the floor, so it takes the
+    # doubling loop and certifies at the same truncation as before.
+    for method in (METHOD_EULER_PRODUCT, METHOD_REFORMULATED):
+        got = zeta_eval(2.5, method, 1e-10)
+        assert got.terms_used == 524288
+        assert got.tail_error_bound <= 1e-10
+    assert correction_coefficient(1, 2.5, TruncationSpec(tolerance=1e-10)).terms_used == 524288
 
 
 def test_convergence_trace_steps_double_and_certify():

@@ -1,8 +1,13 @@
 """Prime generation, caching, persistence, and smooth numbers."""
 
 import math
+import sys
+import threading
+from bisect import bisect_right
+from concurrent.futures import ThreadPoolExecutor
 from itertools import count, islice
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -78,6 +83,51 @@ def test_cache_grows_monotonically(cache):
     arr = cache.primes
     assert arr[0] == 2
     assert all(a < b for a, b in zip(arr.tolist(), arr.tolist()[1:]))
+
+
+@pytest.mark.parametrize("targets", [
+    [0, 2, 3, 10, 255, 257, 10_000, 100_003],
+    [1, 3, 4, 127, 128, 129, 130, 4_096, 65_537],
+    [100_003],
+])
+def test_segmented_sieve_at_its_edges(targets, monkeypatch):
+    # 64 odd numbers per segment, so the targets start and end segments at
+    # both parities and the largest spans hundreds of them.  _grow is driven
+    # directly so that each target, not the doubling policy, ends the sieve.
+    monkeypatch.setattr(primes, "_SEGMENT", 64)
+    reference = trial_division_primes(max(targets))
+    cache = PrimeCache()
+    for target in targets:
+        cache._grow(target)
+        assert cache.source_limit == max(target, 1)
+        assert cache.primes.tolist() == reference[: bisect_right(reference, target)]
+        assert not cache.primes.flags.writeable
+
+
+def grow_together(barrier, cache):
+    barrier.wait(timeout=30)
+    cache.extend_to(3_000_000)
+
+
+def test_concurrent_growth_matches_a_single_sieve():
+    # Four threads released together into one cache's growth: without the
+    # lock each sieves the same range and the published array is corrupted.
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for _ in range(5):
+                cache = PrimeCache()
+                barrier = threading.Barrier(4)
+                for future in [pool.submit(grow_together, barrier, cache) for _ in range(4)]:
+                    future.result(timeout=60)
+                assert (np.diff(cache.primes) > 0).all()
+                fresh = PrimeCache()
+                fresh.extend_to(cache.source_limit)
+                assert fresh.source_limit == cache.source_limit
+                assert np.array_equal(cache.primes, fresh.primes)
+    finally:
+        sys.setswitchinterval(previous)
 
 
 def test_smallest_prime_factor(cache):
