@@ -4,14 +4,24 @@ Smooth-number sums converge to the finite Euler products; grouping the
 Dirichlet sum by smallest prime factor reproduces, row by row, the tail
 product times its leading prime power.  Both are structurally different
 from the product code they check.
+
+Both are array code over the package's one vectorised n^{-s},
+`methods._power_terms`: the smooth sum over the array of smooth numbers,
+the partition over [2, N] in chunks of `methods._CHUNK` integers, grouped
+into rows by one smallest-prime-factor sieve and `np.bincount`.  The scalar
+`kernel.power_term` stays the independent reference the tests check both
+against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from . import primes
-from .kernel import as_complex, power_term, prime_power_term
+import numpy as np
+
+from . import methods, primes
+from .kernel import as_complex, prime_power_term
 from .methods import NonConvergentError, TruncationSpec, correction_coefficient
 
 
@@ -40,10 +50,8 @@ def smooth_sum_oracle(i: int, s, bound: int) -> complex:
         raise NonConvergentError("the smooth-number sum", z)
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    total = complex(0.0)
-    for n in primes.smooth_numbers(i, bound):
-        total += power_term(n, z)
-    return total
+    n = np.asarray(primes.smooth_numbers(i, bound), dtype=np.float64)
+    return complex(methods._power_terms(n, z).sum())
 
 
 def spf_partition_sum(s, N: int) -> PartitionTable:
@@ -51,15 +59,33 @@ def spf_partition_sum(s, N: int) -> PartitionTable:
 
     The row for p estimates (tail product from p's index) * p^{-s} with an
     error no larger than the Dirichlet tail beyond N.
+
+    One int32 sieve labels every n <= N with the rank of its smallest
+    prime factor: the k-th base prime p <= isqrt(N) writes k into the
+    entries of its multiples from p*p on that are still 0, and the entries
+    of [2, N] left at 0 are the primes, ranked in order.  The powers then
+    go into the rows `methods._CHUNK` integers at a time through
+    `np.bincount`, which adds each row's terms in ascending n.
     """
     z = as_complex(s)
     N = int(N)
     if N < 2:
         raise ValueError("N must be >= 2")
-    rows: dict[int, complex] = {}
-    for n in range(2, N + 1):
-        p = primes.smallest_prime_factor(n)
-        rows[p] = rows.get(p, complex(0.0)) + power_term(n, z)
+    rank = np.zeros(N + 1, dtype=np.int32)
+    for k, p in enumerate(primes.primes_up_to(math.isqrt(N)), start=1):
+        multiples = rank[p * p :: p]
+        multiples[multiples == 0] = k
+    found = np.flatnonzero(rank[2:] == 0) + 2
+    rank[found] = np.arange(1, found.size + 1)
+    re = np.zeros(found.size + 1)
+    im = np.zeros(found.size + 1)
+    for a in range(2, N + 1, methods._CHUNK):
+        n = np.arange(a, min(N + 1, a + methods._CHUNK), dtype=np.float64)
+        t = methods._power_terms(n, z)
+        group = rank[a : a + n.size]
+        re += np.bincount(group, weights=t.real, minlength=re.size)
+        im += np.bincount(group, weights=t.imag, minlength=im.size)
+    rows = dict(zip(found.tolist(), (re + 1j * im)[1:].tolist()))
     return PartitionTable(cutoff_N=N, rows=rows)
 
 

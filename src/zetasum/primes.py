@@ -6,22 +6,16 @@ range each time so repeated extension stays amortized.  Each extension
 sieves odd numbers only, in segments of `_SEGMENT` flags that stay in
 cache, and writes each segment's primes straight into one int64 array
 preallocated by the Rosser & Schoenfeld (1962) bound pi(x) < 1.25506*x/ln x.
-The cache can persist to a flat text file with one decimal prime per line,
-ascending.  Point the ZETA_PRIME_CACHE environment variable at a file to
-give the shared default cache a backing store; without it the default cache
-is in-memory only.
+The cache lives in memory only: re-sieving a range is faster than reading
+its primes back from a file.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import tempfile
 import threading
 
 import numpy as np
-
-ENV_CACHE_PATH = "ZETA_PRIME_CACHE"
 
 _SEGMENT = 1 << 20  # odd numbers per sieve segment: 1 MB of flags
 
@@ -48,19 +42,12 @@ class PrimeCache:
     holding a slice of :attr:`primes` always sees a consistent prefix and
     needs no lock.  Extensions hold a lock, so any number of threads may
     grow one cache at the same time.
-
-    Args:
-        path: Optional backing file.  Loaded on construction if it exists,
-            atomically rewritten after every extension.
     """
 
-    def __init__(self, path: str | None = None):
-        self.path = path
+    def __init__(self):
         self._lock = threading.Lock()
         self._primes = _read_only(np.empty(0, dtype=np.int64))
         self._source_limit = 1
-        if path and os.path.exists(path):
-            self._load(path)
 
     @property
     def primes(self) -> np.ndarray:
@@ -74,38 +61,6 @@ class PrimeCache:
 
     def __len__(self) -> int:
         return int(self._primes.size)
-
-    # ------------------------------------------------------------------
-    # persistence
-
-    def _load(self, path: str) -> None:
-        with open(path, "r", encoding="ascii") as fh:
-            values = [int(line) for line in fh if line.strip()]
-        arr = np.asarray(values, dtype=np.int64)
-        if arr.size:
-            if arr[0] != 2:
-                raise ValueError(f"corrupt prime cache {path!r}: first entry is {arr[0]}, not 2")
-            if arr.size > 1 and not (np.diff(arr) > 0).all():
-                raise ValueError(f"corrupt prime cache {path!r}: entries not strictly increasing")
-            self._primes = _read_only(arr)
-            # Conservative: the file certainly covers everything up to its
-            # last entry, even if it was generated with a larger limit.
-            self._source_limit = int(arr[-1])
-
-    def save(self) -> None:
-        """Atomically rewrite the backing file (no-op without a path)."""
-        if not self.path:
-            return
-        directory = os.path.dirname(os.path.abspath(self.path))
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".primes.tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="ascii") as fh:
-                for p in self._primes.tolist():
-                    fh.write(f"{p}\n")
-            os.replace(tmp, self.path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
 
     # ------------------------------------------------------------------
     # growth
@@ -151,8 +106,6 @@ class PrimeCache:
             n += found.size
         self._primes = _read_only(buf[:n])
         self._source_limit = target
-        if self.path:
-            self.save()
 
     def extend_to_count(self, count: int) -> None:
         """Ensure at least `count` primes are cached."""
@@ -161,11 +114,14 @@ class PrimeCache:
             self.extend_to(self._estimate_limit(count))
 
     def _estimate_limit(self, count: int) -> int:
-        # p_n < n(ln n + ln ln n + 2) for n >= 6; small margin, loop retries.
+        # p_n < n(ln n + ln ln n + 2) for n >= 6, and the sharper
+        # p_n < n(ln n + ln ln n - 0.9484) for n >= 39017 (Dusart, Math.
+        # Comp. 68, 1999); small margin, loop retries.
         if count < 6:
             return max(16, 2 * self._source_limit)
         x = float(count)
-        est = int(x * (math.log(x) + math.log(math.log(x)) + 2.0)) + 16
+        shift = -0.9484 if count >= 39017 else 2.0
+        est = int(x * (math.log(x) + math.log(math.log(x)) + shift)) + 16
         return max(est, 2 * self._source_limit)
 
 
@@ -176,12 +132,12 @@ def default_cache() -> PrimeCache:
     """Shared cache used whenever an operation is not handed one explicitly."""
     global _default_cache
     if _default_cache is None:
-        _default_cache = PrimeCache(os.environ.get(ENV_CACHE_PATH) or None)
+        _default_cache = PrimeCache()
     return _default_cache
 
 
 def reset_default_cache() -> None:
-    """Drop the shared cache; the next use re-reads ZETA_PRIME_CACHE."""
+    """Drop the shared cache; the next use starts an empty one."""
     global _default_cache
     _default_cache = None
 

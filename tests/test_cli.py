@@ -285,18 +285,12 @@ def test_missing_config_file_is_usage_error(capsys):
 
 
 # ----------------------------------------------------------------------
-# determinism and environment
+# determinism
 
-def run_subprocess(*argv, env_extra=None):
-    import os
-
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def run_subprocess(*argv):
     return subprocess.run(
         [sys.executable, "-m", "zetasum", *argv],
         capture_output=True,
-        env=env,
         check=False,
     )
 
@@ -309,13 +303,3 @@ def test_repeated_runs_are_byte_identical():
     assert first.stdout == second.stdout
     assert first.stdout
 
-
-def test_env_cache_path_is_honored(tmp_path):
-    cache_file = tmp_path / "cli_cache.txt"
-    result = run_subprocess(
-        "exclusion", "--i", "2", "--k-range", "0..1",
-        env_extra={"ZETA_PRIME_CACHE": str(cache_file)},
-    )
-    assert result.returncode == 0
-    assert cache_file.exists()
-    assert int(cache_file.read_text().splitlines()[0]) == 2

@@ -2,12 +2,23 @@
 
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
+from zetasum import methods
+from zetasum.kernel import PowerOverflowError, power_term
 from zetasum.methods import NonConvergentError, TruncationSpec, dirichlet_partial, euler_partial
 from zetasum.oracle import coefficient_crosscheck, smooth_sum_oracle, spf_partition_sum
-from zetasum.primes import primes_up_to
+from zetasum.primes import primes_up_to, smallest_prime_factor, smooth_numbers
+
+
+def scalar_partition(s, N: int) -> dict[int, complex]:
+    """The partition rows one n at a time: trial division and the scalar
+    power, independent of the oracle's sieve and vectorised powers."""
+    rows: dict[int, complex] = {}
+    for n in range(2, N + 1):
+        p = smallest_prime_factor(n)
+        rows[p] = rows.get(p, complex(0.0)) + power_term(n, s)
+    return dict(sorted(rows.items()))
 
 
 def test_smooth_sum_geometric_closed_form():
@@ -70,19 +81,55 @@ def test_partition_is_exhaustive(N, s):
 
 
 def test_partition_rows_match_independent_sieve():
-    # second path: vectorized smallest-prime-factor sieve plus grouped sums
     N, s = 2000, 2.5 + 1.5j
-    spf = np.zeros(N + 1, dtype=np.int64)
-    for p in range(2, N + 1):
-        if spf[p] == 0:
-            spf[p::p] = np.where(spf[p::p] == 0, p, spf[p::p])
-    n = np.arange(2, N + 1, dtype=np.float64)
-    terms = np.exp(-s * np.log(n))
+    expected = scalar_partition(s, N)
     table = spf_partition_sum(s, N)
-    for p in sorted(table.rows):
-        mask = spf[2:] == p
-        expected = complex(terms[mask].sum())
-        assert abs(table.rows[p] - expected) <= 1e-13 * max(1.0, abs(expected))
+    assert list(table.rows) == list(expected)
+    for p, value in expected.items():
+        assert abs(table.rows[p] - value) <= 1e-13 * max(1.0, abs(value))
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 49, 121, 2 * 3 * 5 * 7 * 11])
+@pytest.mark.parametrize("s", [3, 2 - 5j])
+def test_partition_edge_cutoffs_match_scalar_reference(N, s):
+    # 2 and 3 have no base prime; at 4, 49 and 121 the largest base prime's
+    # only mark is N itself; 2310 is the product of the first five primes.
+    expected = scalar_partition(s, N)
+    table = spf_partition_sum(s, N)
+    assert list(table.rows) == primes_up_to(N) == list(expected)
+    for p, value in expected.items():
+        assert abs(table.rows[p] - value) <= 1e-13 * abs(value)
+        assert (table.rows[p].imag == 0.0) == (complex(s).imag == 0.0)
+
+
+@pytest.mark.parametrize("s", [-400, -400 + 3j, -130.5 - 7j])
+def test_partition_overflow_names_the_lowest_overflowing_n(s):
+    with pytest.raises(PowerOverflowError) as expected:
+        scalar_partition(s, 10_000)
+    with pytest.raises(PowerOverflowError) as got:
+        spf_partition_sum(s, 10_000)
+    assert got.value.prime == expected.value.prime
+    assert str(got.value) == str(expected.value)
+
+
+def test_partition_rows_do_not_depend_on_the_chunk_size(monkeypatch):
+    s, N = 2 + 3.5j, 5000
+    whole = spf_partition_sum(s, N)
+    monkeypatch.setattr(methods, "_CHUNK", 7)
+    chunked = spf_partition_sum(s, N)
+    assert list(chunked.rows) == list(whole.rows)
+    for p, value in whole.rows.items():
+        assert abs(chunked.rows[p] - value) <= 1e-13 * abs(value)
+
+
+@pytest.mark.parametrize("i, s, bound", [(3, 2.5, 10**5), (20, 2 + 10j, 10**4), (5, 1.5 - 3j, 777)])
+def test_smooth_sum_matches_scalar_reference(i, s, bound):
+    expected = complex(0.0)
+    for n in smooth_numbers(i, bound):
+        expected += power_term(n, s)
+    got = smooth_sum_oracle(i, s, bound)
+    assert abs(got - expected) <= 1e-13 * abs(expected)
+    assert (got.imag == 0.0) == (complex(s).imag == 0.0)
 
 
 def test_partition_validates_cutoff():

@@ -1,4 +1,4 @@
-"""Prime generation, caching, persistence, and smooth numbers."""
+"""Prime generation, caching, and smooth numbers."""
 
 import math
 import sys
@@ -187,48 +187,31 @@ def test_smooth_numbers_membership_follows_spf_chain(cache):
         assert (n in members) == (m == 1)
 
 
-def test_persistence_roundtrip(tmp_path):
-    path = tmp_path / "primes.txt"
-    writer = PrimeCache(str(path))
-    nth_prime(25, writer)
-    lines = path.read_text().splitlines()
-    values = [int(x) for x in lines]
-    assert values[0] == 2
-    assert values == sorted(set(values))
-    assert 97 in values
-
-    reader = PrimeCache(str(path))
-    assert reader.primes.tolist() == writer.primes.tolist()
-    assert primes_up_to(100, reader) == trial_division_primes(100)
-
-
-def test_corrupt_cache_rejected(tmp_path):
-    bad = tmp_path / "bad.txt"
-    bad.write_text("4\n3\n")
-    with pytest.raises(ValueError):
-        PrimeCache(str(bad))
-    unordered = tmp_path / "unordered.txt"
-    unordered.write_text("2\n7\n5\n")
-    with pytest.raises(ValueError):
-        PrimeCache(str(unordered))
-
-
-def test_env_var_controls_default_cache(tmp_path, monkeypatch):
-    path = tmp_path / "env_cache.txt"
-    monkeypatch.setenv(primes.ENV_CACHE_PATH, str(path))
+def test_default_cache_in_memory_without_env(monkeypatch, tmp_path):
+    # The shared cache never reads or writes a file: a ZETA_PRIME_CACHE
+    # setting left over from older versions, even one naming a gapped list,
+    # changes nothing.
+    stale = tmp_path / "stale.txt"
+    stale.write_text("2\n3\n7\n11\n")
+    monkeypatch.setenv("ZETA_PRIME_CACHE", str(stale))
     primes.reset_default_cache()
     try:
-        assert nth_prime(10) == 29
-        assert path.exists()
-        assert int(path.read_text().splitlines()[0]) == 2
+        assert len(primes.default_cache()) == 0
+        assert primes_up_to(12) == [2, 3, 5, 7, 11]
+        assert stale.read_text() == "2\n3\n7\n11\n"
     finally:
         primes.reset_default_cache()
 
 
-def test_default_cache_in_memory_without_env(monkeypatch):
-    monkeypatch.delenv(primes.ENV_CACHE_PATH, raising=False)
-    primes.reset_default_cache()
-    try:
-        assert primes.default_cache().path is None
-    finally:
-        primes.reset_default_cache()
+def test_count_estimate_reaches_the_nth_prime():
+    # extend_to_count sieves once only if the estimate for `count` is at least
+    # p_count: n(ln n + ln ln n + 2) below 39017 and Dusart's sharper
+    # n(ln n + ln ln n - 0.9484) from 39017 on.
+    sieved = PrimeCache()
+    sieved.extend_to_count(1 << 20)
+    fresh = PrimeCache()
+    counts = sorted({*range(6, (1 << 20) + 1, 7), 39016, 39017, 1 << 20})
+    limits = np.array([fresh._estimate_limit(c) for c in counts])
+    assert (limits >= sieved.primes[np.array(counts) - 1]).all()
+    # p_{2^24} = 310,248,241: the target overshoots it by under 0.04%.
+    assert 310_248_241 <= fresh._estimate_limit(1 << 24) <= 310_248_241 * 1.0004
