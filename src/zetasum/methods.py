@@ -8,9 +8,15 @@ by chunk, with the overflow and singular-point checks, and two reductions
 consume it: the product multiplies the factors, and the prime-indexed sum
 folds forward by the paper's induction step S_{i+1} = f_{i+1}*(t_{i+1} + S_i).
 
+The Dirichlet sum D(x) = sum_{n <= x} n^{-s} uses the first Euler factor
+as a finite identity: every even n <= x is 2m with m <= floor(x/2), so
+D(x) = 2^{-s}*D(floor(x/2)) + O(x) with O(x) the odd-n part.  Carrying the
+pair (D, O) over the cuts x = 1, 2, 4, ... (or N >> k down to N) evaluates
+only the odd powers (`_dirichlet_fold`).
+
 The three evaluation methods and the tail products share one doubling
 driver (`_trace`): fold each new window of terms into a running product,
-sum or Dirichlet total, record the value together with an honest upper
+sum or Dirichlet pair, record the value together with an honest upper
 bound on its distance to the limit, and stop once that bound drops below
 the requested tolerance.  The product tail is certified through
 |log(1-z)| <= 2|z| for |z| <= 1/2 plus the integral estimate
@@ -21,6 +27,7 @@ integral estimate directly.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +56,11 @@ MAX_PRIME_LIMIT = 1 << 30
 MAX_DIRICHLET_TERMS = 1 << 30
 
 _CHUNK = 1 << 20
+
+# n^{-z} = exp(-z*ln n) is finite when Re(-z*ln n) <= _LOG_SAFE (at most
+# max_double/e) and |Im(-z*ln n)| <= _PHASE_SAFE (no overflow in the phase).
+_LOG_SAFE = math.log(sys.float_info.max) - 1.0
+_PHASE_SAFE = 0.5 * sys.float_info.max
 
 
 class NonConvergentError(ValueError):
@@ -158,12 +170,43 @@ def _sum(blocks, z: complex, total: complex = 0j) -> complex:
     return total
 
 
-def _dirichlet_fold(total: complex, lo: int, hi: int, z: complex) -> complex:
-    """`total` plus n^{-z} for lo < n <= hi, one chunk sum at a time."""
-    for a in range(lo + 1, hi + 1, _CHUNK):
-        n = np.arange(a, min(hi + 1, a + _CHUNK), dtype=np.float64)
-        total += complex(_power_terms(n, z).sum())
-    return total
+def _dirichlet_fold(total: complex, odd: complex, lo: int, hi: int, z: complex,
+                    two: complex) -> tuple[complex, complex]:
+    """Advance (D(lo), O(lo)) to (D(hi), O(hi)), where D(x) is the sum of
+    n^{-z} over n <= x, O(x) its odd-n part and `two` = 2^{-z}.
+
+    `lo` must be hi >> k for some k >= 0 (0 is hi >> hi.bit_length()).  The
+    cuts c = hi >> k above lo are walked in ascending order: the odd n in
+    (c >> 1, c] go into O, `_CHUNK` powers at a time, and then
+    D(c) = 2^{-z}*D(c >> 1) + O(c), so only the odd powers are evaluated.
+
+    An even power is never evaluated, so when it is not finite neither O nor
+    the carried D need show it (complex terms cancel).  Over a window,
+    -z*ln n has its largest real part (for Re(z) < 0) and its largest
+    imaginary part in modulus at n = c, so one test per window tells when
+    some n^{-z} there may not be finite.  Such a window is evaluated term by
+    term for the check alone, so the error names the lowest n whose n^{-z}
+    is not finite, as summing every power would.
+    """
+    cuts = []
+    while hi > lo:
+        cuts.append(hi)
+        hi >>= 1
+    for c in reversed(cuts):
+        ln_c = math.log(c)
+        if -z.real * ln_c > _LOG_SAFE or abs(z.imag) * ln_c > _PHASE_SAFE:
+            for a in range((c >> 1) + 1, c + 1, _CHUNK):
+                _power_terms(np.arange(a, min(c + 1, a + _CHUNK), dtype=np.float64), z)
+        for a in range(((c >> 1) + 1) | 1, c + 1, 2 * _CHUNK):
+            n = np.arange(a, min(c + 1, a + 2 * _CHUNK), 2, dtype=np.float64)
+            odd += complex(_power_terms(n, z).sum())
+        total = two * total + odd
+    return total, odd
+
+
+def _two_power(z: complex) -> complex:
+    """2^{-z}, the factor that maps D(x) to the even-n part of D(2x) and D(2x+1)."""
+    return complex(_power_terms(np.array([2.0]), z)[0])
 
 
 # ----------------------------------------------------------------------
@@ -241,11 +284,20 @@ def induction_step_check(i: int, s) -> float:
 
 
 def dirichlet_partial(N: int, s) -> complex:
-    """Sum of n^{-s} for n = 1..N."""
+    """Sum of n^{-s} for n = 1..N.
+
+    Evaluated through the p = 2 Euler factor: with D(x) the sum over n <= x
+    and O(x) its odd-n part, D(x) = 2^{-s}*D(floor(x/2)) + O(x), because every
+    even n <= x is 2m with m <= floor(x/2).  Folded up the cuts N >> k (see
+    `_dirichlet_fold`), this evaluates only the ceil(N/2) odd powers plus
+    2^{-s}.
+    """
     N = int(N)
     if N < 1:
         raise ValueError("N must be >= 1")
-    return _dirichlet_fold(complex(0.0), 0, N, as_complex(s))
+    z = as_complex(s)
+    two = _two_power(z) if N >= 2 else 0j
+    return _dirichlet_fold(0j, 0j, 0, N, z, two)[0]
 
 
 # ----------------------------------------------------------------------
@@ -301,7 +353,9 @@ def _trace(z: complex, method: str, tolerance: float, count: int,
     `offset` primes (Dirichlet runs have offset 0).  Each step folds only
     its new terms, those at positions lo..offset+count-1 (0-based) with lo
     the previous step's end, into one running product, prime-indexed sum or
-    Dirichlet total, so each power is computed once over the whole run.
+    Dirichlet pair (D, O), so each power is computed once over the whole run
+    (for Dirichlet runs, each odd power; the doubling cuts are the cuts
+    `_dirichlet_fold` needs).
     Records one result per step, with terms_used = count, and stops once
     its certified bound is <= tolerance.
 
@@ -332,6 +386,7 @@ def _trace(z: complex, method: str, tolerance: float, count: int,
                 f"certifying this tolerance needs more than {MAX_DIRICHLET_TERMS} "
                 "Dirichlet terms; relax the tolerance or pick another method"
             )
+        two, odd = _two_power(z), 0j
     else:
         floor = 0.5 * (sigma - 1.0) / sigma
         log_p_min = math.log(0.5 * (sigma - 1.0) * math.log1p(tolerance / floor)) / (1.0 - sigma)
@@ -347,7 +402,8 @@ def _trace(z: complex, method: str, tolerance: float, count: int,
     while True:
         hi = offset + count
         if method == METHOD_DIRICHLET:
-            running = value = _dirichlet_fold(running, lo, hi, z)
+            running, odd = _dirichlet_fold(running, odd, lo, hi, z, two)
+            value = running
             bound = _dirichlet_tail(hi, sigma)
         else:
             _ensure_feasible_count(hi)

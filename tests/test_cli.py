@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from zetasum import primes
+from zetasum import oracle, primes
 from zetasum.cli import main, parse_complex_literal, parse_k_range
 
 
@@ -215,6 +215,32 @@ def test_oracle_compare_all_pass(capsys):
     assert statuses == {"pass"}
     checks = {row[2] for row in rows}
     assert checks == {"smooth_vs_product", "partition_identity", "coefficient_crosscheck"}
+
+
+ROUNDING_ONLY = ("oracle-compare", "--s", "5+0i", "--s", "2+50i", "--i", "5",
+                 "--N", "30000", "--tol", "1e-6")
+
+
+def test_oracle_compare_smooth_check_allows_rounding(capsys):
+    # At s = 5 the Dirichlet tail past 30000 is 3.1e-19, below the rounding
+    # of the smooth sum and the product (abs_error 2.2e-16).
+    code, out, _ = run_cli(capsys, *ROUNDING_ONLY)
+    assert code == 0
+    header, rows = parse_csv(out)
+    assert {row[-1] for row in rows} == {"pass"}
+    smooth = [dict(zip(header, row)) for row in rows if row[2] == "smooth_vs_product"]
+    assert [row["s_re"] for row in smooth] == ["5", "2"]
+    assert float(smooth[0]["allowed_error"]) < 1e-13
+
+
+def test_oracle_compare_smooth_check_still_fails_a_wrong_sum(capsys, monkeypatch):
+    exact = oracle.smooth_sum_oracle
+    monkeypatch.setattr(oracle, "smooth_sum_oracle", lambda i, s, bound: exact(i, s, bound) + 1e-12)
+    code, out, _ = run_cli(capsys, *ROUNDING_ONLY)
+    assert code == 0
+    header, rows = parse_csv(out)
+    status = {row[0]: row[-1] for row in rows if row[2] == "smooth_vs_product"}
+    assert status == {"5": "fail", "2": "pass"}
 
 
 # ----------------------------------------------------------------------

@@ -4,12 +4,19 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetasum import methods, primes
-from zetasum.kernel import PowerOverflowError, SingularPointError, euler_factor, prime_power_term
+from zetasum.kernel import (
+    PowerOverflowError,
+    SingularPointError,
+    euler_factor,
+    power_term,
+    prime_power_term,
+)
 from zetasum.methods import (
     METHOD_DIRICHLET,
     METHOD_EULER_PRODUCT,
@@ -66,8 +73,6 @@ def reform_naive(i: int, s: complex) -> complex:
 def dirichlet_with_tail_oracle(sigma: float, N: int = 1_000_000) -> float:
     # independent reference for real sigma > 1: partial sum plus the
     # integral tail correction N^(1-sigma)/(sigma-1)
-    import numpy as np
-
     n = np.arange(1, N + 1, dtype=np.float64)
     return float(np.power(n, -sigma).sum()) + N ** (1.0 - sigma) / (sigma - 1.0)
 
@@ -129,6 +134,99 @@ def test_dirichlet_partial_any_s_allowed():
     assert dirichlet_partial(4, 0) == 4.0
     got = dirichlet_partial(3, -1)
     assert abs(got - 6.0) <= 1e-14 * 6.0
+
+
+def scalar_dirichlet(N: int, s) -> tuple[complex, float]:
+    # The finite sum one power_term at a time, and the sum of the moduli.
+    total, scale = complex(0.0), 0.0
+    for n in range(1, N + 1):
+        term = power_term(n, s)
+        total += term
+        scale += abs(term)
+    return total, scale
+
+
+@pytest.mark.parametrize("chunk", [7, methods._CHUNK])
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 15, 16, 17, 31, 1000, 4097])
+@pytest.mark.parametrize("s", [3, 1.5, 2.5 + 300j, 0.5 - 14.1j, -1.5 + 2j])
+def test_dirichlet_partial_matches_scalar_reference(s, N, chunk, monkeypatch):
+    # Odd cuts (3, 5, 17, 31, 4097) and chunks of 7 odd powers exercise the
+    # window ends of the even/odd split.
+    monkeypatch.setattr(methods, "_CHUNK", chunk)
+    expected, scale = scalar_dirichlet(N, s)
+    got = dirichlet_partial(N, s)
+    assert abs(got - expected) <= 1e-13 * scale
+    if complex(s).imag == 0.0:
+        assert got.imag == 0.0
+
+
+@pytest.mark.parametrize("s", [2, 3 + 10j, 1.7 - 900j])
+def test_dirichlet_trace_steps_are_the_partial_sums(s):
+    # The trace and the public finite sum are one fold over the same cuts.
+    for step in convergence_trace(s, METHOD_DIRICHLET, 1e-4):
+        assert step.value == dirichlet_partial(step.terms_used, s)
+
+
+@pytest.mark.parametrize("s", [2, 2.5 + 300j, 1.7 - 900j, 3 + 10j])
+def test_dirichlet_partial_is_exact_to_rounding(s):
+    mpmath = pytest.importorskip("mpmath")
+    N = 8192
+    with mpmath.workdps(40):
+        z = mpmath.mpc(s)
+        exact = mpmath.fsum(mpmath.power(n, -z) for n in range(1, N + 1))
+        error = float(abs(mpmath.mpc(dirichlet_partial(N, s)) - exact))
+    # Rounding level: the observed errors are at most 6.1e-15, while losing
+    # even the smallest term, 8192^(-3) = 1.8e-12, would fail.
+    assert error <= 2e-14
+
+
+OVERFLOW_POINTS = [
+    (-400, 6),  # even: 6^-s enters the fold only inside 2^-s * D(3)
+    (-400 + 3j, 6),
+    (-130.5 - 7j, 231),  # odd
+    (-250.25 + 40j, 18),
+]
+
+
+@pytest.mark.parametrize("chunk", [7, methods._CHUNK])
+@pytest.mark.parametrize("s, first_bad", OVERFLOW_POINTS)
+def test_dirichlet_overflow_names_the_lowest_overflowing_n(s, first_bad, chunk, monkeypatch):
+    monkeypatch.setattr(methods, "_CHUNK", chunk)
+    with pytest.raises(PowerOverflowError) as expected:
+        scalar_dirichlet(first_bad, s)
+    assert expected.value.prime == first_bad
+    for N in (first_bad, first_bad + 1, 2 * first_bad - 1, 10_000):
+        with pytest.raises(PowerOverflowError) as got:
+            dirichlet_partial(N, s)
+        assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("chunk", [7, methods._CHUNK])
+@pytest.mark.parametrize("s, first_bad", OVERFLOW_POINTS + [
+    # 1210^-s has finite parts but a modulus past the double range, which
+    # the scalar power_term refuses; the vectorised powers first fail at 1211.
+    (-100 + 0.5j, 1211),
+    # The phase -Im(s)*ln n overflows from n = 4 on.
+    (2 + 1.5e308j, 4),
+])
+def test_dirichlet_overflow_is_the_one_summing_every_power_raises(s, first_bad, chunk, monkeypatch):
+    monkeypatch.setattr(methods, "_CHUNK", chunk)
+    with pytest.raises(PowerOverflowError) as expected:
+        methods._power_terms(np.arange(1, 10_001), complex(s))
+    assert expected.value.prime == first_bad
+    for N in (first_bad, first_bad + 1, 2 * first_bad - 1, 10_000):
+        with pytest.raises(PowerOverflowError) as got:
+            dirichlet_partial(N, s)
+        assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("s, N", [(-295.8, 11), (-250.25 + 40j, 17)])
+def test_dirichlet_window_flagged_near_overflow_still_sums(s, N, monkeypatch):
+    # N^-s is finite but within a factor e of the double range, so the last
+    # window is checked term by term and then folded as usual.
+    monkeypatch.setattr(methods, "_CHUNK", 7)
+    expected, scale = scalar_dirichlet(N, s)
+    assert abs(dirichlet_partial(N, s) - expected) <= 1e-13 * scale
 
 
 # ----------------------------------------------------------------------
