@@ -72,18 +72,37 @@ def as_complex(s) -> complex:
 
 
 def power_term(n: int, s) -> complex:
-    """n^{-s} for an integer n >= 1."""
+    """n^{-s} for an integer n >= 1.
+
+    Finite exactly when both parts are finite.  A modulus just past the
+    double range can still have finite parts, |cos| and |sin| of the phase
+    being below 1; such parts are built as (m*cos)*m and (m*sin)*m with
+    m = n^{-Re(s)/2}.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     z = as_complex(s)
+    if z.imag == 0.0:
+        try:
+            return complex(math.pow(n, -z.real), 0.0)
+        except OverflowError:
+            raise PowerOverflowError(n, z) from None
+    phase = -z.imag * math.log(n)
+    if not math.isfinite(phase):
+        raise PowerOverflowError(n, z)
+    cos, sin = math.cos(phase), math.sin(phase)
     try:
         mag = math.pow(n, -z.real)
+        re, im = mag * cos, mag * sin
     except OverflowError:
-        raise PowerOverflowError(n, z) from None
-    if z.imag == 0.0:
-        return complex(mag, 0.0)
-    phase = -z.imag * math.log(n)
-    return complex(mag * math.cos(phase), mag * math.sin(phase))
+        try:
+            half = math.pow(n, -0.5 * z.real)
+        except OverflowError:
+            raise PowerOverflowError(n, z) from None
+        re, im = half * cos * half, half * sin * half
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise PowerOverflowError(n, z)
+    return complex(re, im)
 
 
 def prime_power_term(p: int, s) -> complex:

@@ -18,14 +18,19 @@ The three evaluation methods and the tail products share one doubling
 driver (`_trace`): fold each new window of terms into a running product,
 sum or Dirichlet pair, record the value together with an honest upper
 bound on its distance to the limit, and stop once that bound drops below
-the requested tolerance.  The product tail is certified through
-|log(1-z)| <= 2|z| for |z| <= 1/2 plus the integral estimate
-sum_{n > m} n^{-sigma} <= m^(1-sigma)/(sigma-1); the Dirichlet tail uses the
-integral estimate directly.
+the requested tolerance.  Every bound is truncation plus rounding.  The
+product tail is a sum over primes only, bounded by partial summation
+against Rosser & Schoenfeld's bounds on pi(x) and combined with
+|log(1-z)| <= |z|/(1-|z|) (`tail_bound`).  The Dirichlet tail is the
+smaller of the integral bound and a second-order Euler-Maclaurin bound
+(`_dirichlet_tail`).  Rounding is one closed form per step (`_rounding`):
+the error of each power, mostly in its phase, plus the roundings a term
+meets on its way through the fold.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -186,7 +191,8 @@ def _dirichlet_fold(total: complex, odd: complex, lo: int, hi: int, z: complex,
     imaginary part in modulus at n = c, so one test per window tells when
     some n^{-z} there may not be finite.  Such a window is evaluated term by
     term for the check alone, so the error names the lowest n whose n^{-z}
-    is not finite, as summing every power would.
+    is not finite, as summing every power would.  When every power is finite
+    but D or O is not, the error names `hi`.
     """
     cuts = []
     while hi > lo:
@@ -199,8 +205,11 @@ def _dirichlet_fold(total: complex, odd: complex, lo: int, hi: int, z: complex,
                 _power_terms(np.arange(a, min(c + 1, a + _CHUNK), dtype=np.float64), z)
         for a in range(((c >> 1) + 1) | 1, c + 1, 2 * _CHUNK):
             n = np.arange(a, min(c + 1, a + 2 * _CHUNK), 2, dtype=np.float64)
-            odd += complex(_power_terms(n, z).sum())
+            with np.errstate(over="ignore", invalid="ignore"):
+                odd += complex(_power_terms(n, z).sum())
         total = two * total + odd
+    if cuts and not (_finite(total) and _finite(odd)):
+        raise PowerOverflowError(cuts[0], z)
     return total, odd
 
 
@@ -301,33 +310,177 @@ def dirichlet_partial(N: int, s) -> complex:
 
 
 # ----------------------------------------------------------------------
-# certified tails
+# certified tails and rounding
+
+_U = 2.0 ** -53  # unit roundoff of a double
+_SQRT5 = math.sqrt(5.0)  # |fl(a*b) - a*b| <= sqrt(5)*u*|a*b| for complex a, b
+
+# pi(t) < _PI_UPPER*t/ln t for t > 1, and pi(x) > x/ln x for x >= 17
+# (Rosser & Schoenfeld, Illinois J. Math. 6, 1962).
+_PI_UPPER = 1.25506
+
+
+@functools.lru_cache(maxsize=256)
+def _zeta_bounds(sigma: float) -> tuple[float, float, float]:
+    """(lo, hi, d) with lo <= zeta(sigma) <= hi and -zeta'(sigma) <= d, for
+    sigma > 1, in closed form.
+
+    lo is the first eight terms of the series.  hi and d add, for the rest,
+    the integral of n^-sigma or of n^-sigma*ln n over [8.5, inf): both are
+    convex for n >= 5, and a convex f has f(n) <= the integral of f over
+    [n - 1/2, n + 1/2].
+    """
+    head = [k ** -sigma for k in range(1, 9)]
+    lo = math.fsum(head)
+    c = sigma - 1.0
+    rest = 8.5 ** -c
+    d = math.fsum(h * math.log(k) for k, h in enumerate(head, 1))
+    return lo, lo + rest / c, d + rest * (math.log(8.5) / c + 1.0 / (c * c))
+
+
+def _product_floor(sigma: float) -> float:
+    """A lower bound on the modulus of every truncated or tail Euler product
+    at Re(s) = sigma > 1.
+
+    Each factor has |1/(1 - p^{-s})| >= 1/(1 + p^{-sigma}), which is below 1,
+    so a product over any set of primes has modulus at least the product of
+    1/(1 + p^{-sigma}) over all primes, zeta(2*sigma)/zeta(sigma).
+    """
+    return _zeta_bounds(2.0 * sigma)[0] / _zeta_bounds(sigma)[1]
+
+
+def _log_tail(x: float, sigma: float) -> float:
+    """Upper bound on the sum of |log(1 - p^{-s})| over primes p > x, for
+    Re(s) = sigma > 1 and x >= 2; nonincreasing in x (see `tail_bound`)."""
+    bound = 2.0 * x ** (1.0 - sigma) / (sigma - 1.0)
+    if x >= 17:
+        over_primes = x ** (1.0 - sigma) / math.log(x) * (_PI_UPPER * sigma / (sigma - 1.0) - 1.0)
+        bound = min(bound, over_primes / (1.0 - x ** -sigma))
+    return bound
+
 
 def tail_bound(i: int, sigma: float) -> float:
     """Upper bound on |log| of the product of 1/(1 - p^{-s}) over primes past
     the i-th, valid for any s with Re(s) = sigma > 1.
 
-    Combines |log(1-z)| <= 2|z| for |z| <= 1/2 with
-    sum_{p > p_i} p^{-sigma} <= sum_{n > p_i} n^{-sigma}
-    <= p_i^(1-sigma)/(sigma-1), giving 2*p_i^(1-sigma)/(sigma-1).
+    With z = p^{-s}, |log(1 - z)| = |sum_k z^k/k| <= |z|/(1 - |z|), so the
+    bound is sum_{p > x} p^{-sigma}/(1 - x^{-sigma}) with x = p_i, and the
+    sum over primes is bounded in one of two ways:
+
+    - by the sum over all integers past x, <= x^(1-sigma)/(sigma-1); with
+      |log(1 - z)| <= 2|z| for |z| <= 1/2 this gives 2*x^(1-sigma)/(sigma-1),
+      the only bound used for x < 17;
+    - for x >= 17, by partial summation against pi:
+      sum_{p > x} p^{-sigma} = -pi(x)*x^{-sigma} + sigma * integral_x^inf
+      pi(t)*t^(-sigma-1) dt, and with pi(x) > x/ln x, pi(t) < 1.25506*t/ln t
+      and 1/ln t <= 1/ln x this is at most
+      x^(1-sigma)/ln x * (1.25506*sigma/(sigma-1) - 1).
+
+    The smaller of the two is returned; past x = 17 the second is smaller
+    by a factor of about ln x.
     """
     if i < 1:
         raise ValueError("i must be >= 1")
     sigma = float(sigma)
     if not sigma > 1.0:
         raise ValueError("sigma must exceed 1")
-    p_i = primes.nth_prime(i)
-    return 2.0 * p_i ** (1.0 - sigma) / (sigma - 1.0)
+    return _log_tail(primes.nth_prime(i), sigma)
 
 
-def _product_tail(value_mag: float, log_bound: float) -> float:
-    # |truncated|*(e^b - 1) certifies |truncated - limit| when the log of the
-    # remaining factor is at most b in absolute value.
-    return value_mag * math.expm1(log_bound)
+def _prime_ceiling(n: int) -> float:
+    """An upper bound on the n-th prime: n*(ln n + ln ln n) for n >= 6
+    (Rosser & Schoenfeld, 1962), and p_5 = 11 below that."""
+    if n < 6:
+        return 11.0
+    return n * (math.log(n) + math.log(math.log(n)))
 
 
-def _dirichlet_tail(N: int, sigma: float) -> float:
-    return N ** (1.0 - sigma) / (sigma - 1.0)
+def _dirichlet_tail(N: int, z: complex) -> float:
+    """Upper bound on |sum_{n > N} n^{-z}| for Re(z) = sigma > 1.
+
+    The smaller of the integral bound N^(1-sigma)/(sigma-1) and the
+    second-order Euler-Maclaurin bound.  With f(x) = x^{-z},
+    sum_{n > N} f(n) = N^(1-z)/(z-1) - N^{-z}/2 + z*N^(-z-1)/12 + R, where
+    R = -(1/2)*integral_N^inf B2({x})*f''(x) dx and |B2({x})| <= 1/6, so
+    |R| <= |z(z+1)|*N^(-sigma-1)/(12*(sigma+1)).  For real z the integral
+    bound is the smaller; for |Im z| >> sigma - 1 the first term shrinks
+    by (sigma-1)/|z-1|.
+    """
+    sigma = z.real
+    euler_maclaurin = (N ** (1.0 - sigma) / abs(z - 1.0) + 0.5 * N ** -sigma
+                       + abs(z) * N ** (-sigma - 1.0) / 12.0 * (1.0 + abs(z + 1.0) / (sigma + 1.0)))
+    return min(N ** (1.0 - sigma) / (sigma - 1.0), euler_maclaurin)
+
+
+def _pairwise_depth(m: int) -> int:
+    # Roundings one value meets in numpy's pairwise sum of m values: at most
+    # 16 + 3 + 7 inside a 128-value block, one per halving above it, and
+    # one per 8192-value buffer should the reduction be buffered.
+    return 32 + m.bit_length() + m // 8192
+
+
+def _rounding(z: complex, method: str, count: int, magnitude: float) -> float:
+    """A-priori bound on |computed - exact| for the `method` truncation at
+    `count` terms past its start, as `_trace` folds it; `magnitude` is
+    |computed value| (unused by the Dirichlet route).
+
+    Closed form, to first order in u = 2^-53: the neglected terms are
+    smaller by a factor of about count*u < 1e-6, and the phase error is
+    covered to all orders, as |exp(i*x) - 1| <= |x|.  With sigma = Re(z),
+    zeta, -zeta' and -zeta'/zeta at sigma bounded by `_zeta_bounds`:
+
+    - Each power n^{-z} = exp(-z*ln n) has relative error at most
+      u*(3|z|*ln n + 6).  numpy's log is within one ulp (2u*ln n, times |z|),
+      the product -z*ln n adds u*|z|*ln n, and the complex exp adds at
+      most 6u.  The phase part, u*|Im z|*ln n, dominates at large |Im z|;
+      using |z| also covers the error in the modulus.
+    - Dirichlet: n = 2^k*m (m odd) enters as m^{-z}*(2^{-z})^k, whose
+      relative error is u*(3|z|*ln n + 6 + 6k) <= u*((3|z| + 9)*ln n + 6).
+      It then meets the pairwise sum of its chunk, the sequential sum of
+      chunk totals into O (at most count/(2*_CHUNK) plus one per cut), and
+      at each later cut one product with 2^{-z} (sqrt(5)*u) and one sum.
+      Summed against n^{-sigma}: u*((3|z| + 9)*(-zeta') + (6 + path)*zeta).
+    - Euler factor f = 1/(1 - t): the error of t costs
+      |t|/(1 - |t|)*u*(3|z|*ln p + 6); 1 - t and Smith's division cost
+      3u + 4u*|t|/(1 - |t|)^2, and one block product sqrt(5)*u.  Over the
+      primes, sum ln p*p^-sigma/(1 - p^-sigma) = -zeta'/zeta and
+      sum p^-sigma/(1 - p^-sigma) <= zeta - 1, so the factors contribute
+      u*(3|z|*(-zeta'/zeta) + (6 + 4/(1 - 2^-sigma))*(zeta - 1) +
+      (3 + sqrt(5))*count).  The product adds sqrt(5)*u per block and per
+      step, and the relative error e of the whole is expm1 of the sum.
+    - Prime-indexed sum: term k is t_k times the suffix product of the
+      factors from k on, of modulus <= zeta.  Its relative error is that
+      of t_k, plus that of every factor (the bound above), plus the path:
+      the sequential suffix products and the fold of one block into the
+      next (sqrt(5)*u per factor and per block), the pairwise sum of its
+      block and one sum per block.  Summed with sum_p p^-sigma <= ln zeta
+      and sum_p ln p*p^-sigma <= -zeta'/zeta, plus u*magnitude for 1 + S.
+
+    No sum is charged Higham's gamma_count = count*u/(1 - count*u): a
+    Dirichlet term meets O(log count) roundings.  The products' rounding
+    does grow with count, because each of the count factors is rounded and
+    multiplied in once; the error of `euler_partial` measured against
+    40-digit products grows that way too.
+    """
+    sigma = z.real
+    lo, hi, d = _zeta_bounds(sigma)
+    phase = 3.0 * abs(z)
+    cuts = count.bit_length() + 1
+    if method == METHOD_DIRICHLET:
+        path = _pairwise_depth(_CHUNK) + count // (2 * _CHUNK) + 5 * cuts
+        return _U * ((phase + 9.0) * d + (6.0 + path) * hi)
+    blocks = count // _CHUNK + 2 * cuts
+    log_derivative = d / lo
+    factors = _U * (phase * log_derivative + (6.0 + 4.0 / (1.0 - 2.0 ** -sigma)) * (hi - 1.0)
+                    + (3.0 + _SQRT5) * count)
+    if method == METHOD_EULER_PRODUCT:
+        e = math.expm1(factors + _U * _SQRT5 * blocks)
+        return magnitude * e / (1.0 - e) if e < 1.0 else math.inf
+    prime_zeta = math.log(hi)
+    path = _SQRT5 * (count + blocks) + _pairwise_depth(_CHUNK) + blocks
+    return (hi * (_U * (phase * log_derivative + 6.0 * prime_zeta)
+                  + prime_zeta * (factors + _U * path))
+            + _U * magnitude)
 
 
 def _ensure_feasible_count(count: int) -> None:
@@ -340,6 +493,34 @@ def _ensure_feasible_count(count: int) -> None:
             f"certifying this tolerance needs roughly the first {count} primes "
             f"(a sieve past {est:.3e}); relax the tolerance or pick another method"
         )
+
+
+def _walk_to_feasible(z: complex, method: str, tolerance: float, count: int,
+                      offset: int, magnitude: float) -> int:
+    """Walk the doubling counts from `count` with closed forms alone and
+    return the first that may certify a value of modulus >= `magnitude`;
+    raise the refusal that applies when none can (see `_trace`)."""
+    sigma = z.real
+    while True:
+        if method == METHOD_DIRICHLET:
+            if count > MAX_DIRICHLET_TERMS:
+                raise RuntimeError(
+                    f"certifying this tolerance needs more than {MAX_DIRICHLET_TERMS} "
+                    "Dirichlet terms; relax the tolerance or pick another method"
+                )
+            truncation = _dirichlet_tail(count, z)
+        else:
+            _ensure_feasible_count(offset + count)
+            truncation = magnitude * math.expm1(_log_tail(_prime_ceiling(offset + count), sigma))
+        rounding = _rounding(z, method, count, magnitude)
+        if truncation + rounding <= tolerance:
+            return count
+        if truncation <= tolerance < rounding:
+            raise RuntimeError(
+                f"rounding alone may reach {rounding:.3e} at s = {z}, above the "
+                f"tolerance {tolerance:.3e}; relax the tolerance"
+            )
+        count *= 2
 
 
 # ----------------------------------------------------------------------
@@ -359,43 +540,39 @@ def _trace(z: complex, method: str, tolerance: float, count: int,
     Records one result per step, with terms_used = count, and stops once
     its certified bound is <= tolerance.
 
-    Impossible product requests are refused before any prime is sieved.
-    Each factor has |1/(1 - p^{-s})| >= 1/(1 + p^{-sigma}), so every
-    truncated product and tail product, and so every value this loop
-    records, has modulus at least prod_p 1/(1 + p^{-sigma}) >= 1/zeta(sigma)
-    > (sigma-1)/sigma.  Half of that, `floor`, is a floor rounding cannot
-    undercut.  A step ending at the prime p certifies only if
-    floor*expm1(2*p^(1-sigma)/(sigma-1)) <= tolerance (see `tail_bound`),
-    that is, only if p >= p_min = (L*(sigma-1)/2)^(1/(1-sigma)) with
-    L = log1p(tolerance/floor).  When p_min exceeds MAX_PRIME_LIMIT, no
-    step the sieve may reach can certify, so the doubling counts are walked
-    with `_ensure_feasible_count` alone to the count at which the loop would
-    refuse, and the same error is raised there.  Requests the floor cannot
-    rule out are refused, if at all, only once the sieve would pass
-    MAX_PRIME_LIMIT.
+    Each step's bound is truncation plus rounding.  Rounding is
+    r = `_rounding`, which bounds |value - exact truncation|.  Truncation is
+    `_dirichlet_tail` for Dirichlet runs.  For products it is
+    (|value| + r)*expm1(b), with b = `tail_bound` at the step's last prime:
+    the exact truncation has modulus at most |value| + r, and the remaining
+    factor differs from 1 by at most expm1(b).
+
+    Before any work, `_walk_to_feasible` walks the doubling counts with
+    closed forms alone.  It raises the loop's own refusal where the loop
+    would raise it: at the first count past MAX_DIRICHLET_TERMS, or whose
+    sieve would pass MAX_PRIME_LIMIT.  Where truncation could certify but
+    the rounding bound alone exceeds the tolerance, it refuses too: rounding
+    only grows with count, so no later count certifies.  Otherwise it stops
+    at the first count that may certify.  For Dirichlet runs that is exact,
+    as their bound does not depend on the value.  For products every value
+    has modulus at least `floor` (`_product_floor`, or 1 for real s), and
+    the n-th prime is at most `_prime_ceiling`(n), so a count certifies
+    only if floor*expm1(b) + r(floor) <= tolerance with b taken at that
+    ceiling (`_log_tail` is nonincreasing).  After each product step,
+    `floor` is raised to that step's own lower bound on every later
+    modulus, (|value| - r)*exp(-b), when that is larger, and the walk
+    resumes at the count it stopped at: a larger floor only makes the
+    counts it passed less feasible.
     """
     sigma = z.real
     if method == METHOD_DIRICHLET:
-        # The tail alone fixes the count that meets the tolerance, so an
-        # infeasible request is refused before any term is summed.
-        needed = count
-        while needed <= MAX_DIRICHLET_TERMS and _dirichlet_tail(needed, sigma) > tolerance:
-            needed *= 2
-        if needed > MAX_DIRICHLET_TERMS:
-            raise RuntimeError(
-                f"certifying this tolerance needs more than {MAX_DIRICHLET_TERMS} "
-                "Dirichlet terms; relax the tolerance or pick another method"
-            )
-        two, odd = _two_power(z), 0j
+        floor = 0.0
     else:
-        floor = 0.5 * (sigma - 1.0) / sigma
-        log_p_min = math.log(0.5 * (sigma - 1.0) * math.log1p(tolerance / floor)) / (1.0 - sigma)
-        if log_p_min > math.log(MAX_PRIME_LIMIT):
-            # No step the sieve may reach can certify (see above).
-            needed = count
-            while True:
-                _ensure_feasible_count(offset + needed)
-                needed *= 2
+        # For real s every factor exceeds 1, and so does every product.
+        floor = 1.0 if z.imag == 0.0 else _product_floor(sigma)
+    needed = _walk_to_feasible(z, method, tolerance, count, offset, floor)
+    if method == METHOD_DIRICHLET:
+        two, odd = _two_power(z), 0j
     steps: list[EvaluationResult] = []
     running = complex(1.0) if method == METHOD_EULER_PRODUCT else complex(0.0)
     lo = offset
@@ -404,7 +581,7 @@ def _trace(z: complex, method: str, tolerance: float, count: int,
         if method == METHOD_DIRICHLET:
             running, odd = _dirichlet_fold(running, odd, lo, hi, z, two)
             value = running
-            bound = _dirichlet_tail(hi, sigma)
+            bound = _dirichlet_tail(hi, z) + _rounding(z, method, count, 0.0)
         else:
             _ensure_feasible_count(hi)
             blocks = _blocks(primes.first_primes(hi)[lo:], z)
@@ -416,11 +593,18 @@ def _trace(z: complex, method: str, tolerance: float, count: int,
             else:
                 running = _sum(blocks, z, running)
                 value = 1.0 + running
-            bound = _product_tail(abs(value), tail_bound(hi, sigma))
+            rounding = _rounding(z, method, count, abs(value))
+            b = tail_bound(hi, sigma)
+            bound = (abs(value) + rounding) * math.expm1(b) + rounding
         steps.append(EvaluationResult(value, method, count, float(bound)))
         if bound <= tolerance:
             return steps
         lo, count = hi, 2 * count
+        if method != METHOD_DIRICHLET:
+            # The factors past p_hi change |log| of every later value by at
+            # most b, so each has modulus at least this.
+            floor = max(floor, (abs(value) - rounding) * math.exp(-b))
+            needed = _walk_to_feasible(z, method, tolerance, max(count, needed), offset, floor)
 
 
 def correction_coefficient(k: int, s, spec: TruncationSpec) -> EvaluationResult:

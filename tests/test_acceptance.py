@@ -16,6 +16,7 @@ import time
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from zetasum.kernel import (
     SingularPointError,
@@ -27,6 +28,7 @@ from zetasum.kernel import (
     singular_point,
 )
 from zetasum.methods import (
+    METHODS,
     METHOD_EULER_PRODUCT,
     METHOD_REFORMULATED,
     TruncationSpec,
@@ -203,3 +205,41 @@ def test_acceptance_8_cli_determinism():
         assert runs[0].stdout
     print(f"\nACCEPTANCE 8 CLI determinism across {len(commands)} commands, "
           f"two runs each: PASS (byte-identical reports)")
+
+
+# The six benchmark anchors; the last three sit where the phase error of
+# n^{-s}, about u*|t|*(-zeta'(sigma)), exceeds the tolerance.
+CERTIFICATE_ANCHORS = [(2, 1e-6), (2 + 10j, 1e-6), (3, 1e-10), (3 + 1e8j, 1e-10),
+                       (2 + 1e12j, 1e-6), (4 + 1e14j, 1e-10)]
+
+
+def certificate_grid(count, seed):
+    rng = random.Random(seed)
+    grid = []
+    for _ in range(count):
+        s = complex(round(rng.uniform(1.5, 3.5), 4), round(rng.uniform(-1e3, 1e3), 3))
+        grid.append((s, float(f"{10 ** rng.uniform(-10, -5):.3g}")))
+    return grid
+
+
+def test_acceptance_9_certificates_hold_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    answered, refused, worst = 0, 0, 0.0
+    for s, tol in CERTIFICATE_ANCHORS + certificate_grid(24, seed=20261018):
+        reference = None
+        for method in METHODS:
+            try:
+                result = zeta_eval(s, method, tol)
+            except RuntimeError:
+                refused += 1
+                continue
+            if reference is None:
+                with mpmath.workdps(40):
+                    reference = mpmath.zeta(s)
+            error = float(abs(mpmath.mpc(result.value) - reference))
+            assert error <= result.tail_error_bound <= tol, (s, tol, method)
+            answered += 1
+            worst = max(worst, error / result.tail_error_bound)
+    assert answered >= 60
+    print(f"\nACCEPTANCE 9 certified bounds vs mpmath (40 digits), 30 (s, tol) x 3 methods: "
+          f"PASS ({answered} answered, true error <= {worst:.7f} x bound; {refused} refused)")

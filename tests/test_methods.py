@@ -142,7 +142,7 @@ def scalar_dirichlet(N: int, s) -> tuple[complex, float]:
     for n in range(1, N + 1):
         term = power_term(n, s)
         total += term
-        scale += abs(term)
+        scale += math.hypot(term.real, term.imag)  # abs() raises past max_double
     return total, scale
 
 
@@ -185,6 +185,11 @@ OVERFLOW_POINTS = [
     (-400 + 3j, 6),
     (-130.5 - 7j, 231),  # odd
     (-250.25 + 40j, 18),
+    # |1210^-s| is past the double range but both parts of 1210^-s are
+    # finite; 1211^-s is the first power with a part that is not.
+    (-100 + 0.5j, 1211),
+    # The phase -Im(s)*ln n overflows from n = 4 on.
+    (2 + 1.5e308j, 4),
 ]
 
 
@@ -202,13 +207,7 @@ def test_dirichlet_overflow_names_the_lowest_overflowing_n(s, first_bad, chunk, 
 
 
 @pytest.mark.parametrize("chunk", [7, methods._CHUNK])
-@pytest.mark.parametrize("s, first_bad", OVERFLOW_POINTS + [
-    # 1210^-s has finite parts but a modulus past the double range, which
-    # the scalar power_term refuses; the vectorised powers first fail at 1211.
-    (-100 + 0.5j, 1211),
-    # The phase -Im(s)*ln n overflows from n = 4 on.
-    (2 + 1.5e308j, 4),
-])
+@pytest.mark.parametrize("s, first_bad", OVERFLOW_POINTS)
 def test_dirichlet_overflow_is_the_one_summing_every_power_raises(s, first_bad, chunk, monkeypatch):
     monkeypatch.setattr(methods, "_CHUNK", chunk)
     with pytest.raises(PowerOverflowError) as expected:
@@ -218,6 +217,32 @@ def test_dirichlet_overflow_is_the_one_summing_every_power_raises(s, first_bad, 
         with pytest.raises(PowerOverflowError) as got:
             dirichlet_partial(N, s)
         assert str(got.value) == str(expected.value)
+
+
+def test_scalar_and_vectorised_powers_share_one_overflow_rule():
+    # Finite exactly when both parts are: |1210^-s| > max_double here.
+    z = -100 + 0.5j
+    got = power_term(1210, z)
+    expected = complex(methods._power_terms(np.array([1210.0]), z)[0])
+    assert math.isfinite(got.real) and math.isfinite(got.imag)
+    assert math.isclose(got.real, expected.real, rel_tol=1e-13)
+    assert math.isclose(got.imag, expected.imag, rel_tol=1e-13)
+    with pytest.raises(PowerOverflowError):
+        power_term(1211, z)
+    with pytest.raises(PowerOverflowError):
+        methods._power_terms(np.array([1211.0]), z)
+
+
+@pytest.mark.parametrize("N, s", [
+    (14322, -73.66478372246908),  # the sum overflows to inf
+    (12489, -75.16881755167881 - 939.557245363289j),  # ... and to NaN
+])
+def test_dirichlet_sum_past_the_double_range_raises(N, s):
+    # Every power is finite (_power_terms would raise otherwise); the sum is not.
+    methods._power_terms(np.arange(1, N + 1), complex(s))
+    with pytest.raises(PowerOverflowError) as got:
+        dirichlet_partial(N, s)
+    assert got.value.prime == N
 
 
 @pytest.mark.parametrize("s, N", [(-295.8, 11), (-250.25 + 40j, 17)])
@@ -354,6 +379,54 @@ def test_tail_bound_rejects_bad_sigma():
         tail_bound(0, 2.0)
 
 
+def test_tail_bound_sums_over_primes_from_17_on():
+    # p_7 = 17: from here on partial summation against pi(x) wins.
+    for i, sigma in ((7, 2.0), (100, 1.5), (10_000, 3.0)):
+        p = nth_prime(i)
+        over_primes = p ** (1 - sigma) / math.log(p) * (1.25506 * sigma / (sigma - 1) - 1)
+        assert tail_bound(i, sigma) == pytest.approx(over_primes / (1 - p ** -sigma), rel=1e-15)
+        assert tail_bound(i, sigma) < 2 * p ** (1 - sigma) / (sigma - 1)
+
+
+@pytest.mark.parametrize("sigma, x_max", [(2.0, 10**6), (3.0, 10**7), (4.0, 10**7)])
+def test_tail_bound_covers_exact_prime_sums(sigma, x_max):
+    # Exact sum of -log(1 - p^-sigma) over the primes in (x, Y], plus a bound
+    # for p > Y that does not use pi(x): every prime past 5 lies in one of
+    # the 8 classes prime to 30, and a class sums to at most
+    # Y^-sigma + Y^(1-sigma)/(30*(sigma-1)) past Y.  At sigma = 2 that rest
+    # exceeds the bound at x = 1e7, so that row stops at 1e6.
+    p = first_primes(2_000_000).astype(np.float64)
+    Y = p[-1]
+    rest = 8 * (Y ** -sigma + Y ** (1 - sigma) / (30 * (sigma - 1))) / (1 - Y ** -sigma)
+    logs = -np.log1p(-(p ** -sigma))
+    after = np.cumsum(logs[::-1])[::-1]  # after[j]: the primes from p[j] on
+    x = 17
+    while x <= x_max:
+        i = int(np.searchsorted(p, x, side="right"))  # p_i = p[i - 1] <= x
+        exact = float(after[i]) + rest
+        assert exact <= tail_bound(i, sigma)
+        if x >= 1000:
+            assert tail_bound(i, sigma) <= 3 * exact
+        x *= 10 if x > 17 else 100 / 17
+
+
+def test_dirichlet_tail_bound_holds_and_is_tight():
+    mpmath = pytest.importorskip("mpmath")
+    # The Euler-Maclaurin bound is the smaller one at every point here; at
+    # s = 2 + 0.1i, N = 1000 the true tail reaches 99.8% of it.
+    cases = [(2 + 0.1j, 1000), (1.5 + 3j, 10**4), (3 - 40j, 64), (2.2 + 900j, 4096),
+             (1.1 + 0.01j, 10**5), (4 + 1e3j, 4096)]
+    ratios = []
+    with mpmath.workdps(40):
+        for s, N in cases:
+            bound = methods._dirichlet_tail(N, s)
+            assert bound < N ** (1 - s.real) / (s.real - 1)
+            tail = float(abs(mpmath.zeta(s, N + 1)))
+            assert tail <= bound
+            ratios.append(tail / bound)
+    assert ratios[0] >= 0.99
+
+
 def test_tail_bound_actually_bounds_the_tail():
     # big products as ground truth: |log(Z_big / Z_i)| <= tail_bound(i, sigma)
     sigma = 2.0
@@ -439,7 +512,8 @@ PRODUCT_REFUSAL = (
     lambda: zeta_eval(2, METHOD_EULER_PRODUCT, 1e-12),
     lambda: zeta_eval(1.5, METHOD_REFORMULATED, 1e-6),
     lambda: correction_coefficient(1, 1.5, TruncationSpec(tolerance=1e-6)),
-], ids=["euler_product", "reformulated", "correction_coefficient"])
+    lambda: zeta_eval(1.5, METHOD_EULER_PRODUCT, 1e-6),
+], ids=["euler_product", "reformulated", "correction_coefficient", "euler_product_sigma_1.5"])
 def test_unreachable_product_tolerance_is_refused_before_sieving(request_, monkeypatch):
     cache = primes.PrimeCache()
     monkeypatch.setattr(primes, "_default_cache", cache)
@@ -449,25 +523,55 @@ def test_unreachable_product_tolerance_is_refused_before_sieving(request_, monke
     assert (len(cache), cache.source_limit) == (0, 1)
 
 
+@pytest.mark.parametrize("s, tol, method", [
+    # The phase error alone, about u*|t|*(-zeta'(sigma)), exceeds tol.
+    *[(s, tol, method) for s, tol in ((3 + 1e8j, 1e-10), (2 + 1e12j, 1e-6), (4 + 1e14j, 1e-10))
+      for method in METHODS],
+    # Each of the 2^17 factors the tail needs is rounded and multiplied in.
+    (2.5, 1e-10, METHOD_EULER_PRODUCT),
+])
+def test_rounding_above_the_tolerance_is_refused_before_any_work(s, tol, method, monkeypatch):
+    cache = primes.PrimeCache()
+    monkeypatch.setattr(primes, "_default_cache", cache)
+    powers = []
+    monkeypatch.setattr(methods, "_power_terms", lambda *args: powers.append(args))
+    with pytest.raises(RuntimeError, match="^rounding alone may reach"):
+        zeta_eval(s, method, tol)
+    assert (len(cache), cache.source_limit, powers) == (0, 1, [])
+
+
+def test_sigma_1_5_at_1e_4_is_answered():
+    # The integer-sum tail could not certify this below the sieve limit; the
+    # prime-only tail needs 2^21 primes (a sieve to 3.5e7).
+    got = zeta_eval(1.5, METHOD_EULER_PRODUCT, 1e-4)
+    assert got.terms_used == 2**21
+    assert abs(got.value - 2.612375348685488) <= got.tail_error_bound <= 1e-4
+
+
 @pytest.mark.parametrize("s", [1.5 + 14.13j, 1.5, 2 + 10j, 3 - 4j])
 def test_every_product_clears_the_refusal_floor(s):
-    # The up-front refusal rests on |truncated or tail product| > (sigma-1)/sigma.
+    # The up-front walk rests on |truncated or tail product| >= _product_floor,
+    # zeta(2 sigma)/zeta(sigma); the floor before it was (sigma-1)/sigma.
     sigma = complex(s).real
     spec = TruncationSpec(tolerance=1e-2)
     results = convergence_trace(s, METHOD_EULER_PRODUCT, 1e-2)
     results += [correction_coefficient(k, s, spec) for k in (2, 5, 50)]
     for result in results:
         assert abs(result.value) > (sigma - 1.0) / sigma
+        assert abs(result.value) >= methods._product_floor(sigma)
 
 
 def test_feasible_tolerance_near_the_floor_is_still_answered():
-    # sigma = 2.5, tol = 1e-10 is not ruled out by the floor, so it takes the
-    # doubling loop and certifies at the same truncation as before.
-    for method in (METHOD_EULER_PRODUCT, METHOD_REFORMULATED):
-        got = zeta_eval(2.5, method, 1e-10)
-        assert got.terms_used == 524288
-        assert got.tail_error_bound <= 1e-10
-    assert correction_coefficient(1, 2.5, TruncationSpec(tolerance=1e-10)).terms_used == 524288
+    # At sigma = 2.5 the product's rounding rules out 1e-10 (see above), but
+    # the prime-indexed sum certifies it, and the product 1.5e-10, at 2^17
+    # primes.
+    got = zeta_eval(2.5, METHOD_REFORMULATED, 1e-10)
+    assert got.terms_used == 131072
+    assert got.tail_error_bound <= 1e-10
+    for got in (zeta_eval(2.5, METHOD_EULER_PRODUCT, 1.5e-10),
+                correction_coefficient(1, 2.5, TruncationSpec(tolerance=1.5e-10))):
+        assert got.terms_used == 131072
+        assert got.tail_error_bound <= 1.5e-10
 
 
 def test_convergence_trace_steps_double_and_certify():
@@ -524,7 +628,7 @@ def test_correction_coefficient_tight_tolerance_at_sigma_3():
 
 
 def test_correction_coefficient_tight_tolerance_at_sigma_2():
-    # the expensive corner: certifying 1e-8 at sigma=2 takes ~3e7 primes
+    # the expensive corner: certifying 1e-8 at sigma=2 takes 2^21 primes
     spec = TruncationSpec(tolerance=1e-8)
     got = correction_coefficient(1, 2, spec)
     assert got.tail_error_bound <= 1e-8
