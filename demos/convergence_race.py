@@ -27,7 +27,7 @@ print()
 print("Step-by-step trace at s = 2.5, tol = 1e-8 (reformulated route):")
 print(f"{'step':>4} {'terms':>8} {'value':>20} {'certified bound':>16} {'true error':>12}")
 
-reference = zeta_eval(2.5, "dirichlet", 1e-10).value
+reference = zeta_eval(2.5, "euler_product", 1e-10).value
 for step, row in enumerate(convergence_trace(2.5, "reformulated", 1e-8)):
     err = abs(row.value - reference)
     print(f"{step:>4} {row.terms_used:>8} {row.value.real:>20.14f} "

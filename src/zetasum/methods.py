@@ -30,7 +30,6 @@ meets on its way through the fold.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -315,12 +314,7 @@ def dirichlet_partial(N: int, s) -> complex:
 _U = 2.0 ** -53  # unit roundoff of a double
 _SQRT5 = math.sqrt(5.0)  # |fl(a*b) - a*b| <= sqrt(5)*u*|a*b| for complex a, b
 
-# pi(t) < _PI_UPPER*t/ln t for t > 1, and pi(x) > x/ln x for x >= 17
-# (Rosser & Schoenfeld, Illinois J. Math. 6, 1962).
-_PI_UPPER = 1.25506
 
-
-@functools.lru_cache(maxsize=256)
 def _zeta_bounds(sigma: float) -> tuple[float, float, float]:
     """(lo, hi, d) with lo <= zeta(sigma) <= hi and -zeta'(sigma) <= d, for
     sigma > 1, in closed form.
@@ -354,7 +348,8 @@ def _log_tail(x: float, sigma: float) -> float:
     Re(s) = sigma > 1 and x >= 2; nonincreasing in x (see `tail_bound`)."""
     bound = 2.0 * x ** (1.0 - sigma) / (sigma - 1.0)
     if x >= 17:
-        over_primes = x ** (1.0 - sigma) / math.log(x) * (_PI_UPPER * sigma / (sigma - 1.0) - 1.0)
+        over_primes = (x ** (1.0 - sigma) / math.log(x)
+                       * (primes.PI_UPPER * sigma / (sigma - 1.0) - 1.0))
         bound = min(bound, over_primes / (1.0 - x ** -sigma))
     return bound
 
@@ -372,8 +367,9 @@ def tail_bound(i: int, sigma: float) -> float:
       the only bound used for x < 17;
     - for x >= 17, by partial summation against pi:
       sum_{p > x} p^{-sigma} = -pi(x)*x^{-sigma} + sigma * integral_x^inf
-      pi(t)*t^(-sigma-1) dt, and with pi(x) > x/ln x, pi(t) < 1.25506*t/ln t
-      and 1/ln t <= 1/ln x this is at most
+      pi(t)*t^(-sigma-1) dt, and with pi(x) > x/ln x for x >= 17 and
+      pi(t) < 1.25506*t/ln t (Rosser & Schoenfeld, Illinois J. Math. 6,
+      1962; `primes.PI_UPPER`) and 1/ln t <= 1/ln x this is at most
       x^(1-sigma)/ln x * (1.25506*sigma/(sigma-1) - 1).
 
     The smaller of the two is returned; past x = 17 the second is smaller
@@ -385,14 +381,6 @@ def tail_bound(i: int, sigma: float) -> float:
     if not sigma > 1.0:
         raise ValueError("sigma must exceed 1")
     return _log_tail(primes.nth_prime(i), sigma)
-
-
-def _prime_ceiling(n: int) -> float:
-    """An upper bound on the n-th prime: n*(ln n + ln ln n) for n >= 6
-    (Rosser & Schoenfeld, 1962), and p_5 = 11 below that."""
-    if n < 6:
-        return 11.0
-    return n * (math.log(n) + math.log(math.log(n)))
 
 
 def _dirichlet_tail(N: int, z: complex) -> float:
@@ -419,15 +407,17 @@ def _pairwise_depth(m: int) -> int:
     return 32 + m.bit_length() + m // 8192
 
 
-def _rounding(z: complex, method: str, count: int, magnitude: float) -> float:
+def _rounding(z: complex, method: str, count: int, magnitude: float,
+              zeta: tuple[float, float, float]) -> float:
     """A-priori bound on |computed - exact| for the `method` truncation at
     `count` terms past its start, as `_trace` folds it; `magnitude` is
-    |computed value| (unused by the Dirichlet route).
+    |computed value| (unused by the Dirichlet route), `zeta` is
+    `_zeta_bounds`(Re(z)).
 
     Closed form, to first order in u = 2^-53: the neglected terms are
     smaller by a factor of about count*u < 1e-6, and the phase error is
     covered to all orders, as |exp(i*x) - 1| <= |x|.  With sigma = Re(z),
-    zeta, -zeta' and -zeta'/zeta at sigma bounded by `_zeta_bounds`:
+    zeta, -zeta' and -zeta'/zeta at sigma bounded by `zeta`:
 
     - Each power n^{-z} = exp(-z*ln n) has relative error at most
       u*(3|z|*ln n + 6).  numpy's log is within one ulp (2u*ln n, times |z|),
@@ -441,20 +431,28 @@ def _rounding(z: complex, method: str, count: int, magnitude: float) -> float:
       at each later cut one product with 2^{-z} (sqrt(5)*u) and one sum.
       Summed against n^{-sigma}: u*((3|z| + 9)*(-zeta') + (6 + path)*zeta).
     - Euler factor f = 1/(1 - t): the error of t costs
-      |t|/(1 - |t|)*u*(3|z|*ln p + 6); 1 - t and Smith's division cost
-      3u + 4u*|t|/(1 - |t|)^2, and one block product sqrt(5)*u.  Over the
-      primes, sum ln p*p^-sigma/(1 - p^-sigma) = -zeta'/zeta and
-      sum p^-sigma/(1 - p^-sigma) <= zeta - 1, so the factors contribute
-      u*(3|z|*(-zeta'/zeta) + (6 + 4/(1 - 2^-sigma))*(zeta - 1) +
-      (3 + sqrt(5))*count).  The product adds sqrt(5)*u per block and per
-      step, and the relative error e of the whole is expm1 of the sum.
+      |t|/(1 - |t|)*u*(3|z|*ln p + 6).  For complex s, 1 - t and Smith's
+      division cost 3u + 4u*|t|/(1 - |t|)^2, and each complex product
+      sqrt(5)*u.  For real s every step is real and sharper: d = 1 - t
+      lies in (1/2, 1), where doubles are u apart, so fl(d) is within u/2
+      of d; 1/fl(d) lies in [1, 2], where they are 2u apart, so the
+      quotient rounds by at most u.  Hence |fl(f) - f| <= (u/2)*f^2 + u,
+      which is at most 1.5u*f for 1 <= f <= 2, and a real product rounds
+      by u.  Over the primes, sum ln p*p^-sigma/(1 - p^-sigma) =
+      -zeta'/zeta and sum p^-sigma/(1 - p^-sigma) <= zeta - 1, so the
+      factors contribute u*(3|z|*(-zeta'/zeta) + (6 + 4/(1 - 2^-sigma))*
+      (zeta - 1) + (divide + multiply)*count), with (divide, multiply) =
+      (3, sqrt(5)) for complex s and (1.5, 1) for real s.  The product
+      adds one multiply per block and per step, and the relative error e
+      of the whole is expm1 of the sum.
     - Prime-indexed sum: term k is t_k times the suffix product of the
       factors from k on, of modulus <= zeta.  Its relative error is that
       of t_k, plus that of every factor (the bound above), plus the path:
       the sequential suffix products and the fold of one block into the
-      next (sqrt(5)*u per factor and per block), the pairwise sum of its
-      block and one sum per block.  Summed with sum_p p^-sigma <= ln zeta
-      and sum_p ln p*p^-sigma <= -zeta'/zeta, plus u*magnitude for 1 + S.
+      next (one multiply per factor and per block), the pairwise sum of
+      its block and one sum per block.  Summed with sum_p p^-sigma <=
+      ln zeta and sum_p ln p*p^-sigma <= -zeta'/zeta, plus u*magnitude for
+      1 + S.
 
     No sum is charged Higham's gamma_count = count*u/(1 - count*u): a
     Dirichlet term meets O(log count) roundings.  The products' rounding
@@ -463,21 +461,22 @@ def _rounding(z: complex, method: str, count: int, magnitude: float) -> float:
     40-digit products grows that way too.
     """
     sigma = z.real
-    lo, hi, d = _zeta_bounds(sigma)
+    lo, hi, d = zeta
     phase = 3.0 * abs(z)
     cuts = count.bit_length() + 1
     if method == METHOD_DIRICHLET:
         path = _pairwise_depth(_CHUNK) + count // (2 * _CHUNK) + 5 * cuts
         return _U * ((phase + 9.0) * d + (6.0 + path) * hi)
     blocks = count // _CHUNK + 2 * cuts
+    divide, multiply = (1.5, 1.0) if z.imag == 0.0 else (3.0, _SQRT5)
     log_derivative = d / lo
     factors = _U * (phase * log_derivative + (6.0 + 4.0 / (1.0 - 2.0 ** -sigma)) * (hi - 1.0)
-                    + (3.0 + _SQRT5) * count)
+                    + (divide + multiply) * count)
     if method == METHOD_EULER_PRODUCT:
-        e = math.expm1(factors + _U * _SQRT5 * blocks)
+        e = math.expm1(factors + _U * multiply * blocks)
         return magnitude * e / (1.0 - e) if e < 1.0 else math.inf
     prime_zeta = math.log(hi)
-    path = _SQRT5 * (count + blocks) + _pairwise_depth(_CHUNK) + blocks
+    path = multiply * (count + blocks) + _pairwise_depth(_CHUNK) + blocks
     return (hi * (_U * (phase * log_derivative + 6.0 * prime_zeta)
                   + prime_zeta * (factors + _U * path))
             + _U * magnitude)
@@ -496,7 +495,8 @@ def _ensure_feasible_count(count: int) -> None:
 
 
 def _walk_to_feasible(z: complex, method: str, tolerance: float, count: int,
-                      offset: int, magnitude: float) -> int:
+                      offset: int, magnitude: float,
+                      zeta: tuple[float, float, float]) -> int:
     """Walk the doubling counts from `count` with closed forms alone and
     return the first that may certify a value of modulus >= `magnitude`;
     raise the refusal that applies when none can (see `_trace`)."""
@@ -511,8 +511,9 @@ def _walk_to_feasible(z: complex, method: str, tolerance: float, count: int,
             truncation = _dirichlet_tail(count, z)
         else:
             _ensure_feasible_count(offset + count)
-            truncation = magnitude * math.expm1(_log_tail(_prime_ceiling(offset + count), sigma))
-        rounding = _rounding(z, method, count, magnitude)
+            truncation = magnitude * math.expm1(
+                _log_tail(primes.prime_ceiling(offset + count), sigma))
+        rounding = _rounding(z, method, count, magnitude, zeta)
         if truncation + rounding <= tolerance:
             return count
         if truncation <= tolerance < rounding:
@@ -556,7 +557,7 @@ def _trace(z: complex, method: str, tolerance: float, count: int,
     at the first count that may certify.  For Dirichlet runs that is exact,
     as their bound does not depend on the value.  For products every value
     has modulus at least `floor` (`_product_floor`, or 1 for real s), and
-    the n-th prime is at most `_prime_ceiling`(n), so a count certifies
+    the n-th prime is at most `primes.prime_ceiling`(n), so a count certifies
     only if floor*expm1(b) + r(floor) <= tolerance with b taken at that
     ceiling (`_log_tail` is nonincreasing).  After each product step,
     `floor` is raised to that step's own lower bound on every later
@@ -570,7 +571,8 @@ def _trace(z: complex, method: str, tolerance: float, count: int,
     else:
         # For real s every factor exceeds 1, and so does every product.
         floor = 1.0 if z.imag == 0.0 else _product_floor(sigma)
-    needed = _walk_to_feasible(z, method, tolerance, count, offset, floor)
+    zeta = _zeta_bounds(sigma)
+    needed = _walk_to_feasible(z, method, tolerance, count, offset, floor, zeta)
     if method == METHOD_DIRICHLET:
         two, odd = _two_power(z), 0j
     steps: list[EvaluationResult] = []
@@ -581,7 +583,7 @@ def _trace(z: complex, method: str, tolerance: float, count: int,
         if method == METHOD_DIRICHLET:
             running, odd = _dirichlet_fold(running, odd, lo, hi, z, two)
             value = running
-            bound = _dirichlet_tail(hi, z) + _rounding(z, method, count, 0.0)
+            bound = _dirichlet_tail(hi, z) + _rounding(z, method, count, 0.0, zeta)
         else:
             _ensure_feasible_count(hi)
             blocks = _blocks(primes.first_primes(hi)[lo:], z)
@@ -593,7 +595,7 @@ def _trace(z: complex, method: str, tolerance: float, count: int,
             else:
                 running = _sum(blocks, z, running)
                 value = 1.0 + running
-            rounding = _rounding(z, method, count, abs(value))
+            rounding = _rounding(z, method, count, abs(value), zeta)
             b = tail_bound(hi, sigma)
             bound = (abs(value) + rounding) * math.expm1(b) + rounding
         steps.append(EvaluationResult(value, method, count, float(bound)))
@@ -604,7 +606,8 @@ def _trace(z: complex, method: str, tolerance: float, count: int,
             # The factors past p_hi change |log| of every later value by at
             # most b, so each has modulus at least this.
             floor = max(floor, (abs(value) - rounding) * math.exp(-b))
-            needed = _walk_to_feasible(z, method, tolerance, max(count, needed), offset, floor)
+            needed = _walk_to_feasible(z, method, tolerance, max(count, needed), offset, floor,
+                                       zeta)
 
 
 def correction_coefficient(k: int, s, spec: TruncationSpec) -> EvaluationResult:

@@ -5,7 +5,7 @@ package.  The cache extends itself on demand, at least doubling the sieved
 range each time so repeated extension stays amortized.  Each extension
 sieves odd numbers only, in segments of `_SEGMENT` flags that stay in
 cache, and writes each segment's primes straight into one int64 array
-preallocated by the Rosser & Schoenfeld (1962) bound pi(x) < 1.25506*x/ln x.
+preallocated by the Rosser & Schoenfeld (1962) bound on pi(x) (`PI_UPPER`).
 The cache lives in memory only: re-sieving a range is faster than reading
 its primes back from a file.
 """
@@ -20,13 +20,29 @@ import numpy as np
 _SEGMENT = 1 << 20  # odd numbers per sieve segment: 1 MB of flags
 
 
-def _count_bound(x: int) -> int:
-    """An upper bound on the number of primes <= x, for x >= 2.
+# pi(x) < PI_UPPER*x/ln x for x > 1 (Rosser & Schoenfeld, Illinois J.
+# Math. 6, 1962).
+PI_UPPER = 1.25506
 
-    pi(x) < 1.25506*x/ln x for x > 1 (Rosser & Schoenfeld, Illinois J.
-    Math. 6, 1962); the + 1 absorbs rounding of the float.
+
+def _count_bound(x: int) -> int:
+    """An upper bound on the number of primes <= x, for x >= 2; the + 1
+    absorbs rounding of the float."""
+    return int(PI_UPPER * x / math.log(x)) + 1
+
+
+def prime_ceiling(n: int) -> float:
+    """An upper bound on the n-th prime, for n >= 1.
+
+    p_n < n(ln n + ln ln n) for n >= 6 (Rosser & Schoenfeld, 1962), and
+    p_n < n(ln n + ln ln n - 0.9484) for n >= 39017 (Dusart, Math. Comp.
+    68, 1999); below 6, p_5 = 11.
     """
-    return int(1.25506 * x / math.log(x)) + 1
+    if n < 6:
+        return 11.0
+    x = float(n)
+    shift = -0.9484 if n >= 39017 else 0.0
+    return x * (math.log(x) + math.log(math.log(x)) + shift)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -114,15 +130,8 @@ class PrimeCache:
             self.extend_to(self._estimate_limit(count))
 
     def _estimate_limit(self, count: int) -> int:
-        # p_n < n(ln n + ln ln n + 2) for n >= 6, and the sharper
-        # p_n < n(ln n + ln ln n - 0.9484) for n >= 39017 (Dusart, Math.
-        # Comp. 68, 1999); small margin, loop retries.
-        if count < 6:
-            return max(16, 2 * self._source_limit)
-        x = float(count)
-        shift = -0.9484 if count >= 39017 else 2.0
-        est = int(x * (math.log(x) + math.log(math.log(x)) + shift)) + 16
-        return max(est, 2 * self._source_limit)
+        # Just past `prime_ceiling`; the margin absorbs rounding of the float.
+        return max(int(prime_ceiling(count)) + 16, 2 * self._source_limit)
 
 
 _default_cache: PrimeCache | None = None

@@ -523,12 +523,27 @@ def test_unreachable_product_tolerance_is_refused_before_sieving(request_, monke
     assert (len(cache), cache.source_limit) == (0, 1)
 
 
+@pytest.mark.parametrize("sigma", [1.5, 2.0, 2.5, 3.0])
+def test_real_product_rounding_bound_holds(sigma):
+    mpmath = pytest.importorskip("mpmath")
+    # For real s each prime is charged 2.5u in the product: 1/(1 - t) rounds
+    # by at most 1.5u (an ulp argument) and each real product by u.
+    n = 1 << 14
+    zeta = methods._zeta_bounds(sigma)
+    with mpmath.workdps(40):
+        exact = mpmath.exp(mpmath.fsum(-mpmath.log1p(-mpmath.mpf(p) ** -sigma)
+                                       for p in first_primes(n).tolist()))
+        for method, got in ((METHOD_EULER_PRODUCT, euler_partial(n, sigma)),
+                            (METHOD_REFORMULATED, 1.0 + reform_partial(n, sigma))):
+            assert got.imag == 0.0
+            error = float(abs(mpmath.mpf(got.real) - exact))
+            assert error <= methods._rounding(complex(sigma), method, n, abs(got), zeta)
+
+
 @pytest.mark.parametrize("s, tol, method", [
     # The phase error alone, about u*|t|*(-zeta'(sigma)), exceeds tol.
     *[(s, tol, method) for s, tol in ((3 + 1e8j, 1e-10), (2 + 1e12j, 1e-6), (4 + 1e14j, 1e-10))
       for method in METHODS],
-    # Each of the 2^17 factors the tail needs is rounded and multiplied in.
-    (2.5, 1e-10, METHOD_EULER_PRODUCT),
 ])
 def test_rounding_above_the_tolerance_is_refused_before_any_work(s, tol, method, monkeypatch):
     cache = primes.PrimeCache()
@@ -562,16 +577,16 @@ def test_every_product_clears_the_refusal_floor(s):
 
 
 def test_feasible_tolerance_near_the_floor_is_still_answered():
-    # At sigma = 2.5 the product's rounding rules out 1e-10 (see above), but
-    # the prime-indexed sum certifies it, and the product 1.5e-10, at 2^17
-    # primes.
-    got = zeta_eval(2.5, METHOD_REFORMULATED, 1e-10)
+    # sigma = 2.5, tol = 1e-10 is not ruled out by the floor or by rounding,
+    # so it takes the doubling loop; the prime-only tail certifies it at
+    # 2^17 primes, where the integer tail needed 2^19.
+    for method in (METHOD_EULER_PRODUCT, METHOD_REFORMULATED):
+        got = zeta_eval(2.5, method, 1e-10)
+        assert got.terms_used == 131072
+        assert got.tail_error_bound <= 1e-10
+    got = correction_coefficient(1, 2.5, TruncationSpec(tolerance=1e-10))
     assert got.terms_used == 131072
     assert got.tail_error_bound <= 1e-10
-    for got in (zeta_eval(2.5, METHOD_EULER_PRODUCT, 1.5e-10),
-                correction_coefficient(1, 2.5, TruncationSpec(tolerance=1.5e-10))):
-        assert got.terms_used == 131072
-        assert got.tail_error_bound <= 1.5e-10
 
 
 def test_convergence_trace_steps_double_and_certify():

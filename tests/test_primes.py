@@ -205,7 +205,7 @@ def test_default_cache_in_memory_without_env(monkeypatch, tmp_path):
 
 def test_count_estimate_reaches_the_nth_prime():
     # extend_to_count sieves once only if the estimate for `count` is at least
-    # p_count: n(ln n + ln ln n + 2) below 39017 and Dusart's sharper
+    # p_count: n(ln n + ln ln n) below 39017 and Dusart's sharper
     # n(ln n + ln ln n - 0.9484) from 39017 on.
     sieved = PrimeCache()
     sieved.extend_to_count(1 << 20)
