@@ -310,7 +310,8 @@ def _run_identity_check(config: RunConfig):
     rows = []
     i = config.spec.prime_index_i
     for s in config.s_values:
-        product, residual = methods._identity(i, s)
+        product, total = methods._identity(i, s)
+        residual = abs(product - 1.0 - total)
         scale = max(1.0, abs(product))
         rows.append([s.real, s.imag, i, residual, abs(product), residual / scale])
     return header, rows

@@ -7,6 +7,8 @@ one block iterator (`_blocks`) yields p, t = p^{-s} and f = 1/(1 - t) chunk
 by chunk, with the overflow and singular-point checks, and two reductions
 consume it: the product multiplies the factors, and the prime-indexed sum
 folds forward by the paper's induction step S_{i+1} = f_{i+1}*(t_{i+1} + S_i).
+`_identity` runs both in one pass.  This is the only production power path;
+`kernel`'s scalar powers are the reference the tests compare against.
 
 The Dirichlet sum D(x) = sum_{n <= x} n^{-s} uses the first Euler factor
 as a finite identity: every even n <= x is 2m with m <= floor(x/2), so
@@ -42,8 +44,6 @@ from .kernel import (
     PowerOverflowError,
     SingularPointError,
     as_complex,
-    euler_factor,
-    prime_power_term,
 )
 
 METHOD_DIRICHLET = "dirichlet"
@@ -241,8 +241,8 @@ def reform_partial(i: int, s) -> complex:
     return _sum(_blocks(primes.first_primes(i), z), z)
 
 
-def _identity(i: int, s) -> tuple[complex, float]:
-    """euler_partial(i, s) and identity_residual(i, s) from one pass over the
+def _identity(i: int, s) -> tuple[complex, complex]:
+    """euler_partial(i, s) and reform_partial(i, s) from one pass over the
     blocks, each power computed once.
 
     Bit-identical to the two separate calls, and fails as they do: the
@@ -262,7 +262,7 @@ def _identity(i: int, s) -> tuple[complex, float]:
                 sum_error = exc
     if sum_error is not None:
         raise sum_error
-    return product, abs(product - 1.0 - total)
+    return product, total
 
 
 def identity_residual(i: int, s) -> float:
@@ -271,7 +271,8 @@ def identity_residual(i: int, s) -> float:
     Analytically zero everywhere off the singular lattice, so the returned
     size is pure floating-point error.
     """
-    return _identity(i, s)[1]
+    product, total = _identity(i, s)
+    return abs(product - 1.0 - total)
 
 
 def induction_step_check(i: int, s) -> float:
@@ -279,16 +280,16 @@ def induction_step_check(i: int, s) -> float:
 
     With t = p_{i+1}^{-s} and f = 1/(1 - t), returns
     |f*(t + sum_i) + 1 - product_{i+1}|, the intermediate identity of the
-    inductive argument, checked as its own regression surface.
+    inductive argument.  One pass of i + 1 powers: `_identity` gives
+    product_i and sum_i, p_{i+1} is a one-prime block of `_blocks` (with
+    its checks), and product_{i+1} is product_i times its factor.
     """
-    if i < 0:
-        raise ValueError("i must be >= 0")
     z = as_complex(s)
-    p_next = primes.nth_prime(i + 1)
-    t = prime_power_term(p_next, z)
-    f = euler_factor(p_next, z)
-    lhs = f * (t + reform_partial(i, z)) + 1.0
-    return abs(lhs - euler_partial(i + 1, z))
+    product, total = _identity(i, z)
+    block = next(_blocks(primes.first_primes(i + 1)[i:], z))
+    _, t, f = block
+    step = complex(f[0]) * (complex(t[0]) + total) + 1.0
+    return abs(step - _product([block], z, product))
 
 
 def dirichlet_partial(N: int, s) -> complex:
@@ -482,18 +483,6 @@ def _rounding(z: complex, method: str, count: int, magnitude: float,
             + _U * magnitude)
 
 
-def _ensure_feasible_count(count: int) -> None:
-    if count < 6:
-        return
-    x = float(count)
-    est = x * (math.log(x) + math.log(math.log(x)) + 2.0)
-    if est > MAX_PRIME_LIMIT:
-        raise RuntimeError(
-            f"certifying this tolerance needs roughly the first {count} primes "
-            f"(a sieve past {est:.3e}); relax the tolerance or pick another method"
-        )
-
-
 def _walk_to_feasible(z: complex, method: str, tolerance: float, count: int,
                       offset: int, magnitude: float,
                       zeta: tuple[float, float, float]) -> int:
@@ -510,7 +499,13 @@ def _walk_to_feasible(z: complex, method: str, tolerance: float, count: int,
                 )
             truncation = _dirichlet_tail(count, z)
         else:
-            _ensure_feasible_count(offset + count)
+            x = float(max(offset + count, 6))
+            est = x * (math.log(x) + math.log(math.log(x)) + 2.0)
+            if est > MAX_PRIME_LIMIT:
+                raise RuntimeError(
+                    f"certifying this tolerance needs roughly the first {offset + count} "
+                    f"primes (a sieve past {est:.3e}); relax the tolerance or pick another method"
+                )
             truncation = magnitude * math.expm1(
                 _log_tail(primes.prime_ceiling(offset + count), sigma))
         rounding = _rounding(z, method, count, magnitude, zeta)
@@ -549,9 +544,11 @@ def _trace(z: complex, method: str, tolerance: float, count: int,
     factor differs from 1 by at most expm1(b).
 
     Before any work, `_walk_to_feasible` walks the doubling counts with
-    closed forms alone.  It raises the loop's own refusal where the loop
-    would raise it: at the first count past MAX_DIRICHLET_TERMS, or whose
-    sieve would pass MAX_PRIME_LIMIT.  Where truncation could certify but
+    closed forms alone.  It refuses at the first count past
+    MAX_DIRICHLET_TERMS, or whose sieve would pass MAX_PRIME_LIMIT.  The
+    loop itself checks neither limit: each count it reaches is at most the
+    count the latest walk returned, which passed, and both checks are
+    monotone in count.  Where truncation could certify but
     the rounding bound alone exceeds the tolerance, it refuses too: rounding
     only grows with count, so no later count certifies.  Otherwise it stops
     at the first count that may certify.  For Dirichlet runs that is exact,
@@ -585,7 +582,6 @@ def _trace(z: complex, method: str, tolerance: float, count: int,
             value = running
             bound = _dirichlet_tail(hi, z) + _rounding(z, method, count, 0.0, zeta)
         else:
-            _ensure_feasible_count(hi)
             blocks = _blocks(primes.first_primes(hi)[lo:], z)
             if method == METHOD_EULER_PRODUCT:
                 # The new primes' own product first, then into the running

@@ -1,5 +1,7 @@
-"""The narrative demos run to completion and print their opening lines."""
+"""The narrative demos run to completion and print their opening lines, and
+the README's quick tour runs as printed."""
 
+import doctest
 import os
 import subprocess
 import sys
@@ -29,3 +31,9 @@ def test_demo_runs(name):
                           text=True, env=env, check=False)
     assert done.returncode == 0, done.stderr
     assert any(HEADERS[name] in line for line in done.stdout.splitlines()[:3])
+
+
+def test_readme_quick_tour_runs_as_printed():
+    failed, attempted = doctest.testfile(str(ROOT / "README.md"), module_relative=False,
+                                         optionflags=doctest.ELLIPSIS)
+    assert (failed, attempted > 0) == (0, True)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetasum import methods, primes
+from zetasum import kernel, methods, primes
 from zetasum.kernel import (
     PowerOverflowError,
     SingularPointError,
@@ -326,8 +326,7 @@ def test_partials_signal_overflowing_product():
 @pytest.mark.parametrize("s", [2, 0.5 + 14.1j, 3 - 4j, -1.5 + 2j])
 def test_identity_pass_is_the_two_partials_bit_for_bit(s, chunk, monkeypatch):
     monkeypatch.setattr(methods, "_CHUNK", chunk)
-    product = euler_partial(1000, s)
-    assert methods._identity(1000, s) == (product, abs(product - 1.0 - reform_partial(1000, s)))
+    assert methods._identity(1000, s) == (euler_partial(1000, s), reform_partial(1000, s))
 
 
 def test_identity_residual_reports_the_product_failure_first(monkeypatch):
@@ -341,6 +340,64 @@ def test_identity_residual_reports_the_product_failure_first(monkeypatch):
             partial(3000, 2j)
         failures.append(excinfo.value.prime)
     assert failures == [14071, 12659, 14071]
+
+
+@pytest.mark.parametrize("i", [0, 1, 20, 1000])
+def test_induction_step_evaluates_each_of_its_primes_once(i, monkeypatch):
+    # One pass: the first i primes through _identity, then p_{i+1} alone,
+    # and no scalar power from the kernel.
+    def refuse(*args):
+        raise AssertionError("scalar kernel power called")
+
+    monkeypatch.setattr(kernel, "power_term", refuse)
+    seen = []
+    power_terms = methods._power_terms
+
+    def counted(n, z):
+        seen.append(np.array(n))
+        return power_terms(n, z)
+
+    monkeypatch.setattr(methods, "_power_terms", counted)
+    induction_step_check(i, 3 - 4j)
+    assert np.array_equal(np.sort(np.concatenate(seen)), first_primes(i + 1))
+
+
+@pytest.mark.parametrize("i", [0, 6, 7, 8, 1000])
+@pytest.mark.parametrize("s", [3, 2 + 1j, 0.5 + 14.1j, -1.5 + 2j])
+def test_induction_step_matches_the_scalar_reference(i, s, monkeypatch):
+    # Blocks of 7 primes: p_{i+1} ends a block (i = 6), opens one (i = 7) or
+    # follows an opened one (i = 8).
+    monkeypatch.setattr(methods, "_CHUNK", 7)
+    p = nth_prime(i + 1)
+    after = euler_partial(i + 1, s)
+    reference = abs(euler_factor(p, s) * (prime_power_term(p, s) + reform_partial(i, s))
+                    + 1.0 - after)
+    assert abs(induction_step_check(i, s) - reference) <= 1e-12 * max(1.0, abs(after))
+
+
+def test_power_terms_meet_the_stated_rounding_premises():
+    # The premises of methods._rounding (6u from exp) and of
+    # cli._smooth_vs_product_rounding (4u) on this machine's numpy: log is
+    # within one ulp, and n^{-z} within u*(3|z|*ln n + 4) relative.  Should
+    # this fail, the premise stated there is wrong for this platform.
+    mpmath = pytest.importorskip("mpmath")
+    u = 2.0 ** -53
+    rng = np.random.default_rng(20261018)
+    sample = np.exp(rng.uniform(math.log(2.0), 30 * math.log(2.0), 400)).astype(np.int64)
+    n = np.unique(np.concatenate([[2, 1 << 30], sample]))
+    logs = np.log(n.astype(np.float64))
+    with mpmath.workdps(40):
+        for k, ln in zip(n.tolist(), logs.tolist()):
+            assert abs(mpmath.mpf(ln) - mpmath.log(k)) <= np.spacing(ln)
+        sigmas = rng.uniform(0.5, 6.0, 40)
+        heights = np.concatenate([np.zeros(10), 10.0 ** rng.uniform(-2.0, 7.0, 30)])
+        for sigma, height in zip(sigmas, heights * rng.choice([-1.0, 1.0], 40)):
+            z = complex(sigma, height)
+            got = methods._power_terms(n, z)
+            for k, value in zip(n.tolist(), got.tolist()):
+                exact = mpmath.power(k, -mpmath.mpc(z))
+                error = abs(mpmath.mpc(value) - exact) / abs(exact)
+                assert error <= u * (3.0 * abs(z) * math.log(k) + 4.0), (k, z)
 
 
 @pytest.mark.parametrize("i, s, error, prime", [
