@@ -348,57 +348,36 @@ def _run_exclusion(config: RunConfig):
     return header, rows
 
 
-def _smooth_vs_product_rounding(z: complex, i: int, N: int) -> float:
-    """Bound on the rounding in |smooth_sum_oracle(i, z, N) - euler_partial(i, z)|
-    for Re(z) = sigma > 1, to first order in the unit roundoff u.
-
-    A power n^{-z} = exp(-z*ln n) is off by at most (3|z|*ln n + 4)*u
-    relative: ln n and the product -z*ln n hold 3u per part, an absolute
-    error |z|*ln n*3u that exp turns into a relative one, and exp adds 4u.
-    numpy's pairwise sum passes each of the at most N smooth terms through
-    at most log2(N) + 12 additions (18 within a block of 128 split over 8
-    accumulators, one per halving above that), so the smooth sum is off by
-    at most (3|z|*ln N + log2(N) + 16)*u times A, the sum of n^{-sigma} over
-    the smooth n <= N.  A factor 1/(1 - p^{-z}) adds 5u for the subtraction
-    and the division to its power's error, which |p^{-z}|/|1 - p^{-z}| <=
-    1/(2^sigma - 1) < 1 does not enlarge, and its complex product 3u more,
-    so the product is off by at most i*(3|z|*ln p_i + 12)*u times its
-    modulus.  A and that modulus are at most the product of
-    1/(1 - p^{-sigma}) over p <= p_i, below zeta(sigma) <= sigma/(sigma-1).
-    """
-    u = sys.float_info.epsilon / 2.0
-    modulus = abs(z)
-    count = 3.0 * modulus * math.log(N) + math.log2(N) + 16.0
-    count += i * (3.0 * modulus * math.log(primes.nth_prime(i)) + 12.0)
-    return count * u * z.real / (z.real - 1.0)
-
-
 def _run_oracle_compare(config: RunConfig):
     header = ["s_re", "s_im", "check", "k", "terms", "abs_error", "allowed_error", "status"]
     rows = []
     spec = config.spec
     i, cutoff = spec.prime_index_i, spec.dirichlet_cutoff_N
     for s in config.s_values:
+        # Each allowance is truncation plus rounding, from tail_error_bound's model.
         z = complex(s)
-        dirichlet_tail = cutoff ** (1.0 - z.real) / (z.real - 1.0) if z.real > 1.0 else math.inf
-
         smooth = oracle.smooth_sum_oracle(i, z, cutoff)
         product = methods.euler_partial(i, z)
+        zeta = methods._zeta_bounds(z.real)
+        dirichlet_tail = cutoff ** (1.0 - z.real) / (z.real - 1.0)
         err = abs(smooth - product)
-        allowed = dirichlet_tail + _smooth_vs_product_rounding(z, i, cutoff)
+        allowed = (dirichlet_tail
+                   + methods._power_sum_rounding(z, methods._pairwise_depth(cutoff), zeta)
+                   + methods._rounding(z, methods.METHOD_EULER_PRODUCT, i, abs(product), zeta))
         rows.append([z.real, z.imag, "smooth_vs_product", i, cutoff, err, allowed,
                      "pass" if err <= allowed else "fail"])
 
         table = oracle.spf_partition_sum(z, cutoff)
         reference = methods.dirichlet_partial(cutoff, z)
         err = abs(1.0 + table.total() - reference)
-        allowed = 1e-12 * abs(reference)
+        table_rounding = methods._power_sum_rounding(z, table.addition_depth(), zeta)
+        allowed = methods._rounding(z, methods.METHOD_DIRICHLET, cutoff, 0.0, zeta) + table_rounding
         rows.append([z.real, z.imag, "partition_identity", 0, cutoff, err, allowed,
                      "pass" if err <= allowed else "fail"])
 
         for k in range(1, min(5, i) + 1):
             err = oracle.coefficient_crosscheck(k, z, cutoff, spec)
-            allowed = spec.tolerance + dirichlet_tail
+            allowed = spec.tolerance + dirichlet_tail + table_rounding
             rows.append([z.real, z.imag, "coefficient_crosscheck", k, cutoff, err, allowed,
                          "pass" if err <= allowed else "fail"])
     return header, rows

@@ -41,8 +41,10 @@ class SingularPointError(ValueError):
 class PowerOverflowError(OverflowError):
     """A power term or running aggregate left the double-precision range.
 
-    `prime` carries the base being raised (or folded in) when the overflow
-    appeared.
+    `prime` is the lowest n whose n^{-s} is not finite; for a prime fold, the
+    first prime at which the running Euler product, multiplied factor by
+    factor, is not finite (its block's last prime if none is); for a
+    Dirichlet sum of finite powers, its cutoff.
     """
 
     def __init__(self, prime: int, s: complex):

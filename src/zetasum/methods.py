@@ -136,23 +136,27 @@ def _blocks(p_all: np.ndarray, z: complex):
         yield p, t, np.divide(1.0, d, out=d)
 
 
-def _first_bad_prime(p: np.ndarray, cumulative: np.ndarray) -> int:
-    bad = np.flatnonzero(~np.isfinite(cumulative))
-    return int(p[bad[0]]) if bad.size else int(p[-1])
-
-
 def _finite(x: complex) -> bool:
     return math.isfinite(x.real) and math.isfinite(x.imag)
+
+
+def _checked_fold(folded: complex, p: np.ndarray, carry: complex, f: np.ndarray,
+                  z: complex) -> complex:
+    """`folded` if finite; else raise at the first p where carry*f[0]*...*f[k],
+    multiplied in that order, is not finite (the block's last prime if none is)."""
+    if _finite(folded):
+        return folded
+    with np.errstate(all="ignore"):
+        running = np.cumprod(np.concatenate(([carry], f)))[1:]
+    bad = np.flatnonzero(~np.isfinite(running))
+    raise PowerOverflowError(int(p[bad[0]]) if bad.size else int(p[-1]), z)
 
 
 def _product(blocks, z: complex, out: complex = complex(1.0)) -> complex:
     """`out` times every factor f in the blocks, one block product at a time."""
     for p, _, f in blocks:
-        with np.errstate(over="ignore", under="ignore"):
-            out *= complex(f.prod())
-        if not _finite(out):
-            with np.errstate(over="ignore", under="ignore"):
-                raise PowerOverflowError(_first_bad_prime(p, np.cumprod(f)), z)
+        with np.errstate(all="ignore"):
+            out = _checked_fold(out * complex(f.prod()), p, out, f, z)
     return out
 
 
@@ -161,16 +165,16 @@ def _sum(blocks, z: complex, total: complex = 0j) -> complex:
 
     The induction step S_{i+1} = f_{i+1}*(t_{i+1} + S_i), applied to a whole
     block at once: S <- (product of the block's f)*S + sum of t times the
-    block's suffix products of f.
+    block's suffix products of f.  A suffix product that is not finite leaves
+    S not finite, located from the carry 1 + S, the running Euler product.
     """
     for p, t, f in blocks:
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):
             # Complex even for real s: numpy sums complex arrays in another
             # order than real ones, and the real-s reports follow the former.
             suffix = np.cumprod(f[::-1], dtype=complex)[::-1]
-            total = complex(suffix[0]) * total + complex((t * suffix).sum())
-        if not (_finite(total) and np.isfinite(suffix).all()):
-            raise PowerOverflowError(_first_bad_prime(p[::-1], suffix[::-1]), z)
+            total = _checked_fold(complex(suffix[0]) * total + complex((t * suffix).sum()),
+                                  p, 1.0 + total, f, z)
     return total
 
 
@@ -406,6 +410,14 @@ def _pairwise_depth(m: int) -> int:
     # 16 + 3 + 7 inside a 128-value block, one per halving above it, and
     # one per 8192-value buffer should the reduction be buffered.
     return 32 + m.bit_length() + m // 8192
+
+
+def _power_sum_rounding(z: complex, depth: int, zeta: tuple[float, float, float]) -> float:
+    """Bound on |computed - exact| for a sum of n^{-z} over distinct n, each
+    from `_power_terms` and meeting at most `depth` additions: `_rounding`'s
+    premises, summed against n^-sigma as in its Dirichlet route."""
+    _, hi, d = zeta
+    return _U * (3.0 * abs(z) * d + (6.0 + depth) * hi)
 
 
 def _rounding(z: complex, method: str, count: int, magnitude: float,

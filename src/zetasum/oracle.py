@@ -41,6 +41,12 @@ class PartitionTable:
             out += self.rows[p]
         return out
 
+    def addition_depth(self) -> int:
+        """Most additions a term meets on its way into 1 + total(): its row's in a
+        chunk's `np.bincount` (every other n), one per chunk and per row, and the 1."""
+        N, chunk = self.cutoff_N, methods._CHUNK
+        return min(N, chunk) // 2 + N // chunk + len(self.rows) + 3
+
 
 def smooth_sum_oracle(i: int, s, bound: int) -> complex:
     """Sum of n^{-s} over every n <= bound whose prime factors lie among the

@@ -176,6 +176,13 @@ def test_identity_check_singular_point_exit_1(capsys):
     assert "undefined" in err
 
 
+@pytest.mark.filterwarnings("error")
+def test_identity_check_overflow_writes_one_error_line(capsys):
+    code, out, err = run_cli(capsys, "identity-check", "--s", "2i", "--i", "3000")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: 14009^(-s) exceeds the double-precision range at s = 2j"]
+
+
 def test_converge_rows_per_step(capsys):
     code, out, _ = run_cli(capsys, "converge", "--s", "4+0i", "--tol", "1e-10",
                            "--methods", "euler_product,dirichlet")
@@ -241,6 +248,25 @@ def test_oracle_compare_smooth_check_still_fails_a_wrong_sum(capsys, monkeypatch
     header, rows = parse_csv(out)
     status = {row[0]: row[-1] for row in rows if row[2] == "smooth_vs_product"}
     assert status == {"5": "fail", "2": "pass"}
+
+
+def test_oracle_compare_partition_allows_sequential_rounding(capsys):
+    # np.bincount adds the 4e6 even terms of row 2 one after another; the
+    # partition total is off by 2.2e-12 here, which its allowance covers.
+    code, out, _ = run_cli(capsys, "oracle-compare", "--s", "2.5", "--i", "1", "--N", "8000000")
+    assert code == 0
+    header, rows = parse_csv(out)
+    assert {row[-1] for row in rows} == {"pass"}
+
+
+def test_oracle_compare_partition_check_still_fails_a_wrong_total(capsys, monkeypatch):
+    exact = oracle.PartitionTable.total
+    monkeypatch.setattr(oracle.PartitionTable, "total", lambda self: exact(self) + 1e-11)
+    code, out, _ = run_cli(capsys, "oracle-compare", "--s", "3", "--N", "10000")
+    assert code == 0
+    header, rows = parse_csv(out)
+    status = {row[2]: row[-1] for row in rows if row[2] != "coefficient_crosscheck"}
+    assert status == {"smooth_vs_product": "pass", "partition_identity": "fail"}
 
 
 # ----------------------------------------------------------------------

@@ -339,7 +339,36 @@ def test_identity_residual_reports_the_product_failure_first(monkeypatch):
         with pytest.raises(PowerOverflowError) as excinfo:
             partial(3000, 2j)
         failures.append(excinfo.value.prime)
-    assert failures == [14071, 12659, 14071]
+    assert failures == [14009, 12721, 14009]
+
+
+@pytest.mark.parametrize("chunk", [7, 64, 1000, methods._CHUNK])
+def test_product_overflow_does_not_depend_on_the_chunk_size(chunk, monkeypatch):
+    # The located prime is the first at which the running product, carried
+    # across blocks, is not finite, wherever the block boundaries fall.
+    monkeypatch.setattr(methods, "_CHUNK", chunk)
+    with pytest.raises(PowerOverflowError) as excinfo:
+        euler_partial(3000, 2j)
+    assert excinfo.value.prime == 14009
+
+
+@pytest.mark.parametrize("i, s", [(100_000, 0.05), (50, 1e-7)])
+def test_sum_and_product_name_the_same_overflowing_prime(i, s):
+    # 1 + S is the running product, so both folds locate its overflow alike.
+    names = []
+    for partial in (euler_partial, reform_partial):
+        with pytest.raises(PowerOverflowError) as excinfo:
+            partial(i, s)
+        names.append(excinfo.value.prime)
+    assert names[0] == names[1]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("check, i, s", [(identity_residual, 100_000, 0.2 + 3j),
+                                         (induction_step_check, 3000, 2j)])
+def test_fold_overflow_raises_no_numpy_warning(check, i, s):
+    with pytest.raises(PowerOverflowError):
+        check(i, s)
 
 
 @pytest.mark.parametrize("i", [0, 1, 20, 1000])
@@ -376,10 +405,11 @@ def test_induction_step_matches_the_scalar_reference(i, s, monkeypatch):
 
 
 def test_power_terms_meet_the_stated_rounding_premises():
-    # The premises of methods._rounding (6u from exp) and of
-    # cli._smooth_vs_product_rounding (4u) on this machine's numpy: log is
-    # within one ulp, and n^{-z} within u*(3|z|*ln n + 4) relative.  Should
-    # this fail, the premise stated there is wrong for this platform.
+    # The one premise of methods._rounding, which every certified bound and
+    # oracle-compare allowance uses: log is within one ulp, and n^{-z} within
+    # u*(3|z|*ln n + 6) relative.  The check below asserts the stronger
+    # u*(3|z|*ln n + 4).  Should this fail, the premise stated there is wrong
+    # for this platform.
     mpmath = pytest.importorskip("mpmath")
     u = 2.0 ** -53
     rng = np.random.default_rng(20261018)
@@ -403,7 +433,7 @@ def test_power_terms_meet_the_stated_rounding_premises():
 @pytest.mark.parametrize("i, s, error, prime", [
     (50, 1e-11, SingularPointError, 2),  # every block holds a singular prime
     (200, 1.5e-10, SingularPointError, 2),  # singular low blocks, overflowing high ones
-    (50, 1e-7, PowerOverflowError, 191),  # the sum first overflows in primes 191..227
+    (50, 1e-7, PowerOverflowError, 227),  # the running product first overflows at 227
 ])
 def test_reform_partial_reports_the_lowest_failing_block(i, s, error, prime, monkeypatch):
     # The forward fold checks blocks in ascending order, as the product does,

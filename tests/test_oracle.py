@@ -1,14 +1,22 @@
 """Brute-force cross-checks: smooth sums and smallest-prime-factor partitions."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from zetasum import methods
 from zetasum.kernel import PowerOverflowError, power_term
-from zetasum.methods import NonConvergentError, TruncationSpec, dirichlet_partial, euler_partial
+from zetasum.methods import (
+    METHOD_DIRICHLET,
+    METHOD_EULER_PRODUCT,
+    NonConvergentError,
+    TruncationSpec,
+    dirichlet_partial,
+    euler_partial,
+)
 from zetasum.oracle import coefficient_crosscheck, smooth_sum_oracle, spf_partition_sum
-from zetasum.primes import primes_up_to, smallest_prime_factor, smooth_numbers
+from zetasum.primes import first_primes, primes_up_to, smallest_prime_factor, smooth_numbers
 
 
 def scalar_partition(s, N: int) -> dict[int, complex]:
@@ -172,3 +180,40 @@ def test_cross_method_triangle():
 def test_row_primes_are_exactly_primes_up_to_cutoff():
     table = spf_partition_sum(2, 60)
     assert sorted(table.rows) == primes_up_to(60)
+
+
+def test_allowance_rounding_parts_cover_the_true_error():
+    # The rounding part of every oracle-compare allowance, built from
+    # methods' one rounding model, against 40-digit values of the smooth sum,
+    # the i-prime product, the partition total and its p = 2 row, and the
+    # Dirichlet reference.
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(20261018)
+    for _ in range(8):
+        s = complex(rng.uniform(1.2, 5.0), rng.choice([0.0, rng.uniform(-1e3, 1e3)]))
+        i, N = rng.randint(1, 40), rng.randint(2, 30_000)
+        zeta = methods._zeta_bounds(s.real)
+        product = euler_partial(i, s)
+        table = spf_partition_sum(s, N)
+        table_rounding = methods._power_sum_rounding(s, table.addition_depth(), zeta)
+        with mpmath.workdps(40):
+            z = mpmath.mpc(s)
+
+            def exact_dirichlet(x):
+                return mpmath.zeta(z) - mpmath.zeta(z, x + 1)
+
+            cases = [
+                (smooth_sum_oracle(i, s, N),
+                 mpmath.fsum(mpmath.power(n, -z) for n in smooth_numbers(i, N)),
+                 methods._power_sum_rounding(s, methods._pairwise_depth(N), zeta)),
+                (product,
+                 mpmath.fprod(1 / (1 - mpmath.power(p, -z)) for p in first_primes(i).tolist()),
+                 methods._rounding(s, METHOD_EULER_PRODUCT, i, abs(product), zeta)),
+                (1.0 + table.total(), exact_dirichlet(N), table_rounding),
+                (table.rows[2], mpmath.power(2, -z) * exact_dirichlet(N // 2), table_rounding),
+                (dirichlet_partial(N, s), exact_dirichlet(N),
+                 methods._rounding(s, METHOD_DIRICHLET, N, 0.0, zeta)),
+            ]
+            for computed, exact, bound in cases:
+                error = float(abs(mpmath.mpc(computed) - exact))
+                assert error <= bound, (s, i, N, error, bound)
