@@ -12,7 +12,7 @@ Reports are CSV (default), JSON, or an aligned human table, written to
 stdout or --output.  Identical invocations produce byte-identical reports;
 the elapsed_ns column stays 0 unless --timing is given.  Exit codes:
 0 success, 1 computational rejection (singular point, non-convergent
-request, overflow), 2 usage error.
+request, overflow, or a tolerance refused as unreachable), 2 usage error.
 """
 
 from __future__ import annotations
@@ -73,9 +73,7 @@ def _validate_tolerance(text: str) -> float:
     except ValueError:
         raise ValueError(f"invalid tolerance {text!r}") from None
     if not (math.isfinite(value) and value >= methods.MIN_SPEC_TOLERANCE):
-        raise ValueError(
-            f"tolerance {text} is below the supported minimum {methods.MIN_SPEC_TOLERANCE}"
-        )
+        raise ValueError(f"tolerance {text} must be a finite value >= {methods.MIN_SPEC_TOLERANCE}")
     return value
 
 
@@ -351,34 +349,9 @@ def _run_exclusion(config: RunConfig):
 def _run_oracle_compare(config: RunConfig):
     header = ["s_re", "s_im", "check", "k", "terms", "abs_error", "allowed_error", "status"]
     rows = []
-    spec = config.spec
-    i, cutoff = spec.prime_index_i, spec.dirichlet_cutoff_N
     for s in config.s_values:
-        # Each allowance is truncation plus rounding, from tail_error_bound's model.
-        z = complex(s)
-        smooth = oracle.smooth_sum_oracle(i, z, cutoff)
-        product = methods.euler_partial(i, z)
-        zeta = methods._zeta_bounds(z.real)
-        dirichlet_tail = cutoff ** (1.0 - z.real) / (z.real - 1.0)
-        err = abs(smooth - product)
-        allowed = (dirichlet_tail
-                   + methods._power_sum_rounding(z, methods._pairwise_depth(cutoff), zeta)
-                   + methods._rounding(z, methods.METHOD_EULER_PRODUCT, i, abs(product), zeta))
-        rows.append([z.real, z.imag, "smooth_vs_product", i, cutoff, err, allowed,
-                     "pass" if err <= allowed else "fail"])
-
-        table = oracle.spf_partition_sum(z, cutoff)
-        reference = methods.dirichlet_partial(cutoff, z)
-        err = abs(1.0 + table.total() - reference)
-        table_rounding = methods._power_sum_rounding(z, table.addition_depth(), zeta)
-        allowed = methods._rounding(z, methods.METHOD_DIRICHLET, cutoff, 0.0, zeta) + table_rounding
-        rows.append([z.real, z.imag, "partition_identity", 0, cutoff, err, allowed,
-                     "pass" if err <= allowed else "fail"])
-
-        for k in range(1, min(5, i) + 1):
-            err = oracle.coefficient_crosscheck(k, z, cutoff, spec)
-            allowed = spec.tolerance + dirichlet_tail + table_rounding
-            rows.append([z.real, z.imag, "coefficient_crosscheck", k, cutoff, err, allowed,
+        for check, k, err, allowed in oracle.compare(s, config.spec):
+            rows.append([s.real, s.imag, check, k, config.spec.dirichlet_cutoff_N, err, allowed,
                          "pass" if err <= allowed else "fail"])
     return header, rows
 

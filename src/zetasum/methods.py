@@ -348,10 +348,15 @@ def _product_floor(sigma: float) -> float:
     return _zeta_bounds(2.0 * sigma)[0] / _zeta_bounds(sigma)[1]
 
 
+def _integral_tail(x: float, sigma: float) -> float:
+    """x^(1-sigma)/(sigma-1) >= the sum of n^-sigma over n > x, for sigma > 1."""
+    return x ** (1.0 - sigma) / (sigma - 1.0)
+
+
 def _log_tail(x: float, sigma: float) -> float:
     """Upper bound on the sum of |log(1 - p^{-s})| over primes p > x, for
     Re(s) = sigma > 1 and x >= 2; nonincreasing in x (see `tail_bound`)."""
-    bound = 2.0 * x ** (1.0 - sigma) / (sigma - 1.0)
+    bound = 2.0 * _integral_tail(x, sigma)
     if x >= 17:
         over_primes = (x ** (1.0 - sigma) / math.log(x)
                        * (primes.PI_UPPER * sigma / (sigma - 1.0) - 1.0))
@@ -402,7 +407,7 @@ def _dirichlet_tail(N: int, z: complex) -> float:
     sigma = z.real
     euler_maclaurin = (N ** (1.0 - sigma) / abs(z - 1.0) + 0.5 * N ** -sigma
                        + abs(z) * N ** (-sigma - 1.0) / 12.0 * (1.0 + abs(z + 1.0) / (sigma + 1.0)))
-    return min(N ** (1.0 - sigma) / (sigma - 1.0), euler_maclaurin)
+    return min(_integral_tail(N, sigma), euler_maclaurin)
 
 
 def _pairwise_depth(m: int) -> int:

@@ -1,4 +1,5 @@
-"""Brute-force second paths for every closed form in `methods`.
+"""Brute-force second paths for every closed form in `methods`, and the
+`oracle-compare` checks (`compare`) with their allowances from `methods`.
 
 Smooth-number sums converge to the finite Euler products; grouping the
 Dirichlet sum by smallest prime factor reproduces, row by row, the tail
@@ -95,16 +96,47 @@ def spf_partition_sum(s, N: int) -> PartitionTable:
     return PartitionTable(cutoff_N=N, rows=rows)
 
 
+def _predicted_row(k: int, z: complex, spec: TruncationSpec) -> tuple[int, complex]:
+    """p_k and the certified tail product from p_k on times p_k^{-s}."""
+    coeff = correction_coefficient(k, z, spec)
+    p_k = primes.nth_prime(k)
+    return p_k, coeff.value * prime_power_term(p_k, z)
+
+
 def coefficient_crosscheck(k: int, s, N: int, spec: TruncationSpec) -> float:
     """Distance between the two routes to the k-th correction term.
 
     Route one: truncated tail product (certified to spec.tolerance) times
     p_k^{-s}.  Route two: the partition row for p_k at cutoff N.  The result
-    should not exceed spec.tolerance + N^(1-Re(s))/(Re(s)-1).
+    should not exceed spec.tolerance + N^(1-Re(s))/(Re(s)-1) plus the row's
+    rounding, `methods._power_sum_rounding` at the table's `addition_depth`.
     """
     z = as_complex(s)
-    coeff = correction_coefficient(k, z, spec)
-    p_k = primes.nth_prime(k)
-    predicted = coeff.value * prime_power_term(p_k, z)
-    observed = spf_partition_sum(z, N).rows.get(p_k, complex(0.0))
-    return abs(predicted - observed)
+    p_k, predicted = _predicted_row(k, z, spec)
+    return abs(predicted - spf_partition_sum(z, N).rows.get(p_k, complex(0.0)))
+
+
+def compare(s, spec: TruncationSpec) -> list[tuple[str, int, float, float]]:
+    """`oracle-compare`'s rows (check, k, abs_error, allowed_error) at s, with
+    i and N from spec and allowances of truncation plus rounding from `methods`.
+    The tail products run before the one partition table, so an unreachable
+    tolerance is refused first; coefficient rows match `coefficient_crosscheck`."""
+    z = as_complex(s)
+    i, N = spec.prime_index_i, spec.dirichlet_cutoff_N
+    smooth = smooth_sum_oracle(i, z, N)
+    predicted = [_predicted_row(k, z, spec) for k in range(1, min(5, i) + 1)]
+    product = methods.euler_partial(i, z)
+    zeta = methods._zeta_bounds(z.real)
+    tail = methods._integral_tail(N, z.real)
+    rows = [("smooth_vs_product", i, abs(smooth - product),
+             tail + methods._power_sum_rounding(z, methods._pairwise_depth(N), zeta)
+             + methods._rounding(z, methods.METHOD_EULER_PRODUCT, i, abs(product), zeta))]
+    table = spf_partition_sum(z, N)
+    table_rounding = methods._power_sum_rounding(z, table.addition_depth(), zeta)
+    err = abs(1.0 + table.total() - methods.dirichlet_partial(N, z))
+    rows.append(("partition_identity", 0, err,
+                 methods._rounding(z, methods.METHOD_DIRICHLET, N, 0.0, zeta) + table_rounding))
+    for k, (p_k, value) in enumerate(predicted, start=1):
+        err = abs(value - table.rows.get(p_k, complex(0.0)))
+        rows.append(("coefficient_crosscheck", k, err, spec.tolerance + tail + table_rounding))
+    return rows

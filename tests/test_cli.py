@@ -145,6 +145,20 @@ def test_usage_errors_exit_2(capsys):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_tolerance_is_usage_error(tmp_path, capsys, value):
+    message = f"tolerance {value} must be a finite value >= 1e-14"
+    with pytest.raises(SystemExit) as info:
+        main(["eval", "--s", "2", "--tol", value])
+    assert info.value.code == 2
+    assert message in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"s = 2\ntol = {value}\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "eval", "--config", str(cfg))
+    assert code == 2
+    assert message in err
+
+
 def test_missing_s_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "eval")
     assert code == 2
@@ -267,6 +281,55 @@ def test_oracle_compare_partition_check_still_fails_a_wrong_total(capsys, monkey
     header, rows = parse_csv(out)
     status = {row[2]: row[-1] for row in rows if row[2] != "coefficient_crosscheck"}
     assert status == {"smooth_vs_product": "pass", "partition_identity": "fail"}
+
+
+def test_oracle_compare_builds_one_partition_table_per_point(capsys, monkeypatch):
+    calls = []
+    exact = oracle.spf_partition_sum
+
+    def counted(s, N):
+        calls.append((s, N))
+        return exact(s, N)
+
+    monkeypatch.setattr(oracle, "spf_partition_sum", counted)
+    code, _, _ = run_cli(capsys, "oracle-compare", "--s", "3+0i", "--s", "2+50i",
+                         "--i", "5", "--N", "30000")
+    assert code == 0
+    assert calls == [(3 + 0j, 30000), (2 + 50j, 30000)]
+
+
+def test_oracle_compare_readme_allowances_keep_their_bytes(capsys):
+    code, out, _ = run_cli(capsys, "oracle-compare", "--s", "3+0i", "--i", "3",
+                           "--N", "10000", "--tol", "1e-8")
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert [(row[2], row[6]) for row in rows] == [
+        ("smooth_vs_product", "5.0000095463802136e-09"),
+        ("partition_identity", "8.6806948871344282e-13"),
+    ] + [("coefficient_crosscheck", "1.5000832707533234e-08")] * 3
+
+
+def test_oracle_compare_refuses_an_unreachable_tolerance_before_the_table(capsys, monkeypatch):
+    def forbidden(s, N):
+        raise AssertionError("partition table built before the refusal")
+
+    monkeypatch.setattr(oracle, "spf_partition_sum", forbidden)
+    code, out, err = run_cli(capsys, "oracle-compare", "--s", "1.5", "--i", "3",
+                             "--N", "10000", "--tol", "1e-8")
+    assert code == 1
+    assert out == ""
+    assert "a sieve past" in err
+
+
+def test_oracle_compare_cutoff_one_refuses_the_tolerance_first(capsys):
+    # The tail products run before the partition table, whose N >= 2 check
+    # is reached only by a tolerance they can certify.
+    code, _, err = run_cli(capsys, "oracle-compare", "--s", "1.5", "--N", "1", "--tol", "1e-8")
+    assert code == 1
+    assert "a sieve past" in err
+    code, _, err = run_cli(capsys, "oracle-compare", "--s", "3", "--N", "1")
+    assert code == 2
+    assert "N must be >= 2" in err
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,7 @@ from zetasum.methods import (
     dirichlet_partial,
     euler_partial,
 )
-from zetasum.oracle import coefficient_crosscheck, smooth_sum_oracle, spf_partition_sum
+from zetasum.oracle import coefficient_crosscheck, compare, smooth_sum_oracle, spf_partition_sum
 from zetasum.primes import first_primes, primes_up_to, smallest_prime_factor, smooth_numbers
 
 
@@ -166,6 +166,23 @@ def test_crosscheck_small_cutoff_has_large_but_bounded_residual():
 def test_crosscheck_rejects_boundary():
     with pytest.raises(NonConvergentError):
         coefficient_crosscheck(1, 1, 100, TruncationSpec(tolerance=1e-6))
+
+
+@pytest.mark.parametrize("s, i, N", [(3, 3, 2000), (2 + 50j, 5, 30_000), (2.5 - 7j, 7, 5000)])
+def test_compare_coefficient_rows_equal_coefficient_crosscheck(s, i, N):
+    spec = TruncationSpec(prime_index_i=i, dirichlet_cutoff_N=N, tolerance=1e-8)
+    rows = compare(s, spec)
+    assert [row[:2] for row in rows] == (
+        [("smooth_vs_product", i), ("partition_identity", 0)]
+        + [("coefficient_crosscheck", k) for k in range(1, min(5, i) + 1)]
+    )
+    for _, k, err, _ in rows[2:]:
+        assert err == coefficient_crosscheck(k, s, N, spec)
+
+
+def test_compare_rejects_boundary_in_the_smooth_sum():
+    with pytest.raises(NonConvergentError, match="smooth-number sum"):
+        compare(1, TruncationSpec(prime_index_i=3, dirichlet_cutoff_N=100))
 
 
 def test_cross_method_triangle():
