@@ -44,7 +44,7 @@ class PowerOverflowError(OverflowError):
     `prime` is the lowest n whose n^{-s} is not finite; for a prime fold, the
     first prime at which the running Euler product, multiplied factor by
     factor, is not finite (its block's last prime if none is); for a
-    Dirichlet sum of finite powers, its cutoff.
+    Dirichlet sum of finite powers, its cutoff.  The message says which.
     """
 
     def __init__(self, prime: int, s: complex):

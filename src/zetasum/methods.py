@@ -51,9 +51,6 @@ METHOD_EULER_PRODUCT = "euler_product"
 METHOD_REFORMULATED = "reformulated"
 METHODS = (METHOD_DIRICHLET, METHOD_EULER_PRODUCT, METHOD_REFORMULATED)
 
-MIN_SPEC_TOLERANCE = 1e-14  # below double-precision reach
-MIN_EVAL_TOLERANCE = 1e-12
-
 # Certified runs refuse to grow past these; the honest cost of tighter
 # requests (especially with Re(s) barely above 1) explodes without bound.
 MAX_PRIME_LIMIT = 1 << 30
@@ -65,6 +62,11 @@ _CHUNK = 1 << 20
 # max_double/e) and |Im(-z*ln n)| <= _PHASE_SAFE (no overflow in the phase).
 _LOG_SAFE = math.log(sys.float_info.max) - 1.0
 _PHASE_SAFE = 0.5 * sys.float_info.max
+
+
+def _check_tolerance(tolerance: float) -> None:
+    if not (math.isfinite(tolerance) and tolerance > 0.0):
+        raise ValueError("tolerance must be a finite value > 0")
 
 
 class NonConvergentError(ValueError):
@@ -88,8 +90,7 @@ class TruncationSpec:
             raise ValueError("prime_index_i must be >= 1")
         if self.dirichlet_cutoff_N < 1:
             raise ValueError("dirichlet_cutoff_N must be >= 1")
-        if not (math.isfinite(self.tolerance) and self.tolerance >= MIN_SPEC_TOLERANCE):
-            raise ValueError(f"tolerance must be a finite value >= {MIN_SPEC_TOLERANCE}")
+        _check_tolerance(self.tolerance)
 
 
 @dataclass(frozen=True)
@@ -140,6 +141,13 @@ def _finite(x: complex) -> bool:
     return math.isfinite(x.real) and math.isfinite(x.imag)
 
 
+def _overflow(what: str, n: int, z: complex) -> PowerOverflowError:
+    # Named for the running aggregate `what` that left the range, not n^(-s).
+    error = PowerOverflowError(n, z)
+    error.args = (f"{what} exceeds the double-precision range at s = {z}",)
+    return error
+
+
 def _checked_fold(folded: complex, p: np.ndarray, carry: complex, f: np.ndarray,
                   z: complex) -> complex:
     """`folded` if finite; else raise at the first p where carry*f[0]*...*f[k],
@@ -149,7 +157,8 @@ def _checked_fold(folded: complex, p: np.ndarray, carry: complex, f: np.ndarray,
     with np.errstate(all="ignore"):
         running = np.cumprod(np.concatenate(([carry], f)))[1:]
     bad = np.flatnonzero(~np.isfinite(running))
-    raise PowerOverflowError(int(p[bad[0]]) if bad.size else int(p[-1]), z)
+    at = int(p[bad[0]]) if bad.size else int(p[-1])
+    raise _overflow(f"the running Euler product at prime {at}", at, z)
 
 
 def _product(blocks, z: complex, out: complex = complex(1.0)) -> complex:
@@ -212,7 +221,7 @@ def _dirichlet_fold(total: complex, odd: complex, lo: int, hi: int, z: complex,
                 odd += complex(_power_terms(n, z).sum())
         total = two * total + odd
     if cuts and not (_finite(total) and _finite(odd)):
-        raise PowerOverflowError(cuts[0], z)
+        raise _overflow(f"the partial sum at cutoff {cuts[0]}", cuts[0], z)
     return total, odd
 
 
@@ -318,6 +327,11 @@ def dirichlet_partial(N: int, s) -> complex:
 
 _U = 2.0 ** -53  # unit roundoff of a double
 _SQRT5 = math.sqrt(5.0)  # |fl(a*b) - a*b| <= sqrt(5)*u*|a*b| for complex a, b
+
+
+def _expm1(x: float) -> float:
+    # An upper bound on e^x - 1: math.expm1 raises past x = 709.78.
+    return math.expm1(x) if x < 709.0 else math.inf
 
 
 def _zeta_bounds(sigma: float) -> tuple[float, float, float]:
@@ -491,7 +505,7 @@ def _rounding(z: complex, method: str, count: int, magnitude: float,
     factors = _U * (phase * log_derivative + (6.0 + 4.0 / (1.0 - 2.0 ** -sigma)) * (hi - 1.0)
                     + (divide + multiply) * count)
     if method == METHOD_EULER_PRODUCT:
-        e = math.expm1(factors + _U * multiply * blocks)
+        e = _expm1(factors + _U * multiply * blocks)
         return magnitude * e / (1.0 - e) if e < 1.0 else math.inf
     prime_zeta = math.log(hi)
     path = multiply * (count + blocks) + _pairwise_depth(_CHUNK) + blocks
@@ -505,8 +519,8 @@ def _walk_to_feasible(z: complex, method: str, tolerance: float, count: int,
                       zeta: tuple[float, float, float]) -> int:
     """Walk the doubling counts from `count` with closed forms alone and
     return the first that may certify a value of modulus >= `magnitude`;
-    raise the refusal that applies when none can (see `_trace`)."""
-    sigma = z.real
+    refuse at the first past a limit or whose rounding alone exceeds the
+    tolerance, as no count after it can certify (see `_trace`)."""
     while True:
         if method == METHOD_DIRICHLET:
             if count > MAX_DIRICHLET_TERMS:
@@ -516,23 +530,21 @@ def _walk_to_feasible(z: complex, method: str, tolerance: float, count: int,
                 )
             truncation = _dirichlet_tail(count, z)
         else:
-            x = float(max(offset + count, 6))
-            est = x * (math.log(x) + math.log(math.log(x)) + 2.0)
-            if est > MAX_PRIME_LIMIT:
+            x = primes.prime_ceiling(offset + count)
+            if x > MAX_PRIME_LIMIT:
                 raise RuntimeError(
                     f"certifying this tolerance needs roughly the first {offset + count} "
-                    f"primes (a sieve past {est:.3e}); relax the tolerance or pick another method"
+                    f"primes (a sieve past {x:.3e}); relax the tolerance or pick another method"
                 )
-            truncation = magnitude * math.expm1(
-                _log_tail(primes.prime_ceiling(offset + count), sigma))
+            truncation = magnitude * _expm1(_log_tail(x, z.real))
         rounding = _rounding(z, method, count, magnitude, zeta)
-        if truncation + rounding <= tolerance:
-            return count
-        if truncation <= tolerance < rounding:
+        if rounding > tolerance:
             raise RuntimeError(
                 f"rounding alone may reach {rounding:.3e} at s = {z}, above the "
                 f"tolerance {tolerance:.3e}; relax the tolerance"
             )
+        if truncation + rounding <= tolerance:
+            return count
         count *= 2
 
 
@@ -561,23 +573,21 @@ def _trace(z: complex, method: str, tolerance: float, count: int,
     factor differs from 1 by at most expm1(b).
 
     Before any work, `_walk_to_feasible` walks the doubling counts with
-    closed forms alone.  It refuses at the first count past
-    MAX_DIRICHLET_TERMS, or whose sieve would pass MAX_PRIME_LIMIT.  The
-    loop itself checks neither limit: each count it reaches is at most the
-    count the latest walk returned, which passed, and both checks are
-    monotone in count.  Where truncation could certify but
-    the rounding bound alone exceeds the tolerance, it refuses too: rounding
-    only grows with count, so no later count certifies.  Otherwise it stops
-    at the first count that may certify.  For Dirichlet runs that is exact,
-    as their bound does not depend on the value.  For products every value
-    has modulus at least `floor` (`_product_floor`, or 1 for real s), and
-    the n-th prime is at most `primes.prime_ceiling`(n), so a count certifies
-    only if floor*expm1(b) + r(floor) <= tolerance with b taken at that
-    ceiling (`_log_tail` is nonincreasing).  After each product step,
-    `floor` is raised to that step's own lower bound on every later
-    modulus, (|value| - r)*exp(-b), when that is larger, and the walk
-    resumes at the count it stopped at: a larger floor only makes the
-    counts it passed less feasible.
+    closed forms alone and stops at the first that may certify.  Every
+    value has modulus at least `floor` (0 for Dirichlet runs, whose bound
+    does not depend on the value; for products `_product_floor`, or 1 for
+    real s), and the n-th prime is at most `primes.prime_ceiling`(n), so a
+    product count certifies only if floor*expm1(b) + r(floor) <= tolerance
+    with b taken at that ceiling (`_log_tail` is nonincreasing).  The walk
+    refuses at the first count past MAX_DIRICHLET_TERMS, whose sieve would
+    pass MAX_PRIME_LIMIT, or whose r(count, floor) alone exceeds the
+    tolerance: r is nondecreasing in count and in modulus, so no later count
+    certifies.  The loop checks none of the three: each count it reaches is
+    at most the count the latest walk returned, which passed, and all three
+    are monotone in count.  After each product step, `floor` is raised to
+    that step's own lower bound on every later modulus, (|value| - r)*exp(-b),
+    when that is larger, and the walk resumes at the count it stopped at: a
+    larger floor only makes the counts it passed less feasible.
     """
     sigma = z.real
     if method == METHOD_DIRICHLET:
@@ -610,7 +620,7 @@ def _trace(z: complex, method: str, tolerance: float, count: int,
                 value = 1.0 + running
             rounding = _rounding(z, method, count, abs(value), zeta)
             b = tail_bound(hi, sigma)
-            bound = (abs(value) + rounding) * math.expm1(b) + rounding
+            bound = (abs(value) + rounding) * _expm1(b) + rounding
         steps.append(EvaluationResult(value, method, count, float(bound)))
         if bound <= tolerance:
             return steps
@@ -647,8 +657,7 @@ def convergence_trace(s, method: str, tolerance: float) -> list[EvaluationResult
     z = as_complex(s)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    if not (math.isfinite(tolerance) and tolerance >= MIN_EVAL_TOLERANCE):
-        raise ValueError(f"tolerance must be a finite value >= {MIN_EVAL_TOLERANCE}")
+    _check_tolerance(tolerance)
     if z.real <= 1.0:
         raise NonConvergentError("zeta evaluation", z)
     return _trace(z, method, tolerance, count=16 if method == METHOD_DIRICHLET else 1)

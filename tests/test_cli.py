@@ -121,7 +121,7 @@ def test_eval_unreachable_product_tolerance_exits_1_before_sieving(capsys, monke
     assert out == ""
     assert err == (
         "error: certifying this tolerance needs roughly the first 67108864 primes "
-        "(a sieve past 1.538e+09); relax the tolerance or pick another method\n"
+        "(a sieve past 1.340e+09); relax the tolerance or pick another method\n"
     )
     assert len(cache) == 0
 
@@ -140,18 +140,15 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["eval", "--s", "2+0i", "--method", "bogus"])
     assert info.value.code == 2
-    with pytest.raises(SystemExit) as info:
-        main(["eval", "--s", "2+0i", "--tol", "1e-20"])
-    assert info.value.code == 2
+    assert main(["eval", "--s", "2+0i", "--tol", "0"]) == 2
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])
 def test_non_finite_tolerance_is_usage_error(tmp_path, capsys, value):
-    message = f"tolerance {value} must be a finite value >= 1e-14"
-    with pytest.raises(SystemExit) as info:
-        main(["eval", "--s", "2", "--tol", value])
-    assert info.value.code == 2
-    assert message in capsys.readouterr().err
+    message = "usage error: tolerance must be a finite value > 0"
+    code, _, err = run_cli(capsys, "eval", "--s", "2", "--tol", value)
+    assert code == 2
+    assert message in err
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"s = 2\ntol = {value}\n", encoding="utf-8")
     code, _, err = run_cli(capsys, "eval", "--config", str(cfg))
@@ -165,11 +162,29 @@ def test_missing_s_is_usage_error(capsys):
     assert "--s" in err
 
 
-def test_eval_tolerance_below_method_floor_is_usage_error(capsys):
-    # passes the global floor (1e-14) but not the certified-eval floor (1e-12)
+def test_eval_tolerance_below_rounding_reach_exits_1(capsys):
+    # no fixed floor: the certificate refuses what rounding alone exceeds
     code, _, err = run_cli(capsys, "eval", "--s", "2+0i", "--tol", "1e-13")
-    assert code == 2
-    assert "tolerance" in err
+    assert code == 1
+    assert err.startswith("error: rounding alone may reach")
+
+
+def test_eval_tolerance_below_1e_12_is_answered_when_certified(capsys):
+    code, out, err = run_cli(capsys, "eval", "--s", "10", "--tol", "1e-13",
+                             "--method", "dirichlet")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == (
+        "10,0,dirichlet,1.0009945751278155,0,32,2.7832450168716585e-14,0"
+    )
+
+
+@pytest.mark.parametrize("s", ["1.001", "1.000000001+1e12i"])
+def test_eval_product_tail_past_exp_range_is_refused(capsys, s):
+    # Near Re(s) = 1 the tail's log bound passes 709, where math.expm1 raises.
+    code, out, err = run_cli(capsys, "eval", "--s", s, "--tol", "1e-3",
+                             "--method", "euler_product")
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1].startswith("error: ") and "relax the tolerance" in err
 
 
 # ----------------------------------------------------------------------
@@ -194,7 +209,9 @@ def test_identity_check_singular_point_exit_1(capsys):
 def test_identity_check_overflow_writes_one_error_line(capsys):
     code, out, err = run_cli(capsys, "identity-check", "--s", "2i", "--i", "3000")
     assert (code, out) == (1, "")
-    assert err.splitlines() == ["error: 14009^(-s) exceeds the double-precision range at s = 2j"]
+    assert err.splitlines() == [
+        "error: the running Euler product at prime 14009 exceeds the double-precision range "
+        "at s = 2j"]
 
 
 def test_converge_rows_per_step(capsys):

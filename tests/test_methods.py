@@ -245,6 +245,18 @@ def test_dirichlet_sum_past_the_double_range_raises(N, s):
     assert got.value.prime == N
 
 
+@pytest.mark.parametrize("request_, message", [
+    (lambda: dirichlet_partial(10, -400), "6^(-s)"),
+    (lambda: dirichlet_partial(14322, -73.66478372246908), "the partial sum at cutoff 14322"),
+    (lambda: euler_partial(3000, 2j), "the running Euler product at prime 14009"),
+    (lambda: reform_partial(50, 1e-7), "the running Euler product at prime 227"),
+])
+def test_overflow_names_what_left_the_range(request_, message):
+    with pytest.raises(PowerOverflowError) as got:
+        request_()
+    assert str(got.value).startswith(f"{message} exceeds the double-precision range at s = ")
+
+
 @pytest.mark.parametrize("s, N", [(-295.8, 11), (-250.25 + 40j, 17)])
 def test_dirichlet_window_flagged_near_overflow_still_sums(s, N, monkeypatch):
     # N^-s is finite but within a factor e of the double range, so the last
@@ -579,6 +591,8 @@ def test_zeta_eval_rejects_bad_requests():
     with pytest.raises(NonConvergentError):
         zeta_eval(0.5 + 14.1j, METHOD_DIRICHLET, 1e-6)
     with pytest.raises(ValueError):
+        zeta_eval(2, METHOD_REFORMULATED, 0.0)
+    with pytest.raises(RuntimeError):
         zeta_eval(2, METHOD_REFORMULATED, 1e-13)
     with pytest.raises(ValueError):
         zeta_eval(2, "secant", 1e-6)
@@ -591,22 +605,25 @@ def test_zeta_eval_infeasible_tolerance_is_a_clear_error():
 
 PRODUCT_REFUSAL = (
     "certifying this tolerance needs roughly the first 67108864 primes "
-    "(a sieve past 1.538e+09); relax the tolerance or pick another method"
+    "(a sieve past 1.340e+09); relax the tolerance or pick another method"
 )
 
 
-@pytest.mark.parametrize("request_", [
-    lambda: zeta_eval(2, METHOD_EULER_PRODUCT, 1e-12),
-    lambda: zeta_eval(1.5, METHOD_REFORMULATED, 1e-6),
-    lambda: correction_coefficient(1, 1.5, TruncationSpec(tolerance=1e-6)),
-    lambda: zeta_eval(1.5, METHOD_EULER_PRODUCT, 1e-6),
+@pytest.mark.parametrize("request_, refusal", [
+    # Rounding alone passes 1e-12 at 4096 primes, long before the sieve limit.
+    (lambda: zeta_eval(2, METHOD_EULER_PRODUCT, 1e-12),
+     "rounding alone may reach 1.141e-12 at s = (2+0j), above the tolerance 1.000e-12; "
+     "relax the tolerance"),
+    (lambda: zeta_eval(1.5, METHOD_REFORMULATED, 1e-6), PRODUCT_REFUSAL),
+    (lambda: correction_coefficient(1, 1.5, TruncationSpec(tolerance=1e-6)), PRODUCT_REFUSAL),
+    (lambda: zeta_eval(1.5, METHOD_EULER_PRODUCT, 1e-6), PRODUCT_REFUSAL),
 ], ids=["euler_product", "reformulated", "correction_coefficient", "euler_product_sigma_1.5"])
-def test_unreachable_product_tolerance_is_refused_before_sieving(request_, monkeypatch):
+def test_unreachable_product_tolerance_is_refused_before_sieving(request_, refusal, monkeypatch):
     cache = primes.PrimeCache()
     monkeypatch.setattr(primes, "_default_cache", cache)
     with pytest.raises(RuntimeError) as excinfo:
         request_()
-    assert str(excinfo.value) == PRODUCT_REFUSAL
+    assert str(excinfo.value) == refusal
     assert (len(cache), cache.source_limit) == (0, 1)
 
 
@@ -640,6 +657,65 @@ def test_rounding_above_the_tolerance_is_refused_before_any_work(s, tol, method,
     with pytest.raises(RuntimeError, match="^rounding alone may reach"):
         zeta_eval(s, method, tol)
     assert (len(cache), cache.source_limit, powers) == (0, 1, [])
+
+
+def test_rounding_is_nondecreasing_in_count_and_magnitude():
+    # The premise of the up-front refusal: once _rounding(count, floor)
+    # exceeds the tolerance, so does every later step's bound.
+    rng = random.Random(20261018)
+    points = [complex(30.0, 0.0), complex(1.0 + 1e-9, 0.0)]
+    for _ in range(150):
+        sigma = 1.0 + 29.0 * rng.random() ** 3
+        t = 0.0 if rng.random() < 0.2 else rng.choice((-1, 1)) * 10.0 ** rng.uniform(-2, 12)
+        points.append(complex(sigma, t))
+    counts = sorted({1 << k for k in range(32)} | {rng.randrange(1, 1 << 31) for _ in range(40)})
+    magnitudes = [0.0, 0.5, 1.0, 3.0, 1e3]
+    for z in points:
+        zeta = methods._zeta_bounds(z.real)
+        for method in METHODS:
+            for magnitude in magnitudes:
+                r = [methods._rounding(z, method, c, magnitude, zeta) for c in counts]
+                assert all(a <= b for a, b in zip(r, r[1:])), (z, method, magnitude)
+            for count in counts:
+                r = [methods._rounding(z, method, count, m, zeta) for m in magnitudes]
+                assert all(a <= b for a, b in zip(r, r[1:])), (z, method, count)
+
+
+def test_tolerances_below_1e_12_are_certified_or_refused():
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(7)
+    answered = refused = 0
+    with mpmath.workdps(40):
+        for _ in range(150):
+            sigma = rng.uniform(3.0, 25.0)
+            s = complex(sigma, 0.0 if rng.random() < 0.25 else rng.uniform(-30.0, 30.0))
+            tol = 10.0 ** rng.uniform(-16.0, -12.0)
+            exact = mpmath.zeta(mpmath.mpc(s))
+            for method in METHODS:
+                try:
+                    got = zeta_eval(s, method, tol)
+                except RuntimeError as exc:
+                    assert str(exc).startswith("rounding alone may reach")
+                    refused += 1
+                    continue
+                error = float(abs(mpmath.mpc(got.value) - exact))
+                assert error <= got.tail_error_bound <= tol, (s, tol, method)
+                answered += 1
+    assert answered > 0 and refused > 0
+
+
+def test_rounding_is_the_reason_a_real_product_is_refused(monkeypatch):
+    # The rounding bound passes the tolerance at 2^20 primes, long before the
+    # sieve limit, so no later count could certify.
+    cache = primes.PrimeCache()
+    monkeypatch.setattr(primes, "_default_cache", cache)
+    with pytest.raises(RuntimeError) as excinfo:
+        zeta_eval(1.82129, METHOD_EULER_PRODUCT, 2.63215e-10)
+    assert str(excinfo.value) == (
+        "rounding alone may reach 2.910e-10 at s = (1.82129+0j), above the tolerance "
+        "2.632e-10; relax the tolerance"
+    )
+    assert (len(cache), cache.source_limit) == (0, 1)
 
 
 def test_sigma_1_5_at_1e_4_is_answered():
@@ -751,8 +827,10 @@ def test_correction_coefficient_rejects_boundary():
 
 
 def test_truncation_spec_validation():
-    with pytest.raises(ValueError):
-        TruncationSpec(tolerance=1e-15)
+    for tolerance in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            TruncationSpec(tolerance=tolerance)
+    assert TruncationSpec(tolerance=1e-15).tolerance == 1e-15
     with pytest.raises(ValueError):
         TruncationSpec(prime_index_i=0)
     with pytest.raises(ValueError):
