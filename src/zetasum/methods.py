@@ -9,6 +9,8 @@ consume it: the product multiplies the factors, and the prime-indexed sum
 folds forward by the paper's induction step S_{i+1} = f_{i+1}*(t_{i+1} + S_i).
 `_identity` runs both in one pass.  This is the only production power path;
 `kernel`'s scalar powers are the reference the tests compare against.
+Every fold works in cache-sized blocks of `_CHUNK` terms and holds one
+block at a time, so its memory does not grow with the number of terms.
 
 The Dirichlet sum D(x) = sum_{n <= x} n^{-s} uses the first Euler factor
 as a finite identity: every even n <= x is 2m with m <= floor(x/2), so
@@ -56,7 +58,27 @@ METHODS = (METHOD_DIRICHLET, METHOD_EULER_PRODUCT, METHOD_REFORMULATED)
 MAX_PRIME_LIMIT = 1 << 30
 MAX_DIRICHLET_TERMS = 1 << 30
 
-_CHUNK = 1 << 20
+# Terms per block in every vectorised fold, and integers per block in
+# `oracle`'s partition.  A block of 2^16 primes keeps its powers and factors
+# in 2 MiB, about one core's L2 cache; a fold's tracemalloc peak is then
+# 2.5 MiB (product) or 4 MiB (sum), whatever the number of primes.  Folding
+# 2^20 primes at s = 2+10i, fastest of 8 in-process runs on a 2-core Xeon
+# with 2 MiB of L2 per core, for blocks of 2^14 .. 2^20:
+#   product         57  60  60  61  54  73  76 ms
+#   sum             64  60  57  66  70  96  99 ms
+#   dirichlet_partial(2^21)
+#                   42  43  43  35  51  54  49 ms
+# Blocks of 2^14 to 2^17 are about equally fast and larger ones slower;
+# 2^16 sits in that range.  Its pairwise sums are also shallower, so the
+# rounding model charges fewer roundings than at 2^20 (`_pairwise_depth`).
+# The cost: a fold over more blocks carries its running value across more
+# of them, one rounding each, which `_rounding` charges per block.  It
+# shows where the finite identity already loses digits: at i = 10^5,
+# s = 0.511591-4.12509i (|product| about 1e7), `identity_residual`
+# relative to the product rises from 7.85e-10 to 1.81e-9.  Every other
+# crosscheck identity point of bench seeds 1-200 stays within 0.46*i*eps
+# at both sizes.
+_CHUNK = 1 << 16
 
 # n^{-z} = exp(-z*ln n) is finite when Re(-z*ln n) <= _LOG_SAFE (at most
 # max_double/e) and |Im(-z*ln n)| <= _PHASE_SAFE (no overflow in the phase).
@@ -132,9 +154,11 @@ def _blocks(p_all: np.ndarray, z: complex):
         worst = int(np.argmin(gap))
         if gap[worst] < DEFAULT_SINGULAR_TOL:
             raise SingularPointError(int(p[worst]), z, float(gap[worst]))
-        # This frame lives on across the yield: hold no array beyond t and f.
+        # This frame lives on across the yield: hold no array beyond t and f,
+        # and none of them once the consumer asks for the next block.
         del gap
         yield p, t, np.divide(1.0, d, out=d)
+        del t, d
 
 
 def _finite(x: complex) -> bool:
@@ -166,6 +190,8 @@ def _product(blocks, z: complex, out: complex = complex(1.0)) -> complex:
     for p, _, f in blocks:
         with np.errstate(all="ignore"):
             out = _checked_fold(out * complex(f.prod()), p, out, f, z)
+        # Free this block before `blocks` builds the next: one block's memory.
+        del p, _, f
     return out
 
 
@@ -184,6 +210,7 @@ def _sum(blocks, z: complex, total: complex = 0j) -> complex:
             suffix = np.cumprod(f[::-1], dtype=complex)[::-1]
             total = _checked_fold(complex(suffix[0]) * total + complex((t * suffix).sum()),
                                   p, 1.0 + total, f, z)
+        del p, t, f, suffix  # as in `_product`
     return total
 
 
@@ -273,6 +300,7 @@ def _identity(i: int, s) -> tuple[complex, complex]:
                 total = _sum([block], z, total)
             except PowerOverflowError as exc:
                 sum_error = exc
+        del block  # as in `_product`
     if sum_error is not None:
         raise sum_error
     return product, total
@@ -520,7 +548,14 @@ def _walk_to_feasible(z: complex, method: str, tolerance: float, count: int,
     """Walk the doubling counts from `count` with closed forms alone and
     return the first that may certify a value of modulus >= `magnitude`;
     refuse at the first past a limit or whose rounding alone exceeds the
-    tolerance, as no count after it can certify (see `_trace`)."""
+    tolerance, as no count after it can certify (see `_trace`).
+
+    A refusal at the sieve limit names the count before the one it stopped
+    at, which fell short (in this walk, an earlier one or a step of
+    `_trace`) or lies below the first count `_trace` tries.  The count it
+    stopped at is only bounded, by `primes.prime_ceiling`, so it is not
+    named.
+    """
     while True:
         if method == METHOD_DIRICHLET:
             if count > MAX_DIRICHLET_TERMS:
@@ -533,8 +568,9 @@ def _walk_to_feasible(z: complex, method: str, tolerance: float, count: int,
             x = primes.prime_ceiling(offset + count)
             if x > MAX_PRIME_LIMIT:
                 raise RuntimeError(
-                    f"certifying this tolerance needs roughly the first {offset + count} "
-                    f"primes (a sieve past {x:.3e}); relax the tolerance or pick another method"
+                    f"certifying this tolerance needs more than the first "
+                    f"{offset + count // 2} primes, and going further may need a sieve past "
+                    f"the limit {MAX_PRIME_LIMIT}; relax the tolerance or pick another method"
                 )
             truncation = magnitude * _expm1(_log_tail(x, z.real))
         rounding = _rounding(z, method, count, magnitude, zeta)
@@ -552,7 +588,7 @@ def _walk_to_feasible(z: complex, method: str, tolerance: float, count: int,
 # adaptive evaluation
 
 def _trace(z: complex, method: str, tolerance: float, count: int,
-           offset: int = 0) -> list[EvaluationResult]:
+           offset: int = 0, every_step: bool = True) -> list[EvaluationResult]:
     """The doubling driver behind every adaptive evaluation.
 
     Truncates at `count`, 2*`count`, 4*`count`, ... terms past the first
@@ -588,6 +624,21 @@ def _trace(z: complex, method: str, tolerance: float, count: int,
     that step's own lower bound on every later modulus, (|value| - r)*exp(-b),
     when that is larger, and the walk resumes at the count it stopped at: a
     larger floor only makes the counts it passed less feasible.
+
+    With `every_step` (`convergence_trace`, which reports the whole story)
+    the loop steps through every doubling count from `count`.  Without it
+    (`zeta_eval`, `correction_coefficient`) each step goes straight to the
+    count the walk returned, so the first window is [offset, offset + that
+    count) and a run usually folds once.  No skipped count could certify:
+    at every count c the walk passed over, |value| >= floor,
+    p_c <= `prime_ceiling`(c) with `_log_tail` nonincreasing, and r is
+    nondecreasing in the modulus, so the loop's bound at c is at least the
+    walk's closed form there, which exceeds the tolerance.  So both modes
+    answer or refuse alike, with the same terms_used.  Product values, and
+    so their bounds, differ in the last digits, as fewer, wider windows
+    group the fold differently; a bound within that of the tolerance, or a
+    refusal after a step (whose floor comes from other steps), could differ
+    too.  Dirichlet values are the same D(count) either way.
     """
     sigma = z.real
     if method == METHOD_DIRICHLET:
@@ -603,6 +654,8 @@ def _trace(z: complex, method: str, tolerance: float, count: int,
     running = complex(1.0) if method == METHOD_EULER_PRODUCT else complex(0.0)
     lo = offset
     while True:
+        if not every_step:
+            count = needed
         hi = offset + count
         if method == METHOD_DIRICHLET:
             running, odd = _dirichlet_fold(running, odd, lo, hi, z, two)
@@ -644,7 +697,20 @@ def correction_coefficient(k: int, s, spec: TruncationSpec) -> EvaluationResult:
     z = as_complex(s)
     if z.real <= 1.0:
         raise NonConvergentError("the tail product", z)
-    return _trace(z, METHOD_EULER_PRODUCT, spec.tolerance, count=16, offset=k - 1)[-1]
+    return _trace(z, METHOD_EULER_PRODUCT, spec.tolerance, count=16, offset=k - 1,
+                  every_step=False)[-1]
+
+
+def _checked_trace(s, method: str, tolerance: float, every_step: bool) -> list[EvaluationResult]:
+    """Check a request for zeta(s), then `_trace` it from the method's first count."""
+    z = as_complex(s)
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    _check_tolerance(tolerance)
+    if z.real <= 1.0:
+        raise NonConvergentError("zeta evaluation", z)
+    return _trace(z, method, tolerance, count=16 if method == METHOD_DIRICHLET else 1,
+                  every_step=every_step)
 
 
 def convergence_trace(s, method: str, tolerance: float) -> list[EvaluationResult]:
@@ -654,13 +720,7 @@ def convergence_trace(s, method: str, tolerance: float) -> list[EvaluationResult
     Truncations double: prime counts 1, 2, 4, ... for the product methods,
     term counts 16, 32, 64, ... for the Dirichlet sum.
     """
-    z = as_complex(s)
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    _check_tolerance(tolerance)
-    if z.real <= 1.0:
-        raise NonConvergentError("zeta evaluation", z)
-    return _trace(z, method, tolerance, count=16 if method == METHOD_DIRICHLET else 1)
+    return _checked_trace(s, method, tolerance, every_step=True)
 
 
 def zeta_eval(s, method: str = METHOD_REFORMULATED, tolerance: float = 1e-6) -> EvaluationResult:
@@ -668,6 +728,9 @@ def zeta_eval(s, method: str = METHOD_REFORMULATED, tolerance: float = 1e-6) -> 
 
     `reformulated` returns 1 plus the prime-indexed sum, `euler_product` the
     plain finite product (the two agree identically, so this is a live
-    cross-check), `dirichlet` the partial sum of n^{-s}.
+    cross-check), `dirichlet` the partial sum of n^{-s}.  It folds only the
+    counts that may certify (see `_trace`), so terms_used is that of
+    `convergence_trace`'s last step, and a product value may differ from
+    its value by rounding, as it is folded in fewer, wider windows.
     """
-    return convergence_trace(s, method, tolerance)[-1]
+    return _checked_trace(s, method, tolerance, every_step=False)[-1]

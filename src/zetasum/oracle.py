@@ -71,7 +71,8 @@ def spf_partition_sum(s, N: int) -> PartitionTable:
     prime factor: the k-th base prime p <= isqrt(N) writes k into the
     entries of its multiples from p*p on that are still 0, and the entries
     of [2, N] left at 0 are the primes, ranked in order.  The powers then
-    go into the rows `methods._CHUNK` integers at a time through
+    go into the rows `methods._CHUNK` integers at a time: a prime past
+    isqrt(N) is its row's one term, and the base primes' rows go through
     `np.bincount`, which adds each row's terms in ascending n.
     """
     z = as_complex(s)
@@ -79,19 +80,31 @@ def spf_partition_sum(s, N: int) -> PartitionTable:
     if N < 2:
         raise ValueError("N must be >= 2")
     rank = np.zeros(N + 1, dtype=np.int32)
-    for k, p in enumerate(primes.primes_up_to(math.isqrt(N)), start=1):
+    base = primes.primes_up_to(math.isqrt(N))
+    for k, p in enumerate(base, start=1):
         multiples = rank[p * p :: p]
         multiples[multiples == 0] = k
     found = np.flatnonzero(rank[2:] == 0) + 2
     rank[found] = np.arange(1, found.size + 1)
     re = np.zeros(found.size + 1)
     im = np.zeros(found.size + 1)
+    last = len(base) + 1
     for a in range(2, N + 1, methods._CHUNK):
         n = np.arange(a, min(N + 1, a + methods._CHUNK), dtype=np.float64)
         t = methods._power_terms(n, z)
-        group = rank[a : a + n.size]
-        re += np.bincount(group, weights=t.real, minlength=re.size)
-        im += np.bincount(group, weights=t.imag, minlength=im.size)
+        # A prime past isqrt(N) is the smallest factor of itself alone, so
+        # its row is its one term, and the ranks of these primes in the
+        # chunk run consecutively.  Only the base primes' rows need
+        # bincount; its bin `last` gathers the rest and is dropped.  So a
+        # chunk costs O(chunk + pi(isqrt(N))), not O(pi(N)).
+        group = np.minimum(rank[a : a + n.size], last, dtype=np.intp)
+        re[:last] += np.bincount(group, weights=t.real, minlength=last + 1)[:last]
+        im[:last] += np.bincount(group, weights=t.imag, minlength=last + 1)[:last]
+        lo, hi = np.searchsorted(found, (a, a + n.size))
+        lo = max(lo, last - 1)
+        at = found[lo:hi] - a
+        re[lo + 1 : hi + 1] += t.real[at]
+        im[lo + 1 : hi + 1] += t.imag[at]
     rows = dict(zip(found.tolist(), (re + 1j * im)[1:].tolist()))
     return PartitionTable(cutoff_N=N, rows=rows)
 

@@ -120,8 +120,9 @@ def test_eval_unreachable_product_tolerance_exits_1_before_sieving(capsys, monke
     assert code == 1
     assert out == ""
     assert err == (
-        "error: certifying this tolerance needs roughly the first 67108864 primes "
-        "(a sieve past 1.340e+09); relax the tolerance or pick another method\n"
+        "error: certifying this tolerance needs more than the first 33554432 primes, "
+        "and going further may need a sieve past the limit 1073741824; "
+        "relax the tolerance or pick another method\n"
     )
     assert len(cache) == 0
 
@@ -174,7 +175,7 @@ def test_eval_tolerance_below_1e_12_is_answered_when_certified(capsys):
                              "--method", "dirichlet")
     assert (code, err) == (0, "")
     assert out.splitlines()[1] == (
-        "10,0,dirichlet,1.0009945751278155,0,32,2.7832450168716585e-14,0"
+        "10,0,dirichlet,1.0009945751278155,0,32,1.4051992580476881e-14,0"
     )
 
 
@@ -322,7 +323,7 @@ def test_oracle_compare_readme_allowances_keep_their_bytes(capsys):
     _, rows = parse_csv(out)
     assert [(row[2], row[6]) for row in rows] == [
         ("smooth_vs_product", "5.0000095463802136e-09"),
-        ("partition_identity", "8.6806948871344282e-13"),
+        ("partition_identity", "8.5152072616540843e-13"),
     ] + [("coefficient_crosscheck", "1.5000832707533234e-08")] * 3
 
 

@@ -1,8 +1,11 @@
 """Finite products and sums, their identity, tails, and adaptive evaluation."""
 
+import importlib.util
 import math
 import random
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +38,11 @@ from zetasum.methods import (
     zeta_eval,
 )
 from zetasum.primes import first_primes, nth_prime, primes_up_to
+
+
+# A block larger than any input the chunk-parametrised tests use, so that
+# every fold there runs as one block, as it does at `methods._CHUNK`.
+ONE_BLOCK = 1 << 20
 
 
 # ----------------------------------------------------------------------
@@ -146,7 +154,7 @@ def scalar_dirichlet(N: int, s) -> tuple[complex, float]:
     return total, scale
 
 
-@pytest.mark.parametrize("chunk", [7, methods._CHUNK])
+@pytest.mark.parametrize("chunk", [7, ONE_BLOCK])
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 15, 16, 17, 31, 1000, 4097])
 @pytest.mark.parametrize("s", [3, 1.5, 2.5 + 300j, 0.5 - 14.1j, -1.5 + 2j])
 def test_dirichlet_partial_matches_scalar_reference(s, N, chunk, monkeypatch):
@@ -193,7 +201,7 @@ OVERFLOW_POINTS = [
 ]
 
 
-@pytest.mark.parametrize("chunk", [7, methods._CHUNK])
+@pytest.mark.parametrize("chunk", [7, ONE_BLOCK])
 @pytest.mark.parametrize("s, first_bad", OVERFLOW_POINTS)
 def test_dirichlet_overflow_names_the_lowest_overflowing_n(s, first_bad, chunk, monkeypatch):
     monkeypatch.setattr(methods, "_CHUNK", chunk)
@@ -206,7 +214,7 @@ def test_dirichlet_overflow_names_the_lowest_overflowing_n(s, first_bad, chunk, 
         assert str(got.value) == str(expected.value)
 
 
-@pytest.mark.parametrize("chunk", [7, methods._CHUNK])
+@pytest.mark.parametrize("chunk", [7, ONE_BLOCK])
 @pytest.mark.parametrize("s, first_bad", OVERFLOW_POINTS)
 def test_dirichlet_overflow_is_the_one_summing_every_power_raises(s, first_bad, chunk, monkeypatch):
     monkeypatch.setattr(methods, "_CHUNK", chunk)
@@ -334,7 +342,7 @@ def test_partials_signal_overflowing_product():
         euler_partial(50, 1e-7)
 
 
-@pytest.mark.parametrize("chunk", [7, methods._CHUNK])
+@pytest.mark.parametrize("chunk", [7, ONE_BLOCK])
 @pytest.mark.parametrize("s", [2, 0.5 + 14.1j, 3 - 4j, -1.5 + 2j])
 def test_identity_pass_is_the_two_partials_bit_for_bit(s, chunk, monkeypatch):
     monkeypatch.setattr(methods, "_CHUNK", chunk)
@@ -354,7 +362,7 @@ def test_identity_residual_reports_the_product_failure_first(monkeypatch):
     assert failures == [14009, 12721, 14009]
 
 
-@pytest.mark.parametrize("chunk", [7, 64, 1000, methods._CHUNK])
+@pytest.mark.parametrize("chunk", [7, 64, 1000, ONE_BLOCK])
 def test_product_overflow_does_not_depend_on_the_chunk_size(chunk, monkeypatch):
     # The located prime is the first at which the running product, carried
     # across blocks, is not finite, wherever the block boundaries fall.
@@ -604,8 +612,9 @@ def test_zeta_eval_infeasible_tolerance_is_a_clear_error():
 
 
 PRODUCT_REFUSAL = (
-    "certifying this tolerance needs roughly the first 67108864 primes "
-    "(a sieve past 1.340e+09); relax the tolerance or pick another method"
+    "certifying this tolerance needs more than the first 33554432 primes, and going "
+    "further may need a sieve past the limit 1073741824; relax the tolerance or pick "
+    "another method"
 )
 
 
@@ -770,6 +779,136 @@ def test_reformulated_trace_is_the_folded_sum(s):
         assert abs(step.value - expected) <= 1e-12 * abs(expected)
     product_counts = [step.terms_used for step in convergence_trace(s, METHOD_EULER_PRODUCT, 1e-6)]
     assert [step.terms_used for step in trace] == product_counts
+
+
+def warm_eval_points(seed):
+    """(s, tol) of the benchmark's warm_eval workload for `seed`."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return [(s, tol) for s, tol, _ in inputs.warm_points(seed)]
+
+
+@pytest.mark.parametrize("seed", [7, 11, 23])
+def test_eval_folds_only_the_counts_the_certificate_allows(seed, monkeypatch):
+    # zeta_eval starts at the count the walk returns, so a product request
+    # evaluates exactly terms_used powers, in one window (two when the first
+    # certificate falls short), where convergence_trace folds every doubling.
+    power_terms = methods._power_terms
+    sizes = []
+
+    def counted(n, z):
+        sizes.append(len(n))
+        return power_terms(n, z)
+
+    monkeypatch.setattr(methods, "_power_terms", counted)
+    windows = []
+    for s, tol in warm_eval_points(seed):
+        zeta = methods._zeta_bounds(s.real)
+        for method in METHODS:
+            try:
+                last = convergence_trace(s, method, tol)[-1]
+            except RuntimeError as exc:
+                with pytest.raises(RuntimeError) as excinfo:
+                    zeta_eval(s, method, tol)
+                assert str(excinfo.value) == str(exc)
+                continue
+            sizes.clear()
+            got = zeta_eval(s, method, tol)
+            assert got.terms_used == last.terms_used, (s, tol, method)
+            if method == METHOD_DIRICHLET:
+                assert (got.value, got.tail_error_bound) == (last.value, last.tail_error_bound)
+                continue
+            assert sum(sizes) == got.terms_used and len(sizes) <= 2, (s, tol, method, sizes)
+            windows.append(len(sizes))
+            rounding = sum(methods._rounding(s, method, got.terms_used, abs(value), zeta)
+                           for value in (got.value, last.value))
+            assert abs(got.value - last.value) <= rounding, (s, tol, method)
+    assert windows.count(1) > windows.count(2) > 0
+
+
+@pytest.mark.parametrize("fold", [euler_partial, reform_partial])
+def test_fold_memory_does_not_grow_with_the_number_of_primes(fold):
+    # Each fold holds one block of _CHUNK primes at a time, so folding eight
+    # blocks peaks about where folding one does.
+    chunk = methods._CHUNK
+    first_primes(8 * chunk)
+    peaks = []
+    for count in (chunk, 8 * chunk):
+        tracemalloc.start()
+        try:
+            fold(count, 2 + 10j)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+def certified_grid(count, seed):
+    """Seeded (s, tol, k): Re(s) in (1, 12], most |Im s| <= 1e3 and some up
+    to 1e14, tolerances 1e-15 to 1e-2, k for correction_coefficient."""
+    rng = random.Random(seed)
+    grid = []
+    for _ in range(count):
+        sigma = round(1.001 + 11.0 * rng.random() ** 2, 6)
+        r = rng.random()
+        if r < 0.2:
+            t = 0.0
+        else:
+            t = round(rng.choice((-1, 1)) * 10 ** rng.uniform(-2, 3 if r < 0.9 else 14), 6)
+        grid.append((complex(sigma, t), float(f"{10 ** rng.uniform(-15, -2):.6g}"),
+                     rng.randrange(1, 60)))
+    return grid
+
+
+def test_eval_matches_every_step_trace_and_holds_against_mpmath(monkeypatch):
+    # zeta_eval and correction_coefficient answer and refuse what the
+    # every-step loop does, with its terms_used and messages, and every
+    # answer below |Im s| = 1e3 holds its bound against 40-digit mpmath.
+    # Smaller limits keep the sieve, and this test's memory, small; the
+    # refusals at them are compared like any other.
+    mpmath = pytest.importorskip("mpmath")
+    monkeypatch.setattr(methods, "MAX_PRIME_LIMIT", 1 << 24)
+    monkeypatch.setattr(methods, "MAX_DIRICHLET_TERMS", 1 << 22)
+    outcomes = {"answered": 0, "refused": 0, "checked": 0}
+
+    def outcome(run):
+        try:
+            return run()
+        except RuntimeError as exc:
+            return str(exc)
+
+    def routes(s, tol, k):
+        for method in METHODS:
+            yield (method, lambda m=method: zeta_eval(s, m, tol),
+                   lambda m=method: convergence_trace(s, m, tol)[-1])
+        yield ("coefficient", lambda: correction_coefficient(k, s, TruncationSpec(tolerance=tol)),
+               lambda: methods._trace(s, METHOD_EULER_PRODUCT, tol, 16, k - 1)[-1])
+
+    with mpmath.workdps(40):
+        for s, tol, k in certified_grid(420, seed=20261018):
+            zeta = None
+            for name, run, every_step in routes(s, tol, k):
+                got, last = outcome(run), outcome(every_step)
+                if isinstance(last, str):
+                    assert got == last, (s, tol, name)
+                    outcomes["refused"] += 1
+                    continue
+                assert got.terms_used == last.terms_used, (s, tol, name)
+                outcomes["answered"] += 1
+                if abs(s.imag) > 1e3:
+                    continue
+                if zeta is None:
+                    zeta = mpmath.zeta(mpmath.mpc(s))
+                exact = zeta
+                if name == "coefficient":
+                    for p in first_primes(k - 1).tolist():
+                        exact *= 1 - mpmath.power(p, -mpmath.mpc(s))
+                error = float(abs(mpmath.mpc(got.value) - exact))
+                assert error <= got.tail_error_bound <= tol, (s, tol, name)
+                outcomes["checked"] += 1
+    assert min(outcomes.values()) >= 400, outcomes
 
 
 def test_monotone_convergence_on_real_axis():

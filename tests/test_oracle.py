@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from zetasum import methods
@@ -118,6 +119,32 @@ def test_partition_overflow_names_the_lowest_overflowing_n(s):
         spf_partition_sum(s, 10_000)
     assert got.value.prime == expected.value.prime
     assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("chunk", [7, 64])
+@pytest.mark.parametrize("N", [2, 3, 4, 50, 1000])
+def test_partition_rows_sum_in_ascending_n_within_each_chunk(monkeypatch, chunk, N):
+    # The documented order, to the bit: each chunk's terms of a row added
+    # one by one from 0.0, then the chunk totals added in chunk order, so
+    # rows of primes past isqrt(N) are their one term.
+    monkeypatch.setattr(methods, "_CHUNK", chunk)
+    s = 2 - 5j
+    rows: dict[int, list[float]] = {}
+    for a in range(2, N + 1, chunk):
+        n = list(range(a, min(N + 1, a + chunk)))
+        within: dict[int, list[float]] = {}
+        for m, t in zip(n, methods._power_terms(np.array(n, dtype=np.float64), complex(s))):
+            part = within.setdefault(smallest_prime_factor(m), [0.0, 0.0])
+            part[0] += t.real
+            part[1] += t.imag
+        for p, (re, im) in within.items():
+            row = rows.setdefault(p, [0.0, 0.0])
+            row[0] += re
+            row[1] += im
+    table = spf_partition_sum(s, N)
+    assert list(table.rows) == sorted(rows)
+    for p, (re, im) in rows.items():
+        assert (table.rows[p].real, table.rows[p].imag) == (re, im)
 
 
 def test_partition_rows_do_not_depend_on_the_chunk_size(monkeypatch):
