@@ -27,7 +27,7 @@ print("=" * 72)
 
 table = spf_partition_sum(S, N)
 reference = dirichlet_partial(N, S)
-print(f"rows: {len(table.rows)} primes;  1 + sum(rows) - partial sum = "
+print(f"rows: {table.primes.size} primes;  1 + sum(rows) - partial sum = "
       f"{abs(1 + table.total() - reference):.2e}")
 print("(the grouping is exact: same terms, reshuffled)")
 
@@ -36,7 +36,7 @@ print(f"{'k':>3} {'p_k':>5} {'partition row':>18} {'tail-product route':>20} {'d
 spec = TruncationSpec(tolerance=1e-10)
 for k in range(1, 7):
     p = nth_prime(k)
-    row = table.rows[p].real
+    row = table.row(p).real
     predicted = (correction_coefficient(k, S, spec).value * prime_power_term(p, S)).real
     print(f"{k:>3} {p:>5} {row:>18.12f} {predicted:>20.12f} {abs(row - predicted):>12.2e}")
 
@@ -51,7 +51,7 @@ print("=" * 72)
 
 predicted = (correction_coefficient(1, S, spec).value * prime_power_term(2, S)).real
 for cutoff in (10, 100, 1000, 10_000, 100_000):
-    row = spf_partition_sum(S, cutoff).rows[2].real
+    row = spf_partition_sum(S, cutoff).row(2).real
     print(f"  N = {cutoff:>7}: row = {row:.12f}   gap = {abs(row - predicted):.2e}")
 print(f"  tail-product route:  {predicted:.12f}")
 

@@ -432,8 +432,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     report = render_report(header, rows, config.output_format)
     if config.output_path:
-        with open(config.output_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(report)
+        try:
+            with open(config.output_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(report)
+        except OSError as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(report)
     return 0

@@ -28,25 +28,29 @@ from .methods import NonConvergentError, TruncationSpec, correction_coefficient
 
 @dataclass(frozen=True)
 class PartitionTable:
-    """Per-prime sums of n^{-s} over n in [2, N], grouped by smallest prime
-    factor.  Every n <= N has its smallest prime factor <= N, so the rows
-    partition [2, N] exhaustively."""
+    """Sums of n^{-s} over n in [2, N], grouped by smallest prime factor:
+    `sums[k]` (complex128) is the row of `primes[k]`, and `primes` (int64,
+    ascending) is `primes.primes_up_to(N)`; both read-only.  Every n <= N has
+    its smallest prime factor <= N, so the rows partition [2, N] exhaustively."""
 
     cutoff_N: int
-    rows: dict[int, complex]
+    primes: np.ndarray
+    sums: np.ndarray
+
+    def row(self, p: int) -> complex:
+        """The row of p; 0j when p is not a prime <= N, whose row is empty."""
+        at = np.flatnonzero(self.primes == p)
+        return complex(self.sums[at[0]]) if at.size else complex(0.0)
 
     def total(self) -> complex:
-        """Sum of all rows, ascending prime order."""
-        out = complex(0.0)
-        for p in sorted(self.rows):
-            out += self.rows[p]
-        return out
+        """Sum of all rows, added one after another in ascending prime order."""
+        return complex(np.cumsum(self.sums)[-1])
 
     def addition_depth(self) -> int:
         """Most additions a term meets on its way into 1 + total(): its row's in a
         chunk's `np.bincount` (every other n), one per chunk and per row, and the 1."""
         N, chunk = self.cutoff_N, methods._CHUNK
-        return min(N, chunk) // 2 + N // chunk + len(self.rows) + 3
+        return min(N, chunk) // 2 + N // chunk + self.primes.size + 3
 
 
 def smooth_sum_oracle(i: int, s, bound: int) -> complex:
@@ -67,46 +71,41 @@ def spf_partition_sum(s, N: int) -> PartitionTable:
     The row for p estimates (tail product from p's index) * p^{-s} with an
     error no larger than the Dirichlet tail beyond N.
 
-    One int32 sieve labels every n <= N with the rank of its smallest
-    prime factor: the k-th base prime p <= isqrt(N) writes k into the
-    entries of its multiples from p*p on that are still 0, and the entries
-    of [2, N] left at 0 are the primes, ranked in order.  The powers then
-    go into the rows `methods._CHUNK` integers at a time: a prime past
-    isqrt(N) is its row's one term, and the base primes' rows go through
-    `np.bincount`, which adds each row's terms in ascending n.
+    One int32 sieve labels every n <= N with the rank, from 0, of its
+    smallest prime factor: the k-th base prime p <= isqrt(N) writes k into
+    the entries of its multiples from p*p on that are still -1, and the
+    entries of [2, N] left at -1 are the primes, ranked in order.  The powers
+    then go into the rows `methods._CHUNK` integers at a time.  The base
+    primes' rows go through `np.bincount`, which adds each row's terms in
+    ascending n; its bin `last` gathers the rest and is dropped.  A prime
+    past isqrt(N) is the smallest factor of itself alone, so one mask per
+    chunk adds its one term onto its row's 0, as bincount would (-0.0 reads
+    0.0), and a chunk costs O(chunk + pi(isqrt(N))), not O(pi(N)).
     """
     z = as_complex(s)
     N = int(N)
     if N < 2:
         raise ValueError("N must be >= 2")
-    rank = np.zeros(N + 1, dtype=np.int32)
+    rank = np.full(N + 1, -1, dtype=np.int32)
     base = primes.primes_up_to(math.isqrt(N))
-    for k, p in enumerate(base, start=1):
+    for k, p in enumerate(base):
         multiples = rank[p * p :: p]
-        multiples[multiples == 0] = k
-    found = np.flatnonzero(rank[2:] == 0) + 2
-    rank[found] = np.arange(1, found.size + 1)
-    re = np.zeros(found.size + 1)
-    im = np.zeros(found.size + 1)
-    last = len(base) + 1
+        multiples[multiples < 0] = k
+    found = np.flatnonzero(rank[2:] < 0) + 2
+    rank[found] = np.arange(found.size)
+    sums = np.zeros(found.size, dtype=np.complex128)
+    last = len(base)
     for a in range(2, N + 1, methods._CHUNK):
         n = np.arange(a, min(N + 1, a + methods._CHUNK), dtype=np.float64)
         t = methods._power_terms(n, z)
-        # A prime past isqrt(N) is the smallest factor of itself alone, so
-        # its row is its one term, and the ranks of these primes in the
-        # chunk run consecutively.  Only the base primes' rows need
-        # bincount; its bin `last` gathers the rest and is dropped.  So a
-        # chunk costs O(chunk + pi(isqrt(N))), not O(pi(N)).
-        group = np.minimum(rank[a : a + n.size], last, dtype=np.intp)
-        re[:last] += np.bincount(group, weights=t.real, minlength=last + 1)[:last]
-        im[:last] += np.bincount(group, weights=t.imag, minlength=last + 1)[:last]
-        lo, hi = np.searchsorted(found, (a, a + n.size))
-        lo = max(lo, last - 1)
-        at = found[lo:hi] - a
-        re[lo + 1 : hi + 1] += t.real[at]
-        im[lo + 1 : hi + 1] += t.imag[at]
-    rows = dict(zip(found.tolist(), (re + 1j * im)[1:].tolist()))
-    return PartitionTable(cutoff_N=N, rows=rows)
+        r = rank[a : a + n.size]
+        group = np.minimum(r, last, dtype=np.intp)
+        sums.real[:last] += np.bincount(group, weights=t.real, minlength=last + 1)[:last]
+        sums.imag[:last] += np.bincount(group, weights=t.imag, minlength=last + 1)[:last]
+        big = r >= last
+        sums[r[big]] += t[big]
+    found.flags.writeable = sums.flags.writeable = False
+    return PartitionTable(cutoff_N=N, primes=found, sums=sums)
 
 
 def _predicted_row(k: int, z: complex, spec: TruncationSpec) -> tuple[int, complex]:
@@ -126,7 +125,7 @@ def coefficient_crosscheck(k: int, s, N: int, spec: TruncationSpec) -> float:
     """
     z = as_complex(s)
     p_k, predicted = _predicted_row(k, z, spec)
-    return abs(predicted - spf_partition_sum(z, N).rows.get(p_k, complex(0.0)))
+    return abs(predicted - spf_partition_sum(z, N).row(p_k))
 
 
 def compare(s, spec: TruncationSpec) -> list[tuple[str, int, float, float]]:
@@ -150,6 +149,6 @@ def compare(s, spec: TruncationSpec) -> list[tuple[str, int, float, float]]:
     rows.append(("partition_identity", 0, err,
                  methods._rounding(z, methods.METHOD_DIRICHLET, N, 0.0, zeta) + table_rounding))
     for k, (p_k, value) in enumerate(predicted, start=1):
-        err = abs(value - table.rows.get(p_k, complex(0.0)))
+        err = abs(value - table.row(p_k))
         rows.append(("coefficient_crosscheck", k, err, spec.tolerance + tail + table_rounding))
     return rows

@@ -381,6 +381,22 @@ def test_output_file_matches_stdout(tmp_path, capsys):
     assert target.read_text() == out
 
 
+def test_unwritable_output_is_usage_error(tmp_path, capsys):
+    for target, reason in ((tmp_path / "missing" / "x.csv", "No such file"),
+                           (tmp_path, "Is a directory")):
+        code, out, err = run_cli(capsys, "eval", "--s", "3", "--output", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: ") and reason in err
+        assert err.count("\n") == 1
+    # The file is opened only once the report exists, so a failed
+    # computation leaves it as it was.
+    kept = tmp_path / "kept.csv"
+    kept.write_text("earlier report\n")
+    code, out, _ = run_cli(capsys, "eval", "--s", "1", "--output", str(kept))
+    assert (code, out) == (1, "")
+    assert kept.read_text() == "earlier report\n"
+
+
 def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# grid\ns=3+0i\nmethod=euler_product\ntol=1e-7\n")

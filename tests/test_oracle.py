@@ -1,6 +1,8 @@
 """Brute-force cross-checks: smooth sums and smallest-prime-factor partitions."""
 
+import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -68,10 +70,10 @@ def test_partition_rows_hand_sums():
     # evens up to 10: 2, 4, 6, 8, 10
     expected_two = float(sum(Fraction(1, n**3) for n in (2, 4, 6, 8, 10)))
     assert expected_two == float(Fraction(256103, 1728000))
-    assert abs(table.rows[2].real - expected_two) <= 1e-14
+    assert abs(table.row(2).real - expected_two) <= 1e-14
     # 7 is the only n <= 10 with smallest prime factor 7
-    assert abs(table.rows[7].real - 7.0**-3) <= 1e-16
-    assert sorted(table.rows) == [2, 3, 5, 7]
+    assert abs(table.row(7).real - 7.0**-3) <= 1e-16
+    assert table.primes.tolist() == [2, 3, 5, 7]
     assert table.cutoff_N == 10
 
 
@@ -93,9 +95,9 @@ def test_partition_rows_match_independent_sieve():
     N, s = 2000, 2.5 + 1.5j
     expected = scalar_partition(s, N)
     table = spf_partition_sum(s, N)
-    assert list(table.rows) == list(expected)
+    assert table.primes.tolist() == list(expected)
     for p, value in expected.items():
-        assert abs(table.rows[p] - value) <= 1e-13 * max(1.0, abs(value))
+        assert abs(table.row(p) - value) <= 1e-13 * max(1.0, abs(value))
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 49, 121, 2 * 3 * 5 * 7 * 11])
@@ -105,10 +107,10 @@ def test_partition_edge_cutoffs_match_scalar_reference(N, s):
     # only mark is N itself; 2310 is the product of the first five primes.
     expected = scalar_partition(s, N)
     table = spf_partition_sum(s, N)
-    assert list(table.rows) == primes_up_to(N) == list(expected)
+    assert table.primes.tolist() == primes_up_to(N) == list(expected)
     for p, value in expected.items():
-        assert abs(table.rows[p] - value) <= 1e-13 * abs(value)
-        assert (table.rows[p].imag == 0.0) == (complex(s).imag == 0.0)
+        assert abs(table.row(p) - value) <= 1e-13 * abs(value)
+        assert (table.row(p).imag == 0.0) == (complex(s).imag == 0.0)
 
 
 @pytest.mark.parametrize("s", [-400, -400 + 3j, -130.5 - 7j])
@@ -142,9 +144,9 @@ def test_partition_rows_sum_in_ascending_n_within_each_chunk(monkeypatch, chunk,
             row[0] += re
             row[1] += im
     table = spf_partition_sum(s, N)
-    assert list(table.rows) == sorted(rows)
+    assert table.primes.tolist() == sorted(rows)
     for p, (re, im) in rows.items():
-        assert (table.rows[p].real, table.rows[p].imag) == (re, im)
+        assert (table.row(p).real, table.row(p).imag) == (re, im)
 
 
 def test_partition_rows_do_not_depend_on_the_chunk_size(monkeypatch):
@@ -152,9 +154,9 @@ def test_partition_rows_do_not_depend_on_the_chunk_size(monkeypatch):
     whole = spf_partition_sum(s, N)
     monkeypatch.setattr(methods, "_CHUNK", 7)
     chunked = spf_partition_sum(s, N)
-    assert list(chunked.rows) == list(whole.rows)
-    for p, value in whole.rows.items():
-        assert abs(chunked.rows[p] - value) <= 1e-13 * abs(value)
+    assert chunked.primes.tolist() == whole.primes.tolist()
+    for p, value in zip(whole.primes, whole.sums):
+        assert abs(chunked.row(p) - value) <= 1e-13 * abs(value)
 
 
 @pytest.mark.parametrize("i, s, bound", [(3, 2.5, 10**5), (20, 2 + 10j, 10**4), (5, 1.5 - 3j, 777)])
@@ -165,6 +167,44 @@ def test_smooth_sum_matches_scalar_reference(i, s, bound):
     got = smooth_sum_oracle(i, s, bound)
     assert abs(got - expected) <= 1e-13 * abs(expected)
     assert (got.imag == 0.0) == (complex(s).imag == 0.0)
+
+
+def test_partition_table_holds_two_read_only_arrays():
+    N = 10**6
+    primes_up_to(math.isqrt(N))  # grow the shared prime cache outside the trace
+    tracemalloc.start()
+    try:
+        table = spf_partition_sum(3, N)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # int64 primes and complex128 sums: 24 bytes a row, not a dict's ~97.
+    assert held <= 32 * table.primes.size
+    assert table.primes.dtype == np.int64 and table.sums.dtype == np.complex128
+    assert table.primes.tolist() == primes_up_to(N)
+    for array in (table.primes, table.sums):
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
+def test_partition_row_of_a_non_prime_or_past_the_cutoff_is_zero():
+    table = spf_partition_sum(2.5 + 3j, 100)
+    for p in (101, 103, 4, 91, 1):
+        assert table.row(p) == 0j
+    assert table.row(97) == table.sums[-1] != 0j
+    assert type(table.row(97)) is type(table.row(1)) is complex
+
+
+@pytest.mark.parametrize("N", [2, 10**4, 10**5])
+@pytest.mark.parametrize("s", [3, 2.5 + 3j])
+def test_partition_total_adds_rows_left_to_right(s, N):
+    # The order partition_identity's bytes rest on; a pairwise sum differs.
+    table = spf_partition_sum(s, N)
+    expected = 0j
+    for value in table.sums.tolist():
+        expected += value
+    got = table.total()
+    assert (got.real.hex(), got.imag.hex()) == (expected.real.hex(), expected.imag.hex())
 
 
 def test_partition_validates_cutoff():
@@ -223,7 +263,7 @@ def test_cross_method_triangle():
 
 def test_row_primes_are_exactly_primes_up_to_cutoff():
     table = spf_partition_sum(2, 60)
-    assert sorted(table.rows) == primes_up_to(60)
+    assert table.primes.tolist() == primes_up_to(60)
 
 
 def test_allowance_rounding_parts_cover_the_true_error():
@@ -254,7 +294,7 @@ def test_allowance_rounding_parts_cover_the_true_error():
                  mpmath.fprod(1 / (1 - mpmath.power(p, -z)) for p in first_primes(i).tolist()),
                  methods._rounding(s, METHOD_EULER_PRODUCT, i, abs(product), zeta)),
                 (1.0 + table.total(), exact_dirichlet(N), table_rounding),
-                (table.rows[2], mpmath.power(2, -z) * exact_dirichlet(N // 2), table_rounding),
+                (table.row(2), mpmath.power(2, -z) * exact_dirichlet(N // 2), table_rounding),
                 (dirichlet_partial(N, s), exact_dirichlet(N),
                  methods._rounding(s, METHOD_DIRICHLET, N, 0.0, zeta)),
             ]
