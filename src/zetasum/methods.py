@@ -16,7 +16,14 @@ The Dirichlet sum D(x) = sum_{n <= x} n^{-s} uses the first Euler factor
 as a finite identity: every even n <= x is 2m with m <= floor(x/2), so
 D(x) = 2^{-s}*D(floor(x/2)) + O(x) with O(x) the odd-n part.  Carrying the
 pair (D, O) over the cuts x = 1, 2, 4, ... (or N >> k down to N) evaluates
-only the odd powers (`_dirichlet_fold`).
+only the odd powers (`_dirichlet_fold`).  The lowest cuts' odd powers and
+2^{-s} come from one call, the head batch of at most one block, so a
+request's fixed cost is paid once, not once per cut.
+
+Each certified request computes what depends on s and the method alone
+once: `_zeta_bounds`, and the constants of the closed forms for rounding
+(`_rounding_of`) and for the product tail (`_log_tail_of`), which
+`_walk_to_feasible` then evaluates at every doubling count.
 
 The three evaluation methods and the tail products share one doubling
 driver (`_trace`): fold each new window of terms into a running product,
@@ -27,7 +34,7 @@ product tail is a sum over primes only, bounded by partial summation
 against Rosser & Schoenfeld's bounds on pi(x) and combined with
 |log(1-z)| <= |z|/(1-|z|) (`tail_bound`).  The Dirichlet tail is the
 smaller of the integral bound and a second-order Euler-Maclaurin bound
-(`_dirichlet_tail`).  Rounding is one closed form per step (`_rounding`):
+(`_dirichlet_tail`).  Rounding is one closed form per step (`_rounding_of`):
 the error of each power, mostly in its phase, plus the roundings a term
 meets on its way through the fold.
 """
@@ -37,6 +44,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -72,7 +80,7 @@ MAX_DIRICHLET_TERMS = 1 << 30
 # 2^16 sits in that range.  Its pairwise sums are also shallower, so the
 # rounding model charges fewer roundings than at 2^20 (`_pairwise_depth`).
 # The cost: a fold over more blocks carries its running value across more
-# of them, one rounding each, which `_rounding` charges per block.  It
+# of them, one rounding each, which `_rounding_of` charges per block.  It
 # shows where the finite identity already loses digits: at i = 10^5,
 # s = 0.511591-4.12509i (|product| about 1e7), `identity_residual`
 # relative to the product rises from 7.85e-10 to 1.81e-9.  Every other
@@ -214,15 +222,23 @@ def _sum(blocks, z: complex, total: complex = 0j) -> complex:
     return total
 
 
-def _dirichlet_fold(total: complex, odd: complex, lo: int, hi: int, z: complex,
-                    two: complex) -> tuple[complex, complex]:
+def _dirichlet_fold(total: complex, odd: complex, lo: int, hi: int,
+                    z: complex) -> tuple[complex, complex]:
     """Advance (D(lo), O(lo)) to (D(hi), O(hi)), where D(x) is the sum of
-    n^{-z} over n <= x, O(x) its odd-n part and `two` = 2^{-z}.
+    n^{-z} over n <= x and O(x) its odd-n part.
 
     `lo` must be hi >> k for some k >= 0 (0 is hi >> hi.bit_length()).  The
     cuts c = hi >> k above lo are walked in ascending order: the odd n in
-    (c >> 1, c] go into O, `_CHUNK` powers at a time, and then
-    D(c) = 2^{-z}*D(c >> 1) + O(c), so only the odd powers are evaluated.
+    (c >> 1, c] go into O, and then D(c) = 2^{-z}*D(c >> 1) + O(c), so only
+    the odd powers are evaluated.
+
+    The head batch is one `_power_terms` call of at most `_CHUNK` terms:
+    2^{-z}, then the odd powers of the lowest cuts, as many as fit.  Each of
+    those cuts sums its own slice, the terms its own call would have summed,
+    in the same pairwise order, so batching changes no bit.  A fold from 0
+    to at most 2*`_CHUNK` - 2 makes one call however many cuts it walks.  The
+    cuts above the head take their odd powers `_CHUNK` at a time, in windows
+    aligned to the cut.
 
     An even power is never evaluated, so when it is not finite neither O nor
     the carried D need show it (complex terms cancel).  Over a window,
@@ -230,31 +246,48 @@ def _dirichlet_fold(total: complex, odd: complex, lo: int, hi: int, z: complex,
     imaginary part in modulus at n = c, so one test per window tells when
     some n^{-z} there may not be finite.  Such a window is evaluated term by
     term for the check alone, so the error names the lowest n whose n^{-z}
-    is not finite, as summing every power would.  When every power is finite
+    is not finite, as summing every power would.  Every window is tested
+    before any is summed; a window that passes its test holds only finite
+    powers, so no sum could have raised first.  When every power is finite
     but D or O is not, the error names `hi`.
     """
-    cuts = []
+    top, cuts = hi, []
     while hi > lo:
         cuts.append(hi)
         hi >>= 1
-    for c in reversed(cuts):
+    cuts.reverse()
+    for c in cuts:
         ln_c = math.log(c)
         if -z.real * ln_c > _LOG_SAFE or abs(z.imag) * ln_c > _PHASE_SAFE:
             for a in range((c >> 1) + 1, c + 1, _CHUNK):
                 _power_terms(np.arange(a, min(c + 1, a + _CHUNK), dtype=np.float64), z)
-        for a in range(((c >> 1) + 1) | 1, c + 1, 2 * _CHUNK):
-            n = np.arange(a, min(c + 1, a + 2 * _CHUNK), 2, dtype=np.float64)
-            with np.errstate(over="ignore", invalid="ignore"):
+    # Slot 0 of the head holds 2^{-z}, slot j the j-th odd n past lo, so the
+    # odd n <= x, (x + 1) // 2 of them, end at slot (x + 1) // 2 - below.  For
+    # hi = 1, which has no even n, slot 0 holds 1^{-z}, only ever times D(0) = 0.
+    below = (lo + 1) // 2
+    head = sum((c + 1) // 2 - below < _CHUNK for c in cuts)  # cuts in the head
+    n = np.arange(2 * below - 1, (cuts[head - 1] if head else lo) + 1, 2, dtype=np.float64)
+    n[0] = min(top, 2)
+    t = _power_terms(n, z)
+    two = complex(t[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in cuts[:head]:
+            terms = t[1 + ((c >> 1) + 1) // 2 - below : 1 + (c + 1) // 2 - below]
+            if terms.size:
+                odd += complex(terms.sum())
+            total = two * total + odd
+        # Hold one block at a time: drop the head, and its cuts, before the
+        # windows of the rest.
+        n = t = terms = None
+        del cuts[:head]
+        for c in cuts:
+            for a in range(((c >> 1) + 1) | 1, c + 1, 2 * _CHUNK):
+                n = np.arange(a, min(c + 1, a + 2 * _CHUNK), 2, dtype=np.float64)
                 odd += complex(_power_terms(n, z).sum())
-        total = two * total + odd
-    if cuts and not (_finite(total) and _finite(odd)):
-        raise _overflow(f"the partial sum at cutoff {cuts[0]}", cuts[0], z)
+            total = two * total + odd
+    if not (_finite(total) and _finite(odd)):
+        raise _overflow(f"the partial sum at cutoff {top}", top, z)
     return total, odd
-
-
-def _two_power(z: complex) -> complex:
-    """2^{-z}, the factor that maps D(x) to the even-n part of D(2x) and D(2x+1)."""
-    return complex(_power_terms(np.array([2.0]), z)[0])
 
 
 # ----------------------------------------------------------------------
@@ -345,9 +378,7 @@ def dirichlet_partial(N: int, s) -> complex:
     N = int(N)
     if N < 1:
         raise ValueError("N must be >= 1")
-    z = as_complex(s)
-    two = _two_power(z) if N >= 2 else 0j
-    return _dirichlet_fold(0j, 0j, 0, N, z, two)[0]
+    return _dirichlet_fold(0j, 0j, 0, N, as_complex(s))[0]
 
 
 # ----------------------------------------------------------------------
@@ -379,15 +410,15 @@ def _zeta_bounds(sigma: float) -> tuple[float, float, float]:
     return lo, lo + rest / c, d + rest * (math.log(8.5) / c + 1.0 / (c * c))
 
 
-def _product_floor(sigma: float) -> float:
+def _product_floor(sigma: float, zeta: tuple[float, float, float]) -> float:
     """A lower bound on the modulus of every truncated or tail Euler product
-    at Re(s) = sigma > 1.
+    at Re(s) = sigma > 1; `zeta` is `_zeta_bounds`(sigma).
 
     Each factor has |1/(1 - p^{-s})| >= 1/(1 + p^{-sigma}), which is below 1,
     so a product over any set of primes has modulus at least the product of
     1/(1 + p^{-sigma}) over all primes, zeta(2*sigma)/zeta(sigma).
     """
-    return _zeta_bounds(2.0 * sigma)[0] / _zeta_bounds(sigma)[1]
+    return _zeta_bounds(2.0 * sigma)[0] / zeta[1]
 
 
 def _integral_tail(x: float, sigma: float) -> float:
@@ -395,15 +426,20 @@ def _integral_tail(x: float, sigma: float) -> float:
     return x ** (1.0 - sigma) / (sigma - 1.0)
 
 
-def _log_tail(x: float, sigma: float) -> float:
-    """Upper bound on the sum of |log(1 - p^{-s})| over primes p > x, for
-    Re(s) = sigma > 1 and x >= 2; nonincreasing in x (see `tail_bound`)."""
-    bound = 2.0 * _integral_tail(x, sigma)
-    if x >= 17:
-        over_primes = (x ** (1.0 - sigma) / math.log(x)
-                       * (primes.PI_UPPER * sigma / (sigma - 1.0) - 1.0))
-        bound = min(bound, over_primes / (1.0 - x ** -sigma))
-    return bound
+def _log_tail_of(sigma: float) -> Callable[[float], float]:
+    """x -> an upper bound on the sum of |log(1 - p^{-s})| over primes p > x,
+    for Re(s) = sigma > 1 and x >= 2; nonincreasing in x (see `tail_bound`).
+    The constants that depend on sigma alone are computed once."""
+    slope = primes.PI_UPPER * sigma / (sigma - 1.0) - 1.0
+
+    def log_tail(x: float) -> float:
+        bound = 2.0 * _integral_tail(x, sigma)
+        if x >= 17:
+            over_primes = x ** (1.0 - sigma) / math.log(x) * slope
+            bound = min(bound, over_primes / (1.0 - x ** -sigma))
+        return bound
+
+    return log_tail
 
 
 def tail_bound(i: int, sigma: float) -> float:
@@ -432,7 +468,7 @@ def tail_bound(i: int, sigma: float) -> float:
     sigma = float(sigma)
     if not sigma > 1.0:
         raise ValueError("sigma must exceed 1")
-    return _log_tail(primes.nth_prime(i), sigma)
+    return _log_tail_of(sigma)(primes.nth_prime(i))
 
 
 def _dirichlet_tail(N: int, z: complex) -> float:
@@ -461,18 +497,20 @@ def _pairwise_depth(m: int) -> int:
 
 def _power_sum_rounding(z: complex, depth: int, zeta: tuple[float, float, float]) -> float:
     """Bound on |computed - exact| for a sum of n^{-z} over distinct n, each
-    from `_power_terms` and meeting at most `depth` additions: `_rounding`'s
+    from `_power_terms` and meeting at most `depth` additions: `_rounding_of`'s
     premises, summed against n^-sigma as in its Dirichlet route."""
     _, hi, d = zeta
     return _U * (3.0 * abs(z) * d + (6.0 + depth) * hi)
 
 
-def _rounding(z: complex, method: str, count: int, magnitude: float,
-              zeta: tuple[float, float, float]) -> float:
-    """A-priori bound on |computed - exact| for the `method` truncation at
-    `count` terms past its start, as `_trace` folds it; `magnitude` is
-    |computed value| (unused by the Dirichlet route), `zeta` is
-    `_zeta_bounds`(Re(z)).
+def _rounding_of(z: complex, method: str,
+                 zeta: tuple[float, float, float]) -> Callable[[int, float], float]:
+    """(count, magnitude) -> an a-priori bound on |computed - exact| for the
+    `method` truncation at `count` terms past its start, as `_trace` folds
+    it; `magnitude` is |computed value| (unused by the Dirichlet route), and
+    `zeta` is `_zeta_bounds`(Re(z)).  The parts that depend on z and the
+    method alone are computed once, each expression in the order the closed
+    form below is written, so a bound has the same bits however it is split.
 
     Closed form, to first order in u = 2^-53: the neglected terms are
     smaller by a factor of about count*u < 1e-6, and the phase error is
@@ -523,32 +561,53 @@ def _rounding(z: complex, method: str, count: int, magnitude: float,
     sigma = z.real
     lo, hi, d = zeta
     phase = 3.0 * abs(z)
-    cuts = count.bit_length() + 1
+    depth = _pairwise_depth(_CHUNK)
     if method == METHOD_DIRICHLET:
-        path = _pairwise_depth(_CHUNK) + count // (2 * _CHUNK) + 5 * cuts
-        return _U * ((phase + 9.0) * d + (6.0 + path) * hi)
-    blocks = count // _CHUNK + 2 * cuts
+        powers = (phase + 9.0) * d
+
+        def dirichlet(count: int, magnitude: float) -> float:
+            path = depth + count // (2 * _CHUNK) + 5 * (count.bit_length() + 1)
+            return _U * (powers + (6.0 + path) * hi)
+
+        return dirichlet
     divide, multiply = (1.5, 1.0) if z.imag == 0.0 else (3.0, _SQRT5)
     log_derivative = d / lo
-    factors = _U * (phase * log_derivative + (6.0 + 4.0 / (1.0 - 2.0 ** -sigma)) * (hi - 1.0)
-                    + (divide + multiply) * count)
+    fixed = phase * log_derivative + (6.0 + 4.0 / (1.0 - 2.0 ** -sigma)) * (hi - 1.0)
+    per_prime = divide + multiply
+    per_block = _U * multiply
+
+    def blocks_and_factors(count: int) -> tuple[int, float]:
+        blocks = count // _CHUNK + 2 * (count.bit_length() + 1)
+        return blocks, _U * (fixed + per_prime * count)
+
     if method == METHOD_EULER_PRODUCT:
-        e = _expm1(factors + _U * multiply * blocks)
-        return magnitude * e / (1.0 - e) if e < 1.0 else math.inf
+        def product(count: int, magnitude: float) -> float:
+            blocks, factors = blocks_and_factors(count)
+            e = _expm1(factors + per_block * blocks)
+            return magnitude * e / (1.0 - e) if e < 1.0 else math.inf
+
+        return product
     prime_zeta = math.log(hi)
-    path = multiply * (count + blocks) + _pairwise_depth(_CHUNK) + blocks
-    return (hi * (_U * (phase * log_derivative + 6.0 * prime_zeta)
-                  + prime_zeta * (factors + _U * path))
-            + _U * magnitude)
+    terms = _U * (phase * log_derivative + 6.0 * prime_zeta)
+
+    def reformulated(count: int, magnitude: float) -> float:
+        blocks, factors = blocks_and_factors(count)
+        path = multiply * (count + blocks) + depth + blocks
+        return hi * (terms + prime_zeta * (factors + _U * path)) + _U * magnitude
+
+    return reformulated
 
 
 def _walk_to_feasible(z: complex, method: str, tolerance: float, count: int,
                       offset: int, magnitude: float,
-                      zeta: tuple[float, float, float]) -> int:
+                      rounding_bound: Callable[[int, float], float],
+                      log_tail: Callable[[float], float]) -> int:
     """Walk the doubling counts from `count` with closed forms alone and
     return the first that may certify a value of modulus >= `magnitude`;
     refuse at the first past a limit or whose rounding alone exceeds the
     tolerance, as no count after it can certify (see `_trace`).
+    `rounding_bound` and `log_tail` are the request's `_rounding_of` and
+    `_log_tail_of`, built once for every walk of a request.
 
     A refusal at the sieve limit names the count before the one it stopped
     at, which fell short (in this walk, an earlier one or a step of
@@ -572,8 +631,8 @@ def _walk_to_feasible(z: complex, method: str, tolerance: float, count: int,
                     f"{offset + count // 2} primes, and going further may need a sieve past "
                     f"the limit {MAX_PRIME_LIMIT}; relax the tolerance or pick another method"
                 )
-            truncation = magnitude * _expm1(_log_tail(x, z.real))
-        rounding = _rounding(z, method, count, magnitude, zeta)
+            truncation = magnitude * _expm1(log_tail(x))
+        rounding = rounding_bound(count, magnitude)
         if rounding > tolerance:
             raise RuntimeError(
                 f"rounding alone may reach {rounding:.3e} at s = {z}, above the "
@@ -602,7 +661,7 @@ def _trace(z: complex, method: str, tolerance: float, count: int,
     its certified bound is <= tolerance.
 
     Each step's bound is truncation plus rounding.  Rounding is
-    r = `_rounding`, which bounds |value - exact truncation|.  Truncation is
+    r = `_rounding_of`, which bounds |value - exact truncation|.  Truncation is
     `_dirichlet_tail` for Dirichlet runs.  For products it is
     (|value| + r)*expm1(b), with b = `tail_bound` at the step's last prime:
     the exact truncation has modulus at most |value| + r, and the remaining
@@ -614,7 +673,7 @@ def _trace(z: complex, method: str, tolerance: float, count: int,
     does not depend on the value; for products `_product_floor`, or 1 for
     real s), and the n-th prime is at most `primes.prime_ceiling`(n), so a
     product count certifies only if floor*expm1(b) + r(floor) <= tolerance
-    with b taken at that ceiling (`_log_tail` is nonincreasing).  The walk
+    with b taken at that ceiling (`_log_tail_of` is nonincreasing).  The walk
     refuses at the first count past MAX_DIRICHLET_TERMS, whose sieve would
     pass MAX_PRIME_LIMIT, or whose r(count, floor) alone exceeds the
     tolerance: r is nondecreasing in count and in modulus, so no later count
@@ -631,7 +690,7 @@ def _trace(z: complex, method: str, tolerance: float, count: int,
     count the walk returned, so the first window is [offset, offset + that
     count) and a run usually folds once.  No skipped count could certify:
     at every count c the walk passed over, |value| >= floor,
-    p_c <= `prime_ceiling`(c) with `_log_tail` nonincreasing, and r is
+    p_c <= `prime_ceiling`(c) with `_log_tail_of` nonincreasing, and r is
     nondecreasing in the modulus, so the loop's bound at c is at least the
     walk's closed form there, which exceeds the tolerance.  So both modes
     answer or refuse alike, with the same terms_used.  Product values, and
@@ -641,15 +700,15 @@ def _trace(z: complex, method: str, tolerance: float, count: int,
     too.  Dirichlet values are the same D(count) either way.
     """
     sigma = z.real
+    zeta = _zeta_bounds(sigma)
     if method == METHOD_DIRICHLET:
         floor = 0.0
     else:
         # For real s every factor exceeds 1, and so does every product.
-        floor = 1.0 if z.imag == 0.0 else _product_floor(sigma)
-    zeta = _zeta_bounds(sigma)
-    needed = _walk_to_feasible(z, method, tolerance, count, offset, floor, zeta)
-    if method == METHOD_DIRICHLET:
-        two, odd = _two_power(z), 0j
+        floor = 1.0 if z.imag == 0.0 else _product_floor(sigma, zeta)
+    rounding_bound, log_tail = _rounding_of(z, method, zeta), _log_tail_of(sigma)
+    needed = _walk_to_feasible(z, method, tolerance, count, offset, floor, rounding_bound, log_tail)
+    odd = 0j
     steps: list[EvaluationResult] = []
     running = complex(1.0) if method == METHOD_EULER_PRODUCT else complex(0.0)
     lo = offset
@@ -658,9 +717,9 @@ def _trace(z: complex, method: str, tolerance: float, count: int,
             count = needed
         hi = offset + count
         if method == METHOD_DIRICHLET:
-            running, odd = _dirichlet_fold(running, odd, lo, hi, z, two)
+            running, odd = _dirichlet_fold(running, odd, lo, hi, z)
             value = running
-            bound = _dirichlet_tail(hi, z) + _rounding(z, method, count, 0.0, zeta)
+            bound = _dirichlet_tail(hi, z) + rounding_bound(count, 0.0)
         else:
             blocks = _blocks(primes.first_primes(hi)[lo:], z)
             if method == METHOD_EULER_PRODUCT:
@@ -671,8 +730,8 @@ def _trace(z: complex, method: str, tolerance: float, count: int,
             else:
                 running = _sum(blocks, z, running)
                 value = 1.0 + running
-            rounding = _rounding(z, method, count, abs(value), zeta)
-            b = tail_bound(hi, sigma)
+            rounding = rounding_bound(count, abs(value))
+            b = log_tail(primes.nth_prime(hi))
             bound = (abs(value) + rounding) * _expm1(b) + rounding
         steps.append(EvaluationResult(value, method, count, float(bound)))
         if bound <= tolerance:
@@ -683,7 +742,7 @@ def _trace(z: complex, method: str, tolerance: float, count: int,
             # most b, so each has modulus at least this.
             floor = max(floor, (abs(value) - rounding) * math.exp(-b))
             needed = _walk_to_feasible(z, method, tolerance, max(count, needed), offset, floor,
-                                       zeta)
+                                       rounding_bound, log_tail)
 
 
 def correction_coefficient(k: int, s, spec: TruncationSpec) -> EvaluationResult:

@@ -80,7 +80,10 @@ def spf_partition_sum(s, N: int) -> PartitionTable:
     ascending n; its bin `last` gathers the rest and is dropped.  A prime
     past isqrt(N) is the smallest factor of itself alone, so one mask per
     chunk adds its one term onto its row's 0, as bincount would (-0.0 reads
-    0.0), and a chunk costs O(chunk + pi(isqrt(N))), not O(pi(N)).
+    0.0), and a chunk costs O(chunk + pi(isqrt(N))), not O(pi(N)).  A term
+    that is not finite raises as `methods._power_terms` does; a row whose sum
+    leaves the double range although its terms did not raises
+    `PowerOverflowError` naming the lowest such row's prime.
     """
     z = as_complex(s)
     N = int(N)
@@ -104,6 +107,10 @@ def spf_partition_sum(s, N: int) -> PartitionTable:
         sums.imag[:last] += np.bincount(group, weights=t.imag, minlength=last + 1)[:last]
         big = r >= last
         sums[r[big]] += t[big]
+    bad = np.flatnonzero(~np.isfinite(sums))
+    if bad.size:
+        p = int(found[bad[0]])
+        raise methods._overflow(f"the partition row of prime {p}", p, z)
     found.flags.writeable = sums.flags.writeable = False
     return PartitionTable(cutoff_N=N, primes=found, sums=sums)
 
@@ -142,12 +149,12 @@ def compare(s, spec: TruncationSpec) -> list[tuple[str, int, float, float]]:
     tail = methods._integral_tail(N, z.real)
     rows = [("smooth_vs_product", i, abs(smooth - product),
              tail + methods._power_sum_rounding(z, methods._pairwise_depth(N), zeta)
-             + methods._rounding(z, methods.METHOD_EULER_PRODUCT, i, abs(product), zeta))]
+             + methods._rounding_of(z, methods.METHOD_EULER_PRODUCT, zeta)(i, abs(product)))]
     table = spf_partition_sum(z, N)
     table_rounding = methods._power_sum_rounding(z, table.addition_depth(), zeta)
     err = abs(1.0 + table.total() - methods.dirichlet_partial(N, z))
     rows.append(("partition_identity", 0, err,
-                 methods._rounding(z, methods.METHOD_DIRICHLET, N, 0.0, zeta) + table_rounding))
+                 methods._rounding_of(z, methods.METHOD_DIRICHLET, zeta)(N, 0.0) + table_rounding))
     for k, (p_k, value) in enumerate(predicted, start=1):
         err = abs(value - table.row(p_k))
         rows.append(("coefficient_crosscheck", k, err, spec.tolerance + tail + table_rounding))

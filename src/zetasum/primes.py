@@ -205,27 +205,27 @@ def smallest_prime_factor(n: int, cache: PrimeCache | None = None) -> int:
 
 
 def smooth_numbers(i: int, bound: int, cache: PrimeCache | None = None) -> list[int]:
-    """All n <= bound whose prime factors lie among the first i primes.
+    """All n <= bound whose prime factors lie among the first i primes,
+    ascending.
 
     Includes n = 1 (the empty factorization).  Built by multiplying prime
     powers outward rather than filtering 1..bound, since smooth numbers are
-    sparse at large bounds.
+    sparse at large bounds: for each prime p, the numbers found so far times
+    p, p^2, ... as arrays, each step keeping only the numbers <= bound // p.
+    The arrays are int64 when bound fits one, else Python ints.
     """
     if i < 1:
         raise ValueError("i must be >= 1")
     bound = int(bound)
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    values = [1]
+    values = np.ones(1, dtype=np.int64 if bound <= np.iinfo(np.int64).max else object)
     for p in first_primes(i, cache).tolist():
         if p > bound:
             break
-        more = []
-        for v in values:
-            w = v * p
-            while w <= bound:
-                more.append(w)
-                w *= p
-        values.extend(more)
+        cap, found = bound // p, [values]
+        while found[-1].size:
+            found.append(found[-1][found[-1] <= cap] * p)
+        values = np.concatenate(found)
     values.sort()
-    return values
+    return values.tolist()

@@ -201,6 +201,69 @@ OVERFLOW_POINTS = [
 ]
 
 
+# float.hex of the real and imaginary parts, from the fold that summed each
+# cut's odd powers from a call of its own, before the lowest cuts shared one:
+# dirichlet_partial(N, s) for N = 2*chunk - 1, 2*chunk, 2*chunk + 1 and 2^20
+# (s = 3, 1.7-900i at each N), then zeta_eval(s, "dirichlet", tol) for
+# PINNED_EVALS, whose term counts are 2^20, 2^17, 2^15 and 2^11.
+PINNED_EVALS = ((2, 1e-6), (2 + 10j, 1e-6), (2.5 + 300j, 1e-9), (1.7 - 900j, 1e-4))
+PINNED_DIRICHLET = {
+    7: (
+        "0x1.3306733808225p+0 0x0.0p+0",
+        "0x1.513641d49456dp-1 0x1.ce67a6e12c616p-3",
+        "0x1.331e555d597cap+0 0x0.0p+0",
+        "0x1.56f1bfb1b71fep-1 0x1.d0e16a5a9b5dap-3",
+        "0x1.3331c06440881p+0 0x0.0p+0",
+        "0x1.5b15dd5ca590ep-1 0x1.c4c8f6ce7adb4p-3",
+        "0x1.33ba004efeb23p+0 0x0.0p+0",
+        "0x1.6aa8e3cbc4f44p-1 0x1.ecc071ce48b3fp-3",
+        "0x1.a51a562530fa6p+0 0x0.0p+0",
+        "0x1.32aeee7a0df48p+0 -0x1.4448562e4c8d5p-4",
+        "0x1.19dab5beb18e4p+0 -0x1.02eea25e781a7p-3",
+        "0x1.6aa98a0ffadfap-1 0x1.ecbf40ba2027ap-3",
+    ),
+    64: (
+        "0x1.33b7fc4b00676p+0 0x0.0p+0",
+        "0x1.6a9b3082eac97p-1 0x1.f1606197ff016p-3",
+        "0x1.33b8044b00676p+0 0x0.0p+0",
+        "0x1.6abd7baf814bcp-1 0x1.f16239e87256ep-3",
+        "0x1.33b80c1bbdeecp+0 0x0.0p+0",
+        "0x1.6ad69c09ffa08p-1 0x1.f1bcee7ec9cdap-3",
+        "0x1.33ba004effcfep+0 0x0.0p+0",
+        "0x1.6aa8e3cbc4f44p-1 0x1.ecc071ce48b5cp-3",
+        "0x1.a51a562530fd6p+0 0x0.0p+0",
+        "0x1.32aeee7a0df4bp+0 -0x1.4448562e4c90ep-4",
+        "0x1.19dab5beb18e3p+0 -0x1.02eea25e781a5p-3",
+        "0x1.6aa98a0ffadf9p-1 0x1.ecbf40ba20278p-3",
+    ),
+    65536: (
+        "0x1.33ba004ee061fp+0 0x0.0p+0",
+        "0x1.6aa8de94bfe9ap-1 0x1.ecc056ee7f59cp-3",
+        "0x1.33ba004ee0621p+0 0x0.0p+0",
+        "0x1.6aa8de9fdfa57p-1 0x1.ecc056ba4b4bap-3",
+        "0x1.33ba004ee0623p+0 0x0.0p+0",
+        "0x1.6aa8deab16376p-1 0x1.ecc0568665f14p-3",
+        "0x1.33ba004effe20p+0 0x0.0p+0",
+        "0x1.6aa8e3cbc4f25p-1 0x1.ecc071ce48b5dp-3",
+        "0x1.a51a562530fd2p+0 0x0.0p+0",
+        "0x1.32aeee7a0df48p+0 -0x1.4448562e4c91bp-4",
+        "0x1.19dab5beb18e0p+0 -0x1.02eea25e781a1p-3",
+        "0x1.6aa98a0ffadf8p-1 0x1.ecbf40ba20278p-3",
+    ),
+}
+
+
+@pytest.mark.parametrize("chunk", sorted(PINNED_DIRICHLET))
+def test_dirichlet_values_keep_their_bits(chunk, monkeypatch):
+    # Batching the lowest cuts' powers changes no bit: each cut sums the same
+    # slice in the same pairwise order, on either side of the head's end.
+    monkeypatch.setattr(methods, "_CHUNK", chunk)
+    got = [dirichlet_partial(N, s) for N in (2 * chunk - 1, 2 * chunk, 2 * chunk + 1, 1 << 20)
+           for s in (3, 1.7 - 900j)]
+    got += [zeta_eval(s, METHOD_DIRICHLET, tol).value for s, tol in PINNED_EVALS]
+    assert [f"{v.real.hex()} {v.imag.hex()}" for v in got] == list(PINNED_DIRICHLET[chunk])
+
+
 @pytest.mark.parametrize("chunk", [7, ONE_BLOCK])
 @pytest.mark.parametrize("s, first_bad", OVERFLOW_POINTS)
 def test_dirichlet_overflow_names_the_lowest_overflowing_n(s, first_bad, chunk, monkeypatch):
@@ -650,7 +713,7 @@ def test_real_product_rounding_bound_holds(sigma):
                             (METHOD_REFORMULATED, 1.0 + reform_partial(n, sigma))):
             assert got.imag == 0.0
             error = float(abs(mpmath.mpf(got.real) - exact))
-            assert error <= methods._rounding(complex(sigma), method, n, abs(got), zeta)
+            assert error <= methods._rounding_of(complex(sigma), method, zeta)(n, abs(got))
 
 
 @pytest.mark.parametrize("s, tol, method", [
@@ -683,10 +746,10 @@ def test_rounding_is_nondecreasing_in_count_and_magnitude():
         zeta = methods._zeta_bounds(z.real)
         for method in METHODS:
             for magnitude in magnitudes:
-                r = [methods._rounding(z, method, c, magnitude, zeta) for c in counts]
+                r = [methods._rounding_of(z, method, zeta)(c, magnitude) for c in counts]
                 assert all(a <= b for a, b in zip(r, r[1:])), (z, method, magnitude)
             for count in counts:
-                r = [methods._rounding(z, method, count, m, zeta) for m in magnitudes]
+                r = [methods._rounding_of(z, method, zeta)(count, m) for m in magnitudes]
                 assert all(a <= b for a, b in zip(r, r[1:])), (z, method, count)
 
 
@@ -745,7 +808,7 @@ def test_every_product_clears_the_refusal_floor(s):
     results += [correction_coefficient(k, s, spec) for k in (2, 5, 50)]
     for result in results:
         assert abs(result.value) > (sigma - 1.0) / sigma
-        assert abs(result.value) >= methods._product_floor(sigma)
+        assert abs(result.value) >= methods._product_floor(sigma, methods._zeta_bounds(sigma))
 
 
 def test_feasible_tolerance_near_the_floor_is_still_answered():
@@ -794,7 +857,8 @@ def warm_eval_points(seed):
 def test_eval_folds_only_the_counts_the_certificate_allows(seed, monkeypatch):
     # zeta_eval starts at the count the walk returns, so a product request
     # evaluates exactly terms_used powers, in one window (two when the first
-    # certificate falls short), where convergence_trace folds every doubling.
+    # certificate falls short), where convergence_trace folds every doubling;
+    # a Dirichlet request makes one call for its lowest cuts.
     power_terms = methods._power_terms
     sizes = []
 
@@ -819,10 +883,17 @@ def test_eval_folds_only_the_counts_the_certificate_allows(seed, monkeypatch):
             assert got.terms_used == last.terms_used, (s, tol, method)
             if method == METHOD_DIRICHLET:
                 assert (got.value, got.tail_error_bound) == (last.value, last.tail_error_bound)
+                # The ceil(N/2) odd powers and 2^{-s}, the lowest cuts' in one
+                # call (the only one up to N = 2*_CHUNK - 2), the rest in
+                # windows of _CHUNK.
+                N, chunk = got.terms_used, methods._CHUNK
+                assert sum(sizes) == (N + 1) // 2 + 1, (s, tol, sizes)
+                assert len(sizes) <= 1 + -(-N // (2 * chunk)), (s, tol, sizes)
+                assert len(sizes) == 1 or N > 2 * chunk - 2, (s, tol, sizes)
                 continue
             assert sum(sizes) == got.terms_used and len(sizes) <= 2, (s, tol, method, sizes)
             windows.append(len(sizes))
-            rounding = sum(methods._rounding(s, method, got.terms_used, abs(value), zeta)
+            rounding = sum(methods._rounding_of(s, method, zeta)(got.terms_used, abs(value))
                            for value in (got.value, last.value))
             assert abs(got.value - last.value) <= rounding, (s, tol, method)
     assert windows.count(1) > windows.count(2) > 0

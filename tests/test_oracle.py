@@ -123,6 +123,18 @@ def test_partition_overflow_names_the_lowest_overflowing_n(s):
     assert str(got.value) == str(expected.value)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("s, N", [(-100 + 1j, 1209), (-100, 1209), (-100 - 3j, 1210)])
+def test_partition_row_past_the_double_range_raises(s, N):
+    # Every term up to N is finite (the first call would raise otherwise),
+    # but row 2, the sum of the N/2 even terms, is not.
+    methods._power_terms(np.arange(2, N + 1), complex(s))
+    with pytest.raises(PowerOverflowError) as got:
+        spf_partition_sum(s, N)
+    assert got.value.prime == 2
+    assert str(got.value).startswith("the partition row of prime 2 exceeds the double-precision")
+
+
 @pytest.mark.parametrize("chunk", [7, 64])
 @pytest.mark.parametrize("N", [2, 3, 4, 50, 1000])
 def test_partition_rows_sum_in_ascending_n_within_each_chunk(monkeypatch, chunk, N):
@@ -292,11 +304,11 @@ def test_allowance_rounding_parts_cover_the_true_error():
                  methods._power_sum_rounding(s, methods._pairwise_depth(N), zeta)),
                 (product,
                  mpmath.fprod(1 / (1 - mpmath.power(p, -z)) for p in first_primes(i).tolist()),
-                 methods._rounding(s, METHOD_EULER_PRODUCT, i, abs(product), zeta)),
+                 methods._rounding_of(s, METHOD_EULER_PRODUCT, zeta)(i, abs(product))),
                 (1.0 + table.total(), exact_dirichlet(N), table_rounding),
                 (table.row(2), mpmath.power(2, -z) * exact_dirichlet(N // 2), table_rounding),
                 (dirichlet_partial(N, s), exact_dirichlet(N),
-                 methods._rounding(s, METHOD_DIRICHLET, N, 0.0, zeta)),
+                 methods._rounding_of(s, METHOD_DIRICHLET, zeta)(N, 0.0)),
             ]
             for computed, exact, bound in cases:
                 error = float(abs(mpmath.mpc(computed) - exact))

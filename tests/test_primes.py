@@ -173,6 +173,32 @@ def test_smooth_numbers_match_filtering(cache, i, bound):
     assert smooth_numbers(i, bound, cache) == smooth_by_filtering(i, bound)
 
 
+def smooth_by_products(i: int, bound: int) -> list[int]:
+    # The scalar construction smooth_numbers vectorises: every number found
+    # so far times p, p^2, ... while <= bound, prime by prime, in Python ints.
+    values = [1]
+    for p in islice(filter(trial_division_is_prime, count(2)), i):
+        if p > bound:
+            break
+        more = []
+        for v in values:
+            w = v * p
+            while w <= bound:
+                more.append(w)
+                w *= p
+        values.extend(more)
+    return sorted(values)
+
+
+@pytest.mark.parametrize("i,bound", [(20, 10**5), (7, 10**9), (1, 2**63 - 1), (1, 2**63),
+                                     (2, 10**25), (30, 97)])
+def test_smooth_numbers_match_the_scalar_products(cache, i, bound):
+    # Past int64 (2^63 and up) the arrays hold Python ints; the list is the same.
+    got = smooth_numbers(i, bound, cache)
+    assert got == smooth_by_products(i, bound)
+    assert {type(n) for n in got} == {int}
+
+
 def test_smooth_numbers_membership_follows_spf_chain(cache):
     bound, i = 400, 3
     p_i = nth_prime(i, cache)
