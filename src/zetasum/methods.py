@@ -7,18 +7,21 @@ one block iterator (`_blocks`) yields p, t = p^{-s} and f = 1/(1 - t) chunk
 by chunk, with the overflow and singular-point checks, and two reductions
 consume it: the product multiplies the factors, and the prime-indexed sum
 folds forward by the paper's induction step S_{i+1} = f_{i+1}*(t_{i+1} + S_i).
-`_identity` runs both in one pass.  This is the only production power path;
-`kernel`'s scalar powers are the reference the tests compare against.
-Every fold works in cache-sized blocks of `_CHUNK` terms and holds one
-block at a time, so its memory does not grow with the number of terms.
+`_identity` runs both in one pass.  `oracle`'s sums take their powers from
+`_power_terms` too.  `kernel`'s scalar powers are the reference the tests
+compare against; the library calls them only for single powers, in
+`oracle`'s coefficient checks and the `exclusion` report
+(`kernel.prime_power_term`).  Every fold works in cache-sized blocks of
+`_CHUNK` terms and holds one block at a time, so its memory does not grow
+with the number of terms.
 
 The Dirichlet sum D(x) = sum_{n <= x} n^{-s} uses the first Euler factor
 as a finite identity: every even n <= x is 2m with m <= floor(x/2), so
-D(x) = 2^{-s}*D(floor(x/2)) + O(x) with O(x) the odd-n part.  Carrying the
-pair (D, O) over the cuts x = 1, 2, 4, ... (or N >> k down to N) evaluates
-only the odd powers (`_dirichlet_fold`).  The lowest cuts' odd powers and
-2^{-s} come from one call, the head batch of at most one block, so a
-request's fixed cost is paid once, not once per cut.
+D(x) = 2^{-s}*D(floor(x/2)) + O(x) with O(x) the odd-n part.  One fold from
+0 up the cuts x = N >> k evaluates only the odd powers and returns D at
+every cut (`_dirichlet_fold`).  The lowest cuts' odd powers and 2^{-s} come
+from one call, the head batch of at most one block, so a request's fixed
+cost is paid once, not once per cut.
 
 Each certified request computes what depends on s and the method alone
 once: `_zeta_bounds`, and the constants of the closed forms for rounding
@@ -26,12 +29,13 @@ once: `_zeta_bounds`, and the constants of the closed forms for rounding
 `_walk_to_feasible` then evaluates at every doubling count.
 
 The three evaluation methods and the tail products share one doubling
-driver (`_trace`): fold each new window of terms into a running product,
-sum or Dirichlet pair, record the value together with an honest upper
-bound on its distance to the limit, and stop once that bound drops below
-the requested tolerance.  Every bound is truncation plus rounding.  The
-product tail is a sum over primes only, bounded by partial summation
-against Rosser & Schoenfeld's bounds on pi(x) and combined with
+driver (`_trace`): record the value at each doubling count together with
+an honest upper bound on its distance to the limit, and stop once that
+bound drops below the requested tolerance.  The products fold each new
+window of primes into a running product or sum; a Dirichlet request is one
+fold, whose cuts are its doubling counts.  Every bound is truncation plus
+rounding.  The product tail is a sum over primes only, bounded by partial
+summation against Rosser & Schoenfeld's bounds on pi(x) and combined with
 |log(1-z)| <= |z|/(1-|z|) (`tail_bound`).  The Dirichlet tail is the
 smaller of the integral bound and a second-order Euler-Maclaurin bound
 (`_dirichlet_tail`).  Rounding is one closed form per step (`_rounding_of`):
@@ -222,72 +226,61 @@ def _sum(blocks, z: complex, total: complex = 0j) -> complex:
     return total
 
 
-def _dirichlet_fold(total: complex, odd: complex, lo: int, hi: int,
-                    z: complex) -> tuple[complex, complex]:
-    """Advance (D(lo), O(lo)) to (D(hi), O(hi)), where D(x) is the sum of
-    n^{-z} over n <= x and O(x) its odd-n part.
+def _dirichlet_fold(N: int, z: complex) -> list[complex]:
+    """D(c), the sum of n^{-z} over n <= c, at every cut c = N >> k, in
+    ascending order, from one fold from 0.
 
-    `lo` must be hi >> k for some k >= 0 (0 is hi >> hi.bit_length()).  The
-    cuts c = hi >> k above lo are walked in ascending order: the odd n in
-    (c >> 1, c] go into O, and then D(c) = 2^{-z}*D(c >> 1) + O(c), so only
-    the odd powers are evaluated.
-
-    The head batch is one `_power_terms` call of at most `_CHUNK` terms:
-    2^{-z}, then the odd powers of the lowest cuts, as many as fit.  Each of
-    those cuts sums its own slice, the terms its own call would have summed,
-    in the same pairwise order, so batching changes no bit.  A fold from 0
-    to at most 2*`_CHUNK` - 2 makes one call however many cuts it walks.  The
-    cuts above the head take their odd powers `_CHUNK` at a time, in windows
-    aligned to the cut.
+    With O(c) the odd-n part, D(c) = 2^{-z}*D(c >> 1) + O(c), so only the odd
+    powers are evaluated: each cut adds the odd n in (c >> 1, c] to O.  A cut
+    whose odd n fit in the head batch, one `_power_terms` call of at most
+    `_CHUNK` terms (2^{-z}, then the odd powers of the lowest cuts), sums its
+    own slice of it, the terms its own call would have summed, in the same
+    pairwise order, so batching changes no bit.  A fold to at most
+    2*`_CHUNK` - 2 makes that one call however many cuts it walks.  A larger
+    cut takes its odd powers `_CHUNK` at a time, in windows aligned to the cut.
 
     An even power is never evaluated, so when it is not finite neither O nor
-    the carried D need show it (complex terms cancel).  Over a window,
-    -z*ln n has its largest real part (for Re(z) < 0) and its largest
-    imaginary part in modulus at n = c, so one test per window tells when
-    some n^{-z} there may not be finite.  Such a window is evaluated term by
-    term for the check alone, so the error names the lowest n whose n^{-z}
-    is not finite, as summing every power would.  Every window is tested
-    before any is summed; a window that passes its test holds only finite
-    powers, so no sum could have raised first.  When every power is finite
-    but D or O is not, the error names `hi`.
+    D need show it (complex terms cancel).  Over a window, -z*ln n has its
+    largest real part (for Re(z) < 0) and its largest imaginary part in
+    modulus at n = c, so one test per window tells when some n^{-z} there
+    may not be finite.  Such a window is evaluated term by term for the check
+    alone, so the error names the lowest n whose n^{-z} is not finite, as
+    summing every power would.  Every window is tested before any is summed;
+    a window that passes its test holds only finite powers, so no sum could
+    have raised first.  When every power is finite but D or O is not, the
+    error names `N`.
     """
-    top, cuts = hi, []
-    while hi > lo:
-        cuts.append(hi)
-        hi >>= 1
-    cuts.reverse()
+    cuts = [N >> k for k in range(N.bit_length() - 1, -1, -1)]
     for c in cuts:
         ln_c = math.log(c)
         if -z.real * ln_c > _LOG_SAFE or abs(z.imag) * ln_c > _PHASE_SAFE:
             for a in range((c >> 1) + 1, c + 1, _CHUNK):
                 _power_terms(np.arange(a, min(c + 1, a + _CHUNK), dtype=np.float64), z)
-    # Slot 0 of the head holds 2^{-z}, slot j the j-th odd n past lo, so the
-    # odd n <= x, (x + 1) // 2 of them, end at slot (x + 1) // 2 - below.  For
-    # hi = 1, which has no even n, slot 0 holds 1^{-z}, only ever times D(0) = 0.
-    below = (lo + 1) // 2
-    head = sum((c + 1) // 2 - below < _CHUNK for c in cuts)  # cuts in the head
-    n = np.arange(2 * below - 1, (cuts[head - 1] if head else lo) + 1, 2, dtype=np.float64)
-    n[0] = min(top, 2)
+    # Slot 0 of the head holds 2^{-z}, slot j the j-th odd n, so the odd
+    # n <= c, (c + 1) // 2 of them, end at slot (c + 1) // 2.  For N = 1,
+    # which has no even n, slot 0 holds 1^{-z}, only ever times D(0) = 0.
+    head = [c for c in cuts if (c + 1) // 2 < _CHUNK]
+    n = np.arange(-1, head[-1] + 1, 2, dtype=np.float64)
+    n[0] = min(N, 2)
     t = _power_terms(n, z)
-    two = complex(t[0])
+    two, total, odd, values = complex(t[0]), 0j, 0j, []
     with np.errstate(over="ignore", invalid="ignore"):
-        for c in cuts[:head]:
-            terms = t[1 + ((c >> 1) + 1) // 2 - below : 1 + (c + 1) // 2 - below]
-            if terms.size:
-                odd += complex(terms.sum())
-            total = two * total + odd
-        # Hold one block at a time: drop the head, and its cuts, before the
-        # windows of the rest.
-        n = t = terms = None
-        del cuts[:head]
         for c in cuts:
-            for a in range(((c >> 1) + 1) | 1, c + 1, 2 * _CHUNK):
-                n = np.arange(a, min(c + 1, a + 2 * _CHUNK), 2, dtype=np.float64)
-                odd += complex(_power_terms(n, z).sum())
+            if (c + 1) // 2 < _CHUNK:
+                w = t[1 + ((c >> 1) + 1) // 2 : 1 + (c + 1) // 2]
+                if w.size:
+                    odd += complex(w.sum())
+            else:
+                # Hold one block at a time: drop the head before the windows.
+                n = t = w = None
+                for a in range(((c >> 1) + 1) | 1, c + 1, 2 * _CHUNK):
+                    n = np.arange(a, min(c + 1, a + 2 * _CHUNK), 2, dtype=np.float64)
+                    odd += complex(_power_terms(n, z).sum())
             total = two * total + odd
+            values.append(total)
     if not (_finite(total) and _finite(odd)):
-        raise _overflow(f"the partial sum at cutoff {top}", top, z)
-    return total, odd
+        raise _overflow(f"the partial sum at cutoff {N}", N, z)
+    return values
 
 
 # ----------------------------------------------------------------------
@@ -378,7 +371,7 @@ def dirichlet_partial(N: int, s) -> complex:
     N = int(N)
     if N < 1:
         raise ValueError("N must be >= 1")
-    return _dirichlet_fold(0j, 0j, 0, N, as_complex(s))[0]
+    return _dirichlet_fold(N, as_complex(s))[-1]
 
 
 # ----------------------------------------------------------------------
@@ -651,14 +644,13 @@ def _trace(z: complex, method: str, tolerance: float, count: int,
     """The doubling driver behind every adaptive evaluation.
 
     Truncates at `count`, 2*`count`, 4*`count`, ... terms past the first
-    `offset` primes (Dirichlet runs have offset 0).  Each step folds only
-    its new terms, those at positions lo..offset+count-1 (0-based) with lo
-    the previous step's end, into one running product, prime-indexed sum or
-    Dirichlet pair (D, O), so each power is computed once over the whole run
-    (for Dirichlet runs, each odd power; the doubling cuts are the cuts
-    `_dirichlet_fold` needs).
+    `offset` primes (Dirichlet runs have offset 0).  For the products each
+    step folds only its new primes, those at positions lo..offset+count-1
+    (0-based) with lo the previous step's end, into one running product or
+    prime-indexed sum, so each power is computed once over the whole run.
     Records one result per step, with terms_used = count, and stops once
-    its certified bound is <= tolerance.
+    its certified bound is <= tolerance.  A Dirichlet run is one
+    `_dirichlet_fold` to the count the walk returns (see below).
 
     Each step's bound is truncation plus rounding.  Rounding is
     r = `_rounding_of`, which bounds |value - exact truncation|.  Truncation is
@@ -697,7 +689,14 @@ def _trace(z: complex, method: str, tolerance: float, count: int,
     so their bounds, differ in the last digits, as fewer, wider windows
     group the fold differently; a bound within that of the tolerance, or a
     refusal after a step (whose floor comes from other steps), could differ
-    too.  Dirichlet values are the same D(count) either way.
+    too.
+
+    A Dirichlet step's bound, `_dirichlet_tail` plus r(count, 0), is the
+    walk's closed form expression for expression, so the count the walk
+    returns is the first that certifies, and the doubling counts below it
+    are the cuts of one fold to it.  That fold gives every step's value, so
+    both modes report the same D(count) and bound, and the loop folds
+    products only.
     """
     sigma = z.real
     zeta = _zeta_bounds(sigma)
@@ -708,7 +707,11 @@ def _trace(z: complex, method: str, tolerance: float, count: int,
         floor = 1.0 if z.imag == 0.0 else _product_floor(sigma, zeta)
     rounding_bound, log_tail = _rounding_of(z, method, zeta), _log_tail_of(sigma)
     needed = _walk_to_feasible(z, method, tolerance, count, offset, floor, rounding_bound, log_tail)
-    odd = 0j
+    if method == METHOD_DIRICHLET:
+        kept = (needed // count).bit_length() if every_step else 1
+        values = _dirichlet_fold(needed, z)[-kept:]
+        return [EvaluationResult(value, method, c, _dirichlet_tail(c, z) + rounding_bound(c, 0.0))
+                for value, c in zip(values, (needed >> k for k in range(kept - 1, -1, -1)))]
     steps: list[EvaluationResult] = []
     running = complex(1.0) if method == METHOD_EULER_PRODUCT else complex(0.0)
     lo = offset
@@ -716,33 +719,27 @@ def _trace(z: complex, method: str, tolerance: float, count: int,
         if not every_step:
             count = needed
         hi = offset + count
-        if method == METHOD_DIRICHLET:
-            running, odd = _dirichlet_fold(running, odd, lo, hi, z)
+        blocks = _blocks(primes.first_primes(hi)[lo:], z)
+        if method == METHOD_EULER_PRODUCT:
+            # The new primes' own product first, then into the running
+            # one: that order fixes the digits euler_product reports print.
+            running *= _product(blocks, z)
             value = running
-            bound = _dirichlet_tail(hi, z) + rounding_bound(count, 0.0)
         else:
-            blocks = _blocks(primes.first_primes(hi)[lo:], z)
-            if method == METHOD_EULER_PRODUCT:
-                # The new primes' own product first, then into the running
-                # one: that order fixes the digits euler_product reports print.
-                running *= _product(blocks, z)
-                value = running
-            else:
-                running = _sum(blocks, z, running)
-                value = 1.0 + running
-            rounding = rounding_bound(count, abs(value))
-            b = log_tail(primes.nth_prime(hi))
-            bound = (abs(value) + rounding) * _expm1(b) + rounding
+            running = _sum(blocks, z, running)
+            value = 1.0 + running
+        rounding = rounding_bound(count, abs(value))
+        b = log_tail(primes.nth_prime(hi))
+        bound = (abs(value) + rounding) * _expm1(b) + rounding
         steps.append(EvaluationResult(value, method, count, float(bound)))
         if bound <= tolerance:
             return steps
         lo, count = hi, 2 * count
-        if method != METHOD_DIRICHLET:
-            # The factors past p_hi change |log| of every later value by at
-            # most b, so each has modulus at least this.
-            floor = max(floor, (abs(value) - rounding) * math.exp(-b))
-            needed = _walk_to_feasible(z, method, tolerance, max(count, needed), offset, floor,
-                                       rounding_bound, log_tail)
+        # The factors past p_hi change |log| of every later value by at
+        # most b, so each has modulus at least this.
+        floor = max(floor, (abs(value) - rounding) * math.exp(-b))
+        needed = _walk_to_feasible(z, method, tolerance, max(count, needed), offset, floor,
+                                   rounding_bound, log_tail)
 
 
 def correction_coefficient(k: int, s, spec: TruncationSpec) -> EvaluationResult:

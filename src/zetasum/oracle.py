@@ -17,7 +17,7 @@ against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,11 +31,13 @@ class PartitionTable:
     """Sums of n^{-s} over n in [2, N], grouped by smallest prime factor:
     `sums[k]` (complex128) is the row of `primes[k]`, and `primes` (int64,
     ascending) is `primes.primes_up_to(N)`; both read-only.  Every n <= N has
-    its smallest prime factor <= N, so the rows partition [2, N] exhaustively."""
+    its smallest prime factor <= N, so the rows partition [2, N] exhaustively.
+    `s` is the point the rows were summed at, set by `spf_partition_sum`."""
 
     cutoff_N: int
     primes: np.ndarray
     sums: np.ndarray
+    s: complex = field(default=complex("nan"), init=False, compare=False)
 
     def row(self, p: int) -> complex:
         """The row of p; 0j when p is not a prime <= N, whose row is empty."""
@@ -43,8 +45,18 @@ class PartitionTable:
         return complex(self.sums[at[0]]) if at.size else complex(0.0)
 
     def total(self) -> complex:
-        """Sum of all rows, added one after another in ascending prime order."""
-        return complex(np.cumsum(self.sums)[-1])
+        """Sum of all rows, added one after another in ascending prime order.
+
+        Raises `PowerOverflowError` naming the prime whose row first takes the
+        running total out of the double range, when every row is finite but
+        their sum is not."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            running = np.cumsum(self.sums)
+        total = complex(running[-1])
+        if not methods._finite(total):  # a sum that leaves the range stays out
+            p = int(self.primes[np.flatnonzero(~np.isfinite(running))[0]])
+            raise methods._overflow(f"the partition total at prime {p}", p, self.s)
+        return total
 
     def addition_depth(self) -> int:
         """Most additions a term meets on its way into 1 + total(): its row's in a
@@ -112,7 +124,9 @@ def spf_partition_sum(s, N: int) -> PartitionTable:
         p = int(found[bad[0]])
         raise methods._overflow(f"the partition row of prime {p}", p, z)
     found.flags.writeable = sums.flags.writeable = False
-    return PartitionTable(cutoff_N=N, primes=found, sums=sums)
+    table = PartitionTable(cutoff_N=N, primes=found, sums=sums)
+    object.__setattr__(table, "s", z)  # frozen, and not a constructor argument
+    return table
 
 
 def _predicted_row(k: int, z: complex, spec: TruncationSpec) -> tuple[int, complex]:

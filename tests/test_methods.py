@@ -168,9 +168,12 @@ def test_dirichlet_partial_matches_scalar_reference(s, N, chunk, monkeypatch):
         assert got.imag == 0.0
 
 
+@pytest.mark.parametrize("chunk", [7, 64, ONE_BLOCK])
 @pytest.mark.parametrize("s", [2, 3 + 10j, 1.7 - 900j])
-def test_dirichlet_trace_steps_are_the_partial_sums(s):
-    # The trace and the public finite sum are one fold over the same cuts.
+def test_dirichlet_trace_steps_are_the_partial_sums(s, chunk, monkeypatch):
+    # The trace and the public finite sum are one fold over the same cuts;
+    # at a chunk of 7 most cuts lie past the head, in windows.
+    monkeypatch.setattr(methods, "_CHUNK", chunk)
     for step in convergence_trace(s, METHOD_DIRICHLET, 1e-4):
         assert step.value == dirichlet_partial(step.terms_used, s)
 
@@ -858,7 +861,8 @@ def test_eval_folds_only_the_counts_the_certificate_allows(seed, monkeypatch):
     # zeta_eval starts at the count the walk returns, so a product request
     # evaluates exactly terms_used powers, in one window (two when the first
     # certificate falls short), where convergence_trace folds every doubling;
-    # a Dirichlet request makes one call for its lowest cuts.
+    # a Dirichlet request, trace or not, is one fold, with one call for its
+    # lowest cuts.
     power_terms = methods._power_terms
     sizes = []
 
@@ -866,11 +870,20 @@ def test_eval_folds_only_the_counts_the_certificate_allows(seed, monkeypatch):
         sizes.append(len(n))
         return power_terms(n, z)
 
+    def one_fold(N, where):
+        # The ceil(N/2) odd powers and 2^{-s}, the lowest cuts' in one call
+        # (the only one up to N = 2*_CHUNK - 2), the rest in windows of _CHUNK.
+        chunk = methods._CHUNK
+        assert sum(sizes) == (N + 1) // 2 + 1, (where, sizes)
+        assert len(sizes) <= 1 + -(-N // (2 * chunk)), (where, sizes)
+        assert len(sizes) == 1 or N > 2 * chunk - 2, (where, sizes)
+
     monkeypatch.setattr(methods, "_power_terms", counted)
     windows = []
     for s, tol in warm_eval_points(seed):
         zeta = methods._zeta_bounds(s.real)
         for method in METHODS:
+            sizes.clear()
             try:
                 last = convergence_trace(s, method, tol)[-1]
             except RuntimeError as exc:
@@ -878,18 +891,14 @@ def test_eval_folds_only_the_counts_the_certificate_allows(seed, monkeypatch):
                     zeta_eval(s, method, tol)
                 assert str(excinfo.value) == str(exc)
                 continue
+            if method == METHOD_DIRICHLET:
+                one_fold(last.terms_used, ("trace", s, tol))
             sizes.clear()
             got = zeta_eval(s, method, tol)
             assert got.terms_used == last.terms_used, (s, tol, method)
             if method == METHOD_DIRICHLET:
                 assert (got.value, got.tail_error_bound) == (last.value, last.tail_error_bound)
-                # The ceil(N/2) odd powers and 2^{-s}, the lowest cuts' in one
-                # call (the only one up to N = 2*_CHUNK - 2), the rest in
-                # windows of _CHUNK.
-                N, chunk = got.terms_used, methods._CHUNK
-                assert sum(sizes) == (N + 1) // 2 + 1, (s, tol, sizes)
-                assert len(sizes) <= 1 + -(-N // (2 * chunk)), (s, tol, sizes)
-                assert len(sizes) == 1 or N > 2 * chunk - 2, (s, tol, sizes)
+                one_fold(got.terms_used, ("eval", s, tol))
                 continue
             assert sum(sizes) == got.terms_used and len(sizes) <= 2, (s, tol, method, sizes)
             windows.append(len(sizes))

@@ -135,6 +135,20 @@ def test_partition_row_past_the_double_range_raises(s, N):
     assert str(got.value).startswith("the partition row of prime 2 exceeds the double-precision")
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("N, prime", [(1180, 1163), (1187, 3)])
+def test_partition_total_past_the_double_range_raises(N, prime):
+    # Every row is finite, but their running total leaves the double range
+    # at the row of `prime`.
+    table = spf_partition_sum(-100, N)
+    assert np.isfinite(table.sums).all()
+    with pytest.raises(PowerOverflowError) as got:
+        table.total()
+    assert (got.value.prime, got.value.s) == (prime, -100)
+    assert str(got.value) == (f"the partition total at prime {prime} exceeds the "
+                              "double-precision range at s = (-100+0j)")
+
+
 @pytest.mark.parametrize("chunk", [7, 64])
 @pytest.mark.parametrize("N", [2, 3, 4, 50, 1000])
 def test_partition_rows_sum_in_ascending_n_within_each_chunk(monkeypatch, chunk, N):
