@@ -10,10 +10,12 @@ Subcommands
 
 Reports are CSV (default), JSON, or an aligned human table, written to
 stdout or --output.  Identical invocations produce byte-identical reports;
-the elapsed_ns column stays 0 unless --timing is given.  Exit codes:
+the elapsed_ns column stays 0 unless --timing is given.  A --config file
+stands for flags of its command, parsed before the explicit ones.  Exit codes:
 0 success, 1 computational rejection (singular point, non-convergent
 request, overflow, or a tolerance the certificate refuses as unreachable),
-2 usage error (including a tolerance that is not finite and > 0).
+2 usage error (including a tolerance that is not finite and > 0, and a
+--i or --N past the sieve limits).
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 
 from . import kernel, methods, oracle, primes
 from .kernel import DEFAULT_SINGULAR_TOL, PowerOverflowError, SingularPointError
@@ -36,7 +37,7 @@ _NEAR_BOUNDARY = 1.01
 
 
 # ----------------------------------------------------------------------
-# value parsing (shared by flags and config files)
+# value parsing
 
 def parse_complex_literal(text: str) -> complex:
     """Single-token complex literal: 2, -1.5, 3i, or a+bi / a-bi (no spaces)."""
@@ -103,15 +104,6 @@ def _validate_format(text: str) -> str:
     return text
 
 
-def _validate_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"invalid boolean {text!r}")
-
-
 def _argtype(converter):
     def wrapped(text):
         try:
@@ -123,86 +115,46 @@ def _argtype(converter):
 
 
 # ----------------------------------------------------------------------
-# configuration
+# parsing
 
-@dataclass
-class RunConfig:
-    command: str
-    s_values: list[complex] = field(default_factory=list)
-    spec: TruncationSpec = field(default_factory=TruncationSpec)
-    output_format: str = "csv"
-    output_path: str | None = None
-    method: str = METHOD_REFORMULATED
-    method_list: list[str] = field(default_factory=lambda: list(METHODS))
-    k_range: range = range(-2, 3)
-    compare: bool = False
-    timing: bool = False
+_SWITCH_VALUES = {"1": True, "true": True, "yes": True, "on": True,
+                  "0": False, "false": False, "no": False, "off": False}
 
 
-# Commands whose prime index defaults below TruncationSpec's.
-_PRIME_INDEX_DEFAULTS = {"exclusion": 3, "oracle-compare": 3}
+def _file_flags(path: str, args: argparse.Namespace) -> list[str]:
+    """The flags of `args.command` that a config file stands for.
 
-
-def _load_config_file(path: str) -> dict[str, list[str]]:
-    entries: dict[str, list[str]] = {}
+    Each `key=value` line gives `--key=value`, and a key must be one of the
+    command's own flags other than --config.  `s=` may list points separated
+    by commas and is dropped when --s is given; a switch takes a boolean, and
+    a true one gives the bare switch.
+    """
+    # Every flag of the command sets its dest in the parsed namespace, and a
+    # switch's dest holds a bool.
+    keys = {dest.replace("_", "-"): dest for dest in vars(args) if dest not in ("command", "config")}
+    flags = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            entries.setdefault(key.strip(), []).append(value.strip())
-    return entries
-
-
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    command = args.command
-    file_entries = _load_config_file(args.config) if args.config else {}
-    defaults = TruncationSpec()
-
-    def pick(key: str, cli_value, convert, fallback):
-        if cli_value is not None:
-            return cli_value
-        if key in file_entries:
-            return convert(file_entries[key][-1])
-        return fallback
-
-    s_values = getattr(args, "s", None)
-    if s_values is None and "s" in file_entries:
-        s_values = []
-        for raw in file_entries["s"]:
-            for piece in raw.split(","):
-                piece = piece.strip()
-                if piece:
-                    s_values.append(parse_complex_literal(piece))
-    s_values = s_values or []
-    if command != "exclusion" and not s_values:
-        raise ValueError("--s is required (repeat the flag for a grid of points)")
-
-    spec = TruncationSpec(
-        prime_index_i=pick("i", getattr(args, "i", None), _validate_positive_int,
-                           _PRIME_INDEX_DEFAULTS.get(command, defaults.prime_index_i)),
-        dirichlet_cutoff_N=pick("N", getattr(args, "N", None), _validate_positive_int,
-                                defaults.dirichlet_cutoff_N),
-        tolerance=pick("tol", getattr(args, "tol", None), _validate_tolerance,
-                       defaults.tolerance),
-    )
-    return RunConfig(
-        command=command,
-        s_values=s_values,
-        spec=spec,
-        output_format=pick("format", args.format, _validate_format, "csv"),
-        output_path=pick("output", args.output, str, None),
-        method=pick("method", getattr(args, "method", None), _validate_method, METHOD_REFORMULATED),
-        method_list=pick(
-            "methods", getattr(args, "methods", None), _validate_method_list, list(METHODS)
-        ),
-        k_range=pick("k-range", getattr(args, "k_range", None), parse_k_range, range(-2, 3)),
-        compare=pick("compare", getattr(args, "compare", None), _validate_bool, False),
-        timing=pick("timing", args.timing, _validate_bool, False),
-    )
+            key, eq, value = (part.strip() for part in line.partition("="))
+            where = f"{path}:{lineno}"
+            if not eq:
+                raise ValueError(f"{where}: expected key=value, got {line!r}")
+            if key not in keys:
+                raise ValueError(f"{where}: unknown key {key!r}; "
+                                 f"{args.command} takes {', '.join(keys)}")
+            if isinstance(getattr(args, keys[key]), bool):
+                if value.lower() not in _SWITCH_VALUES:
+                    raise ValueError(f"{where}: invalid boolean {value!r} for {key}")
+                if _SWITCH_VALUES[value.lower()]:
+                    flags.append(f"--{key}")
+            elif key != "s":
+                flags.append(f"--{key}={value}")
+            elif args.s is None:
+                flags += [f"--s={piece.strip()}" for piece in value.split(",") if piece.strip()]
+    return flags
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -215,11 +167,11 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", default=None, metavar="PATH",
                        help="flat key=value file mirroring the flags; explicit flags win")
-        p.add_argument("--format", type=_argtype(_validate_format), default=None,
+        p.add_argument("--format", type=_argtype(_validate_format), default="csv",
                        help="report format: csv (default), json, or human")
         p.add_argument("--output", "-o", default=None, metavar="PATH",
                        help="write the report here instead of stdout")
-        p.add_argument("--timing", action="store_const", const=True, default=None,
+        p.add_argument("--timing", action="store_true",
                        help="fill elapsed_ns with real timings (breaks byte-identical output)")
 
     def add_s(p: argparse.ArgumentParser, help_text: str) -> None:
@@ -228,45 +180,50 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate zeta(s) with a certified tail bound")
     add_s(p_eval, "evaluation point with Re(s) > 1 (repeatable)")
-    p_eval.add_argument("--method", type=_argtype(_validate_method), default=None,
+    p_eval.add_argument("--method", type=_argtype(_validate_method), default=METHOD_REFORMULATED,
                         help="dirichlet, euler_product, or reformulated (default)")
-    p_eval.add_argument("--tol", type=_argtype(_validate_tolerance), default=None,
+    p_eval.add_argument("--tol", type=_argtype(_validate_tolerance),
+                        default=TruncationSpec.tolerance,
                         help="certified tail tolerance (default 1e-6)")
     add_common(p_eval)
 
     p_ident = sub.add_parser("identity-check",
                              help="residual of the product-equals-one-plus-sum identity")
     add_s(p_ident, "test point anywhere off the singular lattice (repeatable)")
-    p_ident.add_argument("--i", type=_argtype(_validate_positive_int), default=None,
+    p_ident.add_argument("--i", type=_argtype(_validate_positive_int),
+                         default=TruncationSpec.prime_index_i,
                          help="number of leading primes in the identity (default 20)")
     add_common(p_ident)
 
     p_conv = sub.add_parser("converge", help="record every truncation step per method")
     add_s(p_conv, "evaluation point with Re(s) > 1 (repeatable)")
-    p_conv.add_argument("--methods", type=_argtype(_validate_method_list), default=None,
+    p_conv.add_argument("--methods", type=_argtype(_validate_method_list), default=list(METHODS),
                         metavar="M1,M2,...",
                         help="comma-separated methods (default all three)")
-    p_conv.add_argument("--tol", type=_argtype(_validate_tolerance), default=None,
+    p_conv.add_argument("--tol", type=_argtype(_validate_tolerance),
+                        default=TruncationSpec.tolerance,
                         help="stop once the certified bound is below this (default 1e-6)")
     add_common(p_conv)
 
     p_excl = sub.add_parser("exclusion", help="inspect the singular lattice")
-    p_excl.add_argument("--i", type=_argtype(_validate_positive_int), default=None,
+    p_excl.add_argument("--i", type=_argtype(_validate_positive_int), default=3,
                         help="use the first i primes (default 3)")
     p_excl.add_argument("--k-range", dest="k_range", type=_argtype(parse_k_range),
-                        default=None, metavar="A..B",
+                        default=range(-2, 3), metavar="A..B",
                         help="inclusive lattice indices (default -2..2)")
-    p_excl.add_argument("--compare", action="store_const", const=True, default=None,
+    p_excl.add_argument("--compare", action="store_true",
                         help="also list the odd-multiple fixture points next to each row")
     add_common(p_excl)
 
     p_oracle = sub.add_parser("oracle-compare", help="run the brute-force cross-checks")
     add_s(p_oracle, "point with Re(s) > 1 (repeatable)")
-    p_oracle.add_argument("--i", type=_argtype(_validate_positive_int), default=None,
+    p_oracle.add_argument("--i", type=_argtype(_validate_positive_int), default=3,
                           help="prime index for the smooth-number check (default 3)")
-    p_oracle.add_argument("--N", type=_argtype(_validate_positive_int), default=None,
+    p_oracle.add_argument("--N", type=_argtype(_validate_positive_int),
+                          default=TruncationSpec.dirichlet_cutoff_N,
                           help="Dirichlet cutoff for oracles (default 10000)")
-    p_oracle.add_argument("--tol", type=_argtype(_validate_tolerance), default=None,
+    p_oracle.add_argument("--tol", type=_argtype(_validate_tolerance),
+                          default=TruncationSpec.tolerance,
                           help="certified tolerance for the tail products (default 1e-6)")
     add_common(p_oracle)
 
@@ -286,25 +243,25 @@ def _warn_near_boundary(s_values: list[complex]) -> None:
             )
 
 
-def _run_eval(config: RunConfig):
+def _run_eval(args: argparse.Namespace, spec: TruncationSpec):
     header = ["s_re", "s_im", "method", "value_re", "value_im",
               "terms_used", "tail_error_bound", "elapsed_ns"]
-    _warn_near_boundary(config.s_values)
+    _warn_near_boundary(args.s)
     rows = []
-    for s in config.s_values:
-        start = time.perf_counter_ns() if config.timing else 0
-        result = methods.zeta_eval(s, config.method, config.spec.tolerance)
-        elapsed = time.perf_counter_ns() - start if config.timing else 0
+    for s in args.s:
+        start = time.perf_counter_ns() if args.timing else 0
+        result = methods.zeta_eval(s, args.method, spec.tolerance)
+        elapsed = time.perf_counter_ns() - start if args.timing else 0
         rows.append([s.real, s.imag, result.method, result.value.real, result.value.imag,
                      result.terms_used, result.tail_error_bound, elapsed])
     return header, rows
 
 
-def _run_identity_check(config: RunConfig):
+def _run_identity_check(args: argparse.Namespace, spec: TruncationSpec):
     header = ["s_re", "s_im", "i", "residual", "product_abs", "relative_residual"]
     rows = []
-    i = config.spec.prime_index_i
-    for s in config.s_values:
+    i = spec.prime_index_i
+    for s in args.s:
         product, total = methods._identity(i, s)
         residual = abs(product - 1.0 - total)
         scale = max(1.0, abs(product))
@@ -312,30 +269,30 @@ def _run_identity_check(config: RunConfig):
     return header, rows
 
 
-def _run_converge(config: RunConfig):
+def _run_converge(args: argparse.Namespace, spec: TruncationSpec):
     header = ["s_re", "s_im", "method", "step", "terms_used",
               "value_re", "value_im", "tail_error_bound"]
-    _warn_near_boundary(config.s_values)
+    _warn_near_boundary(args.s)
     rows = []
-    for s in config.s_values:
-        for method in config.method_list:
-            trace = methods.convergence_trace(s, method, config.spec.tolerance)
+    for s in args.s:
+        for method in args.methods:
+            trace = methods.convergence_trace(s, method, spec.tolerance)
             for step, result in enumerate(trace):
                 rows.append([s.real, s.imag, method, step, result.terms_used,
                              result.value.real, result.value.imag, result.tail_error_bound])
     return header, rows
 
 
-def _run_exclusion(config: RunConfig):
+def _run_exclusion(args: argparse.Namespace, spec: TruncationSpec):
     header = ["source", "prime", "k", "s_re", "s_im", "factor_gap", "singular"]
     rows = []
-    for p in primes.first_primes(config.spec.prime_index_i).tolist():
-        for k in config.k_range:
+    for p in primes.first_primes(spec.prime_index_i).tolist():
+        for k in args.k_range:
             point = kernel.singular_point(p, k)
             gap = abs(1.0 - kernel.prime_power_term(p, point))
             rows.append(["definitional", p, k, point.real, point.imag, gap,
                          gap < DEFAULT_SINGULAR_TOL])
-            if config.compare:
+            if args.compare:
                 fixture = kernel.explicit_exclusion_point(p, k)
                 fixture_gap = abs(1.0 - kernel.prime_power_term(p, fixture))
                 rows.append(["explicit", p, k, fixture.real, fixture.imag, fixture_gap,
@@ -343,12 +300,12 @@ def _run_exclusion(config: RunConfig):
     return header, rows
 
 
-def _run_oracle_compare(config: RunConfig):
+def _run_oracle_compare(args: argparse.Namespace, spec: TruncationSpec):
     header = ["s_re", "s_im", "check", "k", "terms", "abs_error", "allowed_error", "status"]
     rows = []
-    for s in config.s_values:
-        for check, k, err, allowed in oracle.compare(s, config.spec):
-            rows.append([s.real, s.imag, check, k, config.spec.dirichlet_cutoff_N, err, allowed,
+    for s in args.s:
+        for check, k, err, allowed in oracle.compare(s, spec):
+            rows.append([s.real, s.imag, check, k, spec.dirichlet_cutoff_N, err, allowed,
                          "pass" if err <= allowed else "fail"])
     return header, rows
 
@@ -414,26 +371,38 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
     return merged
 
 
+# Flags that set a TruncationSpec field; a command without one keeps its default.
+_SPEC_FLAGS = (("i", "prime_index_i"), ("N", "dirichlet_cutoff_N"), ("tol", "tolerance"))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_merge_negative_values(list(argv if argv is not None else sys.argv[1:])))
+    argv = _merge_negative_values(list(argv if argv is not None else sys.argv[1:]))
+    args = parser.parse_args(argv)
     try:
-        config = _resolve_config(args)
+        if args.config:
+            # The file's flags go right after the command, so explicit flags win.
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + _file_flags(args.config, args) + argv[at:])
+        if args.command != "exclusion" and not args.s:
+            raise ValueError("--s is required (repeat the flag for a grid of points)")
+        spec = TruncationSpec(**{field: getattr(args, flag)
+                                 for flag, field in _SPEC_FLAGS if hasattr(args, flag)})
     except (OSError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     try:
-        header, rows = _EXECUTORS[config.command](config)
+        header, rows = _EXECUTORS[args.command](args, spec)
     except (SingularPointError, NonConvergentError, PowerOverflowError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    report = render_report(header, rows, config.output_format)
-    if config.output_path:
+    report = render_report(header, rows, args.format)
+    if args.output:
         try:
-            with open(config.output_path, "w", encoding="utf-8", newline="") as fh:
+            with open(args.output, "w", encoding="utf-8", newline="") as fh:
                 fh.write(report)
         except OSError as exc:
             print(f"usage error: {exc}", file=sys.stderr)

@@ -113,7 +113,11 @@ class NonConvergentError(ValueError):
 
 @dataclass(frozen=True)
 class TruncationSpec:
-    """How far finite computations may run and how tight their tails must be."""
+    """How far finite computations may run and how tight their tails must be.
+
+    Sizes stop at the walk's limits: a prime index whose `prime_ceiling`
+    passes MAX_PRIME_LIMIT, or a cutoff past MAX_DIRICHLET_TERMS, is refused
+    before any sieve or table is built."""
 
     prime_index_i: int = 20
     dirichlet_cutoff_N: int = 10_000
@@ -122,8 +126,13 @@ class TruncationSpec:
     def __post_init__(self):
         if self.prime_index_i < 1:
             raise ValueError("prime_index_i must be >= 1")
+        if primes.prime_ceiling(self.prime_index_i) > MAX_PRIME_LIMIT:
+            raise ValueError(f"prime_index_i = {self.prime_index_i} may need a sieve past "
+                             f"the limit {MAX_PRIME_LIMIT}")
         if self.dirichlet_cutoff_N < 1:
             raise ValueError("dirichlet_cutoff_N must be >= 1")
+        if self.dirichlet_cutoff_N > MAX_DIRICHLET_TERMS:
+            raise ValueError(f"dirichlet_cutoff_N must be <= {MAX_DIRICHLET_TERMS}")
         _check_tolerance(self.tolerance)
 
 

@@ -32,12 +32,12 @@ class PartitionTable:
     `sums[k]` (complex128) is the row of `primes[k]`, and `primes` (int64,
     ascending) is `primes.primes_up_to(N)`; both read-only.  Every n <= N has
     its smallest prime factor <= N, so the rows partition [2, N] exhaustively.
-    `s` is the point the rows were summed at, set by `spf_partition_sum`."""
+    `s` is the point the rows were summed at, named by `total()`'s error."""
 
     cutoff_N: int
     primes: np.ndarray
     sums: np.ndarray
-    s: complex = field(default=complex("nan"), init=False, compare=False)
+    s: complex = field(default=complex("nan"), compare=False, kw_only=True)
 
     def row(self, p: int) -> complex:
         """The row of p; 0j when p is not a prime <= N, whose row is empty."""
@@ -124,9 +124,7 @@ def spf_partition_sum(s, N: int) -> PartitionTable:
         p = int(found[bad[0]])
         raise methods._overflow(f"the partition row of prime {p}", p, z)
     found.flags.writeable = sums.flags.writeable = False
-    table = PartitionTable(cutoff_N=N, primes=found, sums=sums)
-    object.__setattr__(table, "s", z)  # frozen, and not a constructor argument
-    return table
+    return PartitionTable(cutoff_N=N, primes=found, sums=sums, s=z)
 
 
 def _predicted_row(k: int, z: complex, spec: TruncationSpec) -> tuple[int, complex]:

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from zetasum import oracle, primes
+from zetasum import methods, oracle, primes
 from zetasum.cli import main, parse_complex_literal, parse_k_range
 
 
@@ -134,14 +134,39 @@ def test_eval_timing_flag_fills_elapsed(capsys):
     assert int(dict(zip(header, rows[0]))["elapsed_ns"]) > 0
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         main(["eval", "--s", "2+0x"])
     assert info.value.code == 2
-    with pytest.raises(SystemExit) as info:
-        main(["eval", "--s", "2+0i", "--method", "bogus"])
-    assert info.value.code == 2
     assert main(["eval", "--s", "2+0i", "--tol", "0"]) == 2
+    # A bad value in a config file is reported exactly as the flag's.
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("s=2\nmethod=bogus\n")
+    capsys.readouterr()
+    errors = []
+    for argv in (["eval", "--s", "2+0i", "--method", "bogus"], ["eval", "--config", str(cfg)]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert "argument --method: unknown method 'bogus'" in errors[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ("exclusion", "--i", "54385775"),
+    ("identity-check", "--s", "2", "--i", "54385775"),
+    ("oracle-compare", "--s", "3", "--N", str((1 << 30) + 1)),
+])
+def test_sizes_past_the_limits_are_refused_before_any_work(capsys, monkeypatch, argv):
+    def forbidden(*args):
+        raise AssertionError("work started before the refusal")
+
+    for module, name in ((primes, "first_primes"), (methods, "_identity"), (oracle, "compare")):
+        monkeypatch.setattr(module, name, forbidden)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])
@@ -410,6 +435,12 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     _, rows = parse_csv(out)
     assert rows[0][2] == "reformulated"
 
+    # An explicit --s replaces the file's grid instead of adding to it.
+    code, out, _ = run_cli(capsys, "eval", "--config", str(cfg), "--s", "4", "--s", "5")
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert [(row[0], row[2]) for row in rows] == [("4", "euler_product"), ("5", "euler_product")]
+
 
 def test_config_file_comma_separated_grid(tmp_path, capsys):
     cfg = tmp_path / "grid.cfg"
@@ -421,11 +452,32 @@ def test_config_file_comma_separated_grid(tmp_path, capsys):
 
 
 def test_config_file_bad_line_is_usage_error(tmp_path, capsys):
+    # A line must be key=value, and its key one of the command's own flags
+    # other than --config; the error names the file, the line and the key.
     cfg = tmp_path / "broken.cfg"
-    cfg.write_text("tol\n")
-    code, _, err = run_cli(capsys, "eval", "--config", str(cfg))
-    assert code == 2
-    assert "key=value" in err
+    for text, lineno, named in (
+        ("tol\n", 1, "expected key=value, got 'tol'"),
+        ("s=3\ntolerance=1e-12\nmethd=dirichlet\n", 2, "unknown key 'tolerance'"),
+        ("s=3\n\nk-range=-2..2\n", 3, "unknown key 'k-range'"),
+        ("s=3\nconfig=other.cfg\n", 2, "unknown key 'config'"),
+        ("s=3\ntiming=maybe\n", 2, "invalid boolean 'maybe' for timing"),
+    ):
+        cfg.write_text(text)
+        code, out, err = run_cli(capsys, "eval", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"usage error: {cfg}:{lineno}: {named}")
+
+
+def test_config_file_switches(tmp_path, capsys):
+    cfg = tmp_path / "excl.cfg"
+    for value, rows_per_point in (("yes", 2), ("off", 1)):
+        cfg.write_text(f"i=1\nk-range=0..0\ncompare={value}\n")
+        code, out, _ = run_cli(capsys, "exclusion", "--config", str(cfg))
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert len(rows) == rows_per_point
+    code, out, _ = run_cli(capsys, "exclusion", "--config", str(cfg), "--compare")
+    assert code == 0 and len(parse_csv(out)[1]) == 2
 
 
 def test_missing_config_file_is_usage_error(capsys):

@@ -491,7 +491,7 @@ def test_induction_step_matches_the_scalar_reference(i, s, monkeypatch):
 
 
 def test_power_terms_meet_the_stated_rounding_premises():
-    # The one premise of methods._rounding, which every certified bound and
+    # The one premise of methods._rounding_of, which every certified bound and
     # oracle-compare allowance uses: log is within one ulp, and n^{-z} within
     # u*(3|z|*ln n + 6) relative.  The check below asserts the stronger
     # u*(3|z|*ln n + 4).  Should this fail, the premise stated there is wrong
@@ -735,8 +735,8 @@ def test_rounding_above_the_tolerance_is_refused_before_any_work(s, tol, method,
 
 
 def test_rounding_is_nondecreasing_in_count_and_magnitude():
-    # The premise of the up-front refusal: once _rounding(count, floor)
-    # exceeds the tolerance, so does every later step's bound.
+    # The premise of the up-front refusal: once _rounding_of's bound at
+    # (count, floor) exceeds the tolerance, so does every later step's bound.
     rng = random.Random(20261018)
     points = [complex(30.0, 0.0), complex(1.0 + 1e-9, 0.0)]
     for _ in range(150):
@@ -1056,3 +1056,13 @@ def test_truncation_spec_validation():
         TruncationSpec(dirichlet_cutoff_N=0)
     spec = TruncationSpec()
     assert spec.tolerance >= 1e-14
+    # The walk's own rule: an index whose prime ceiling passes the sieve
+    # limit, or a cutoff past MAX_DIRICHLET_TERMS, is refused in O(1).
+    last = 54_385_774
+    assert primes.prime_ceiling(last) <= methods.MAX_PRIME_LIMIT < primes.prime_ceiling(last + 1)
+    spec = TruncationSpec(prime_index_i=last, dirichlet_cutoff_N=methods.MAX_DIRICHLET_TERMS)
+    assert (spec.prime_index_i, spec.dirichlet_cutoff_N) == (last, 1 << 30)
+    with pytest.raises(ValueError, match="may need a sieve past the limit 1073741824"):
+        TruncationSpec(prime_index_i=last + 1)
+    with pytest.raises(ValueError, match="dirichlet_cutoff_N must be <= 1073741824"):
+        TruncationSpec(dirichlet_cutoff_N=methods.MAX_DIRICHLET_TERMS + 1)

@@ -18,7 +18,13 @@ from zetasum.methods import (
     dirichlet_partial,
     euler_partial,
 )
-from zetasum.oracle import coefficient_crosscheck, compare, smooth_sum_oracle, spf_partition_sum
+from zetasum.oracle import (
+    PartitionTable,
+    coefficient_crosscheck,
+    compare,
+    smooth_sum_oracle,
+    spf_partition_sum,
+)
 from zetasum.primes import first_primes, primes_up_to, smallest_prime_factor, smooth_numbers
 
 
@@ -147,6 +153,14 @@ def test_partition_total_past_the_double_range_raises(N, prime):
     assert (got.value.prime, got.value.s) == (prime, -100)
     assert str(got.value) == (f"the partition total at prime {prime} exceeds the "
                               "double-precision range at s = (-100+0j)")
+
+
+def test_partition_table_keeps_the_point_it_was_summed_at():
+    table = spf_partition_sum(3 + 1j, 100)
+    assert table.s == 3 + 1j
+    assert math.isnan(PartitionTable(table.cutoff_N, table.primes, table.sums).s.real)
+    again = PartitionTable(table.cutoff_N, table.primes, table.sums, s=2j)
+    assert again.s == 2j and again.total() == table.total()
 
 
 @pytest.mark.parametrize("chunk", [7, 64])
