@@ -28,19 +28,23 @@ once: `_zeta_bounds`, and the constants of the closed forms for rounding
 (`_rounding_of`) and for the product tail (`_log_tail_of`), which
 `_walk_to_feasible` then evaluates at every doubling count.
 
-The three evaluation methods and the tail products share one doubling
-driver (`_trace`): record the value at each doubling count together with
-an honest upper bound on its distance to the limit, and stop once that
-bound drops below the requested tolerance.  The products fold each new
-window of primes into a running product or sum; a Dirichlet request is one
-fold, whose cuts are its doubling counts.  Every bound is truncation plus
+The three evaluation methods and the tail products share one driver
+(`_trace`): record the value at a count together with an honest upper bound
+on its distance to the limit, and stop once that bound drops below the
+requested tolerance.  `convergence_trace` records every doubling count;
+`zeta_eval` and `correction_coefficient` fold once to a count within 1/32
+of the first that certifies, found by bisecting a closed form between two
+doubling counts (`_first_certifying`), so their terms_used is at most
+`convergence_trace`'s last and their values differ from its in the last
+digits.  The products fold each new window of primes into a running product
+or sum; a Dirichlet request is one fold.  Every bound is truncation plus
 rounding.  The product tail is a sum over primes only, bounded by partial
 summation against Rosser & Schoenfeld's bounds on pi(x) and combined with
 |log(1-z)| <= |z|/(1-|z|) (`tail_bound`).  The Dirichlet tail is the
 smaller of the integral bound and a second-order Euler-Maclaurin bound
-(`_dirichlet_tail`).  Rounding is one closed form per step (`_rounding_of`):
-the error of each power, mostly in its phase, plus the roundings a term
-meets on its way through the fold.
+(`_dirichlet_tail`).  Rounding is one closed form per step
+(`_rounding_of`): the error of each power, mostly in its phase, plus the
+roundings a term meets on its way through the fold.
 """
 
 from __future__ import annotations
@@ -69,6 +73,13 @@ METHODS = (METHOD_DIRICHLET, METHOD_EULER_PRODUCT, METHOD_REFORMULATED)
 # requests (especially with Re(s) barely above 1) explodes without bound.
 MAX_PRIME_LIMIT = 1 << 30
 MAX_DIRICHLET_TERMS = 1 << 30
+
+# `oracle.spf_partition_sum` holds a rank table of N + 1 int32 entries and
+# pi(N) rows, so its memory grows with N where the Dirichlet folds do not:
+# `oracle-compare --s 3 --N N` peaked at 38.7 MB and 0.27 s for N = 2^20,
+# and 127.8 MB and 0.9 s for N = 2^24 (one child, 2-core x86), about 6 MB
+# per 2^20 more, so 2^30 would take about 6 GB.  Cutoffs past 2^24 are refused.
+MAX_PARTITION_CUTOFF = 1 << 24
 
 # Terms per block in every vectorised fold, and integers per block in
 # `oracle`'s partition.  A block of 2^16 primes keeps its powers and factors
@@ -115,9 +126,10 @@ class NonConvergentError(ValueError):
 class TruncationSpec:
     """How far finite computations may run and how tight their tails must be.
 
-    Sizes stop at the walk's limits: a prime index whose `prime_ceiling`
-    passes MAX_PRIME_LIMIT, or a cutoff past MAX_DIRICHLET_TERMS, is refused
-    before any sieve or table is built."""
+    Sizes stop at their limits: a prime index whose `prime_ceiling` passes
+    MAX_PRIME_LIMIT, or a cutoff past MAX_PARTITION_CUTOFF (the cutoff sizes
+    `oracle.compare`'s partition table), is refused before any sieve or
+    table is built."""
 
     prime_index_i: int = 20
     dirichlet_cutoff_N: int = 10_000
@@ -131,8 +143,8 @@ class TruncationSpec:
                              f"the limit {MAX_PRIME_LIMIT}")
         if self.dirichlet_cutoff_N < 1:
             raise ValueError("dirichlet_cutoff_N must be >= 1")
-        if self.dirichlet_cutoff_N > MAX_DIRICHLET_TERMS:
-            raise ValueError(f"dirichlet_cutoff_N must be <= {MAX_DIRICHLET_TERMS}")
+        if self.dirichlet_cutoff_N > MAX_PARTITION_CUTOFF:
+            raise ValueError(f"dirichlet_cutoff_N must be <= {MAX_PARTITION_CUTOFF}")
         _check_tolerance(self.tolerance)
 
 
@@ -645,21 +657,36 @@ def _walk_to_feasible(z: complex, method: str, tolerance: float, count: int,
         count *= 2
 
 
+def _first_certifying(lo: int, hi: int, certifies: Callable[[int], bool]) -> int:
+    """Bisect (lo, hi], where `certifies(hi)` holds and `certifies(lo)` does
+    not (or lo lies below the counts searched), until the bracket is within
+    max(1, hi >> 5), and return hi: for a `certifies` monotone in the count,
+    a count within 1/32 of the first that certifies."""
+    while hi - lo > max(1, hi >> 5):
+        mid = (lo + hi) // 2
+        if certifies(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 # ----------------------------------------------------------------------
 # adaptive evaluation
 
 def _trace(z: complex, method: str, tolerance: float, count: int,
            offset: int = 0, every_step: bool = True) -> list[EvaluationResult]:
-    """The doubling driver behind every adaptive evaluation.
+    """The driver behind every adaptive evaluation.
 
-    Truncates at `count`, 2*`count`, 4*`count`, ... terms past the first
-    `offset` primes (Dirichlet runs have offset 0).  For the products each
-    step folds only its new primes, those at positions lo..offset+count-1
-    (0-based) with lo the previous step's end, into one running product or
-    prime-indexed sum, so each power is computed once over the whole run.
-    Records one result per step, with terms_used = count, and stops once
-    its certified bound is <= tolerance.  A Dirichlet run is one
-    `_dirichlet_fold` to the count the walk returns (see below).
+    Truncates at counts of terms past the first `offset` primes (Dirichlet
+    runs have offset 0): with `every_step` at `count`, 2*`count`,
+    4*`count`, ..., else at a count that certifies (below).  For the products
+    each step folds only its new primes, those at positions lo..offset+c-1
+    (0-based) for a step at count c, with lo the previous step's end, into
+    one running product or prime-indexed sum, so each power is computed once
+    over the whole run.  Records one result per step, with terms_used = c,
+    and stops once its certified bound is <= tolerance.  A Dirichlet run is
+    one `_dirichlet_fold` (see below).
 
     Each step's bound is truncation plus rounding.  Rounding is
     r = `_rounding_of`, which bounds |value - exact truncation|.  Truncation is
@@ -669,43 +696,57 @@ def _trace(z: complex, method: str, tolerance: float, count: int,
     factor differs from 1 by at most expm1(b).
 
     Before any work, `_walk_to_feasible` walks the doubling counts with
-    closed forms alone and stops at the first that may certify.  Every
-    value has modulus at least `floor` (0 for Dirichlet runs, whose bound
-    does not depend on the value; for products `_product_floor`, or 1 for
-    real s), and the n-th prime is at most `primes.prime_ceiling`(n), so a
-    product count certifies only if floor*expm1(b) + r(floor) <= tolerance
+    closed forms alone and stops at the first that may certify, `needed`.
+    Every value has modulus at least `floor` (0 for Dirichlet runs, whose
+    bound does not depend on the value; for products `_product_floor`, or 1
+    for real s), and the n-th prime is at most `primes.prime_ceiling`(n), so
+    a product count certifies only if floor*expm1(b) + r(floor) <= tolerance
     with b taken at that ceiling (`_log_tail_of` is nonincreasing).  The walk
     refuses at the first count past MAX_DIRICHLET_TERMS, whose sieve would
     pass MAX_PRIME_LIMIT, or whose r(count, floor) alone exceeds the
     tolerance: r is nondecreasing in count and in modulus, so no later count
     certifies.  The loop checks none of the three: each count it reaches is
-    at most the count the latest walk returned, which passed, and all three
-    are monotone in count.  After each product step, `floor` is raised to
-    that step's own lower bound on every later modulus, (|value| - r)*exp(-b),
-    when that is larger, and the walk resumes at the count it stopped at: a
-    larger floor only makes the counts it passed less feasible.
+    at most the latest `needed`, which passed, and all three are monotone in
+    count.  After each product step, `floor` is raised to that step's own
+    lower bound on every later modulus, (|value| - r)*exp(-b), when that is
+    larger, and the walk resumes from the next doubling count: a larger floor
+    only makes the counts it passed less feasible.  No count the walk passed
+    over could certify: there |value| >= floor, p_c <= `prime_ceiling`(c),
+    and r is nondecreasing in the modulus, so the loop's bound at c is at
+    least the walk's closed form, which exceeds the tolerance.
 
     With `every_step` (`convergence_trace`, which reports the whole story)
     the loop steps through every doubling count from `count`.  Without it
-    (`zeta_eval`, `correction_coefficient`) each step goes straight to the
-    count the walk returned, so the first window is [offset, offset + that
-    count) and a run usually folds once.  No skipped count could certify:
-    at every count c the walk passed over, |value| >= floor,
-    p_c <= `prime_ceiling`(c) with `_log_tail_of` nonincreasing, and r is
-    nondecreasing in the modulus, so the loop's bound at c is at least the
-    walk's closed form there, which exceeds the tolerance.  So both modes
-    answer or refuse alike, with the same terms_used.  Product values, and
-    so their bounds, differ in the last digits, as fewer, wider windows
-    group the fold differently; a bound within that of the tolerance, or a
-    refusal after a step (whose floor comes from other steps), could differ
-    too.
+    (`zeta_eval`, `correction_coefficient`) each step searches the bracket
+    (lo, `needed`] for a count that certifies (`_first_certifying`, to
+    within 1/32), lo the largest of the count folded so far, the doubling
+    count before `needed`, which the walk passed over, and the method's
+    first count less one.  So terms_used is at most `convergence_trace`'s
+    last, and the values differ from its in the last digits.
 
     A Dirichlet step's bound, `_dirichlet_tail` plus r(count, 0), is the
-    walk's closed form expression for expression, so the count the walk
-    returns is the first that certifies, and the doubling counts below it
-    are the cuts of one fold to it.  That fold gives every step's value, so
-    both modes report the same D(count) and bound, and the loop folds
-    products only.
+    walk's closed form expression for expression, so every doubling count up
+    to `needed` is a cut of one fold to it, from which `convergence_trace`
+    takes every step, while `zeta_eval` bisects that closed form and folds
+    once to the count found: its value is `dirichlet_partial`(terms_used)
+    bit for bit.
+
+    A product step bisects the sufficient form (M + r)*expm1(b) + r(c, M),
+    with b at the exact c-th prime past the offset, read from the first
+    offset + `needed` primes, which the fold to `needed` sieves anyway, and
+    M an upper bound on every later modulus: zeta(sigma) from `_zeta_bounds`
+    (|1/(1 - p^{-s})| <= 1/(1 - p^{-sigma})), lowered after each step to that
+    step's (|value| + r)*exp(b).  It searches only when the form holds at
+    `needed`, and otherwise folds to `needed` as the doubling loop would, so
+    no fold is taken that only the walk's necessary form allows.  M bounds
+    the exact modulus, not the computed one, so a fold short of `needed` can
+    still fail; the next step then searches the rest of the bracket, and
+    only a failed step at `needed` resumes the walk.  No count depends on
+    the cache beyond the first offset + `needed` primes.  `_rounding_of`
+    charges a product for at most count.bit_length() + 1 windows, each a
+    partial block and a multiply into the running value; the doubling counts
+    never fold more, and a fold short of `needed` is taken only while one
+    more window after it stays within that charge.
     """
     sigma = z.real
     zeta = _zeta_bounds(sigma)
@@ -716,17 +757,35 @@ def _trace(z: complex, method: str, tolerance: float, count: int,
         floor = 1.0 if z.imag == 0.0 else _product_floor(sigma, zeta)
     rounding_bound, log_tail = _rounding_of(z, method, zeta), _log_tail_of(sigma)
     needed = _walk_to_feasible(z, method, tolerance, count, offset, floor, rounding_bound, log_tail)
+    below = count - 1  # the first count, less one, bounds every search
     if method == METHOD_DIRICHLET:
-        kept = (needed // count).bit_length() if every_step else 1
-        values = _dirichlet_fold(needed, z)[-kept:]
-        return [EvaluationResult(value, method, c, _dirichlet_tail(c, z) + rounding_bound(c, 0.0))
-                for value, c in zip(values, (needed >> k for k in range(kept - 1, -1, -1)))]
+        def bound(c: int) -> float:
+            return _dirichlet_tail(c, z) + rounding_bound(c, 0.0)
+
+        if every_step:
+            counts = [needed >> k for k in range((needed // count).bit_length() - 1, -1, -1)]
+        else:
+            counts = [_first_certifying(max(below, needed // 2), needed,
+                                        lambda c: bound(c) <= tolerance)]
+        values = _dirichlet_fold(counts[-1], z)[-len(counts):]
+        return [EvaluationResult(value, method, c, bound(c)) for value, c in zip(values, counts)]
     steps: list[EvaluationResult] = []
     running = complex(1.0) if method == METHOD_EULER_PRODUCT else complex(0.0)
+    ceiling = zeta[1]
     lo = offset
     while True:
         if not every_step:
+            window = primes.first_primes(offset + needed)
+
+            def certifies(c: int, m: float = ceiling) -> bool:
+                r = rounding_bound(c, m)
+                return (m + r) * _expm1(log_tail(int(window[offset + c - 1]))) + r <= tolerance
+
             count = needed
+            if certifies(needed):
+                c = _first_certifying(max(below, needed // 2, lo - offset), needed, certifies)
+                if len(steps) < c.bit_length():
+                    count = c
         hi = offset + count
         blocks = _blocks(primes.first_primes(hi)[lo:], z)
         if method == METHOD_EULER_PRODUCT:
@@ -743,19 +802,25 @@ def _trace(z: complex, method: str, tolerance: float, count: int,
         steps.append(EvaluationResult(value, method, count, float(bound)))
         if bound <= tolerance:
             return steps
-        lo, count = hi, 2 * count
         # The factors past p_hi change |log| of every later value by at
-        # most b, so each has modulus at least this.
+        # most b, so each has modulus at least this, and at most `ceiling`.
         floor = max(floor, (abs(value) - rounding) * math.exp(-b))
-        needed = _walk_to_feasible(z, method, tolerance, max(count, needed), offset, floor,
-                                   rounding_bound, log_tail)
+        ceiling = min(ceiling, (abs(value) + rounding) * math.exp(b))
+        lo = hi
+        if every_step or count == needed:
+            count *= 2
+            needed = _walk_to_feasible(z, method, tolerance, max(count, needed), offset, floor,
+                                       rounding_bound, log_tail)
 
 
 def correction_coefficient(k: int, s, spec: TruncationSpec) -> EvaluationResult:
     """Truncation of the infinite product of 1/(1 - p_j^{-s}) over j >= k.
 
-    Grows the cutoff until the certified tail sits below spec.tolerance.
-    The k = 1 case is the full Euler product, i.e. zeta(s) itself.
+    Grows the cutoff until the certified tail sits below spec.tolerance,
+    folding to a count within 1/32 of the first that certifies (see
+    `_trace`), so terms_used is at most the doubling count, from 16 primes,
+    at which the every-step loop would stop.  The k = 1 case is the full
+    Euler product, i.e. zeta(s) itself.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -793,9 +858,11 @@ def zeta_eval(s, method: str = METHOD_REFORMULATED, tolerance: float = 1e-6) -> 
 
     `reformulated` returns 1 plus the prime-indexed sum, `euler_product` the
     plain finite product (the two agree identically, so this is a live
-    cross-check), `dirichlet` the partial sum of n^{-s}.  It folds only the
-    counts that may certify (see `_trace`), so terms_used is that of
-    `convergence_trace`'s last step, and a product value may differ from
-    its value by rounding, as it is folded in fewer, wider windows.
+    cross-check), `dirichlet` the partial sum of n^{-s}.  It folds once to a
+    count within 1/32 of the first that certifies (see `_trace`), so
+    terms_used is at most that of `convergence_trace`'s last step, which
+    stops at a doubling count, and the value differs from that step's in
+    the last digits.  A `dirichlet` value is `dirichlet_partial`(terms_used)
+    bit for bit.
     """
     return _checked_trace(s, method, tolerance, every_step=False)[-1]

@@ -95,12 +95,16 @@ def spf_partition_sum(s, N: int) -> PartitionTable:
     0.0), and a chunk costs O(chunk + pi(isqrt(N))), not O(pi(N)).  A term
     that is not finite raises as `methods._power_terms` does; a row whose sum
     leaves the double range although its terms did not raises
-    `PowerOverflowError` naming the lowest such row's prime.
+    `PowerOverflowError` naming the lowest such row's prime.  The table takes
+    about 6 MB per 2^20 integers, so N past `methods.MAX_PARTITION_CUTOFF`
+    is refused before it is built.
     """
     z = as_complex(s)
     N = int(N)
     if N < 2:
         raise ValueError("N must be >= 2")
+    if N > methods.MAX_PARTITION_CUTOFF:
+        raise ValueError(f"N must be <= {methods.MAX_PARTITION_CUTOFF}")
     rank = np.full(N + 1, -1, dtype=np.int32)
     base = primes.primes_up_to(math.isqrt(N))
     for k, p in enumerate(base):

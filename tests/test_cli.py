@@ -157,6 +157,7 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     ("exclusion", "--i", "54385775"),
     ("identity-check", "--s", "2", "--i", "54385775"),
     ("oracle-compare", "--s", "3", "--N", str((1 << 30) + 1)),
+    ("oracle-compare", "--s", "3", "--N", str((1 << 24) + 1)),
 ])
 def test_sizes_past_the_limits_are_refused_before_any_work(capsys, monkeypatch, argv):
     def forbidden(*args):
@@ -199,9 +200,12 @@ def test_eval_tolerance_below_1e_12_is_answered_when_certified(capsys):
     code, out, err = run_cli(capsys, "eval", "--s", "10", "--tol", "1e-13",
                              "--method", "dirichlet")
     assert (code, err) == (0, "")
+    # 23 terms: the first count that certifies, where converge's doubling
+    # steps stop at 32; the value is dirichlet_partial(23, 10).
     assert out.splitlines()[1] == (
-        "10,0,dirichlet,1.0009945751278155,0,32,1.4051992580476881e-14,0"
+        "10,0,dirichlet,1.0009945751277673,0,23,7.20272527553262e-14,0"
     )
+    assert methods.dirichlet_partial(23, 10).real == 1.0009945751277673
 
 
 @pytest.mark.parametrize("s", ["1.001", "1.000000001+1e12i"])

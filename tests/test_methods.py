@@ -204,12 +204,18 @@ OVERFLOW_POINTS = [
 ]
 
 
+def bits(v: complex) -> str:
+    return f"{v.real.hex()} {v.imag.hex()}"
+
+
 # float.hex of the real and imaginary parts, from the fold that summed each
 # cut's odd powers from a call of its own, before the lowest cuts shared one:
 # dirichlet_partial(N, s) for N = 2*chunk - 1, 2*chunk, 2*chunk + 1 and 2^20
-# (s = 3, 1.7-900i at each N), then zeta_eval(s, "dirichlet", tol) for
-# PINNED_EVALS, whose term counts are 2^20, 2^17, 2^15 and 2^11.
+# (s = 3, 1.7-900i at each N).  zeta_eval(s, "dirichlet", tol) for
+# PINNED_EVALS, whose doubling counts are PINNED_EVAL_COUNTS, folds to a
+# count past the doubling count before, and its value is that partial sum's.
 PINNED_EVALS = ((2, 1e-6), (2 + 10j, 1e-6), (2.5 + 300j, 1e-9), (1.7 - 900j, 1e-4))
+PINNED_EVAL_COUNTS = (2**20, 2**17, 2**15, 2**11)
 PINNED_DIRICHLET = {
     7: (
         "0x1.3306733808225p+0 0x0.0p+0",
@@ -220,10 +226,6 @@ PINNED_DIRICHLET = {
         "0x1.5b15dd5ca590ep-1 0x1.c4c8f6ce7adb4p-3",
         "0x1.33ba004efeb23p+0 0x0.0p+0",
         "0x1.6aa8e3cbc4f44p-1 0x1.ecc071ce48b3fp-3",
-        "0x1.a51a562530fa6p+0 0x0.0p+0",
-        "0x1.32aeee7a0df48p+0 -0x1.4448562e4c8d5p-4",
-        "0x1.19dab5beb18e4p+0 -0x1.02eea25e781a7p-3",
-        "0x1.6aa98a0ffadfap-1 0x1.ecbf40ba2027ap-3",
     ),
     64: (
         "0x1.33b7fc4b00676p+0 0x0.0p+0",
@@ -234,10 +236,6 @@ PINNED_DIRICHLET = {
         "0x1.6ad69c09ffa08p-1 0x1.f1bcee7ec9cdap-3",
         "0x1.33ba004effcfep+0 0x0.0p+0",
         "0x1.6aa8e3cbc4f44p-1 0x1.ecc071ce48b5cp-3",
-        "0x1.a51a562530fd6p+0 0x0.0p+0",
-        "0x1.32aeee7a0df4bp+0 -0x1.4448562e4c90ep-4",
-        "0x1.19dab5beb18e3p+0 -0x1.02eea25e781a5p-3",
-        "0x1.6aa98a0ffadf9p-1 0x1.ecbf40ba20278p-3",
     ),
     65536: (
         "0x1.33ba004ee061fp+0 0x0.0p+0",
@@ -248,10 +246,6 @@ PINNED_DIRICHLET = {
         "0x1.6aa8deab16376p-1 0x1.ecc0568665f14p-3",
         "0x1.33ba004effe20p+0 0x0.0p+0",
         "0x1.6aa8e3cbc4f25p-1 0x1.ecc071ce48b5dp-3",
-        "0x1.a51a562530fd2p+0 0x0.0p+0",
-        "0x1.32aeee7a0df48p+0 -0x1.4448562e4c91bp-4",
-        "0x1.19dab5beb18e0p+0 -0x1.02eea25e781a1p-3",
-        "0x1.6aa98a0ffadf8p-1 0x1.ecbf40ba20278p-3",
     ),
 }
 
@@ -263,8 +257,11 @@ def test_dirichlet_values_keep_their_bits(chunk, monkeypatch):
     monkeypatch.setattr(methods, "_CHUNK", chunk)
     got = [dirichlet_partial(N, s) for N in (2 * chunk - 1, 2 * chunk, 2 * chunk + 1, 1 << 20)
            for s in (3, 1.7 - 900j)]
-    got += [zeta_eval(s, METHOD_DIRICHLET, tol).value for s, tol in PINNED_EVALS]
-    assert [f"{v.real.hex()} {v.imag.hex()}" for v in got] == list(PINNED_DIRICHLET[chunk])
+    assert [bits(v) for v in got] == list(PINNED_DIRICHLET[chunk])
+    for (s, tol), doubling in zip(PINNED_EVALS, PINNED_EVAL_COUNTS):
+        got = zeta_eval(s, METHOD_DIRICHLET, tol)
+        assert doubling // 2 < got.terms_used <= doubling
+        assert bits(got.value) == bits(dirichlet_partial(got.terms_used, s))
 
 
 @pytest.mark.parametrize("chunk", [7, ONE_BLOCK])
@@ -795,9 +792,11 @@ def test_rounding_is_the_reason_a_real_product_is_refused(monkeypatch):
 
 def test_sigma_1_5_at_1e_4_is_answered():
     # The integer-sum tail could not certify this below the sieve limit; the
-    # prime-only tail needs 2^21 primes (a sieve to 3.5e7).
+    # prime-only tail first certifies past 2^20 primes, and the doubling
+    # count after it is 2^21 (a sieve to 3.5e7).
     got = zeta_eval(1.5, METHOD_EULER_PRODUCT, 1e-4)
-    assert got.terms_used == 2**21
+    assert convergence_trace(1.5, METHOD_EULER_PRODUCT, 1e-4)[-1].terms_used == 2**21
+    assert 2**20 < got.terms_used <= 2**21
     assert abs(got.value - 2.612375348685488) <= got.tail_error_bound <= 1e-4
 
 
@@ -816,14 +815,14 @@ def test_every_product_clears_the_refusal_floor(s):
 
 def test_feasible_tolerance_near_the_floor_is_still_answered():
     # sigma = 2.5, tol = 1e-10 is not ruled out by the floor or by rounding,
-    # so it takes the doubling loop; the prime-only tail certifies it at
-    # 2^17 primes, where the integer tail needed 2^19.
+    # so it takes the loop; the prime-only tail certifies it past 2^16
+    # primes and by the doubling count 2^17, where the integer tail needed 2^19.
     for method in (METHOD_EULER_PRODUCT, METHOD_REFORMULATED):
         got = zeta_eval(2.5, method, 1e-10)
-        assert got.terms_used == 131072
+        assert 65536 < got.terms_used <= 131072
         assert got.tail_error_bound <= 1e-10
     got = correction_coefficient(1, 2.5, TruncationSpec(tolerance=1e-10))
-    assert got.terms_used == 131072
+    assert 65536 < got.terms_used <= 131072
     assert got.tail_error_bound <= 1e-10
 
 
@@ -858,17 +857,26 @@ def warm_eval_points(seed):
 
 @pytest.mark.parametrize("seed", [7, 11, 23])
 def test_eval_folds_only_the_counts_the_certificate_allows(seed, monkeypatch):
-    # zeta_eval starts at the count the walk returns, so a product request
-    # evaluates exactly terms_used powers, in one window (two when the first
-    # certificate falls short), where convergence_trace folds every doubling;
-    # a Dirichlet request, trace or not, is one fold, with one call for its
-    # lowest cuts.
-    power_terms = methods._power_terms
-    sizes = []
+    # zeta_eval computes each power once.  A Dirichlet request, trace or not,
+    # is one fold, with one call for its lowest cuts, and zeta_eval's value is
+    # the partial sum at its own terms_used.  A product request evaluates
+    # exactly terms_used powers in at most one window per count the walk
+    # returned, as the doubling loop folds one window per such count.  Every
+    # answer certifies the trace's limit with at most the trace's terms_used.
+    power_terms, blocks, walk = methods._power_terms, methods._blocks, methods._walk_to_feasible
+    sizes, windows, walks = [], [], []
 
     def counted(n, z):
         sizes.append(len(n))
         return power_terms(n, z)
+
+    def counted_blocks(p_all, z):
+        windows.append(len(p_all))
+        return blocks(p_all, z)
+
+    def counted_walk(*args):
+        walks.append(args[3])
+        return walk(*args)
 
     def one_fold(N, where):
         # The ceil(N/2) odd powers and 2^{-s}, the lowest cuts' in one call
@@ -879,9 +887,10 @@ def test_eval_folds_only_the_counts_the_certificate_allows(seed, monkeypatch):
         assert len(sizes) == 1 or N > 2 * chunk - 2, (where, sizes)
 
     monkeypatch.setattr(methods, "_power_terms", counted)
-    windows = []
+    monkeypatch.setattr(methods, "_blocks", counted_blocks)
+    monkeypatch.setattr(methods, "_walk_to_feasible", counted_walk)
+    folds = []
     for s, tol in warm_eval_points(seed):
-        zeta = methods._zeta_bounds(s.real)
         for method in METHODS:
             sizes.clear()
             try:
@@ -893,19 +902,96 @@ def test_eval_folds_only_the_counts_the_certificate_allows(seed, monkeypatch):
                 continue
             if method == METHOD_DIRICHLET:
                 one_fold(last.terms_used, ("trace", s, tol))
-            sizes.clear()
+            for counts in (sizes, windows, walks):
+                counts.clear()
             got = zeta_eval(s, method, tol)
-            assert got.terms_used == last.terms_used, (s, tol, method)
+            assert got.terms_used <= last.terms_used, (s, tol, method)
+            assert abs(got.value - last.value) <= got.tail_error_bound + last.tail_error_bound
             if method == METHOD_DIRICHLET:
-                assert (got.value, got.tail_error_bound) == (last.value, last.tail_error_bound)
                 one_fold(got.terms_used, ("eval", s, tol))
+                assert bits(got.value) == bits(dirichlet_partial(got.terms_used, s))
                 continue
-            assert sum(sizes) == got.terms_used and len(sizes) <= 2, (s, tol, method, sizes)
-            windows.append(len(sizes))
-            rounding = sum(methods._rounding_of(s, method, zeta)(got.terms_used, abs(value))
-                           for value in (got.value, last.value))
-            assert abs(got.value - last.value) <= rounding, (s, tol, method)
-    assert windows.count(1) > windows.count(2) > 0
+            assert sum(sizes) == sum(windows) == got.terms_used, (s, tol, method, sizes)
+            assert len(windows) <= len(walks), (s, tol, method, windows, walks)
+            folds.append(len(windows))
+    # Most requests certify at their first fold; some take the walk's next count.
+    assert folds.count(1) > folds.count(2) > 0
+
+
+@pytest.mark.parametrize("seed", [7, 11, 23])
+def test_eval_dirichlet_count_is_within_a_32nd_of_the_first_that_certifies(seed):
+    # The closed form is the step's bound, so the count zeta_eval folds to
+    # certifies, and the count max(1, c >> 5) before it does not, unless c is
+    # the first count the trace tries.
+    answered = 0
+    for s, tol in warm_eval_points(seed):
+        zeta = methods._zeta_bounds(s.real)
+        rounding = methods._rounding_of(complex(s), METHOD_DIRICHLET, zeta)
+
+        def bound(c):
+            return methods._dirichlet_tail(c, complex(s)) + rounding(c, 0.0)
+
+        try:
+            got = zeta_eval(s, METHOD_DIRICHLET, tol)
+        except RuntimeError:
+            continue
+        c = got.terms_used
+        assert got.tail_error_bound == bound(c) <= tol, (s, tol)
+        assert c == 16 or bound(c - max(1, c >> 5)) > tol, (s, tol, c)
+        answered += 1
+    assert answered >= 50
+
+
+# Product requests that certify at their first fold, at a second one, at a
+# power of two and off it (warm_eval seed 7), and tail products.
+CACHE_POINTS = [(2, 1e-6), (2 + 10j, 1e-6), (3, 1e-10), (2.31189 + 696.634j, 3.26554e-08),
+                (2.7632 - 477.284j, 1.67724e-10), (2.03361 + 822.197j, 3.72144e-06)]
+CACHE_COEFFICIENTS = [(2, 2.5, 1e-8), (7, 2 + 10j, 1e-6), (40, 3 - 4j, 1e-9)]
+
+
+def cache_routes(every_step):
+    """(name, run) for every product request of CACHE_POINTS and
+    CACHE_COEFFICIENTS, as zeta_eval and correction_coefficient run them or,
+    with `every_step`, as the doubling loop does."""
+    for s, tol in CACHE_POINTS:
+        for method in (METHOD_EULER_PRODUCT, METHOD_REFORMULATED):
+            if every_step:
+                yield (s, method), lambda s=s, m=method, t=tol: convergence_trace(s, m, t)[-1]
+            else:
+                yield (s, method), lambda s=s, m=method, t=tol: zeta_eval(s, m, t)
+    for k, s, tol in CACHE_COEFFICIENTS:
+        if every_step:
+            yield (s, k), lambda s=s, k=k, t=tol: methods._trace(
+                complex(s), METHOD_EULER_PRODUCT, t, 16, k - 1)[-1]
+        else:
+            yield (s, k), lambda s=s, k=k, t=tol: correction_coefficient(
+                k, s, TruncationSpec(tolerance=t))
+
+
+def test_eval_grows_the_cache_no_further_than_the_doubling_loop(monkeypatch):
+    # The count each search finds depends only on primes the fold to the
+    # walk's count needs anyway, so a fresh cache grows no further than it
+    # does for the every-step loop.
+    reached = {}
+    for every_step in (True, False):
+        for name, run in cache_routes(every_step):
+            cache = primes.PrimeCache()
+            monkeypatch.setattr(primes, "_default_cache", cache)
+            run()
+            reached.setdefault(name, []).append((len(cache), cache.source_limit))
+    for name, (loop, eval_) in reached.items():
+        assert eval_[0] <= loop[0] and eval_[1] <= loop[1], (name, loop, eval_)
+
+
+def test_eval_does_not_depend_on_what_the_cache_holds(monkeypatch):
+    grown = primes.PrimeCache()
+    grown.extend_to_count(1 << 21)
+    got = []
+    for cache in (primes.PrimeCache(), grown):
+        monkeypatch.setattr(primes, "_default_cache", cache)
+        got.append([(bits(r.value), r.terms_used, r.tail_error_bound.hex())
+                    for r in (run() for _, run in cache_routes(every_step=False))])
+    assert got[0] == got[1]
 
 
 @pytest.mark.parametrize("fold", [euler_partial, reform_partial])
@@ -944,8 +1030,10 @@ def certified_grid(count, seed):
 
 def test_eval_matches_every_step_trace_and_holds_against_mpmath(monkeypatch):
     # zeta_eval and correction_coefficient answer and refuse what the
-    # every-step loop does, with its terms_used and messages, and every
-    # answer below |Im s| = 1e3 holds its bound against 40-digit mpmath.
+    # every-step loop does, with at most its terms_used and with its
+    # messages, a Dirichlet answer is the partial sum at its own terms_used,
+    # and every answer below |Im s| = 1e3 holds its bound against 40-digit
+    # mpmath.
     # Smaller limits keep the sieve, and this test's memory, small; the
     # refusals at them are compared like any other.
     mpmath = pytest.importorskip("mpmath")
@@ -975,7 +1063,9 @@ def test_eval_matches_every_step_trace_and_holds_against_mpmath(monkeypatch):
                     assert got == last, (s, tol, name)
                     outcomes["refused"] += 1
                     continue
-                assert got.terms_used == last.terms_used, (s, tol, name)
+                assert got.terms_used <= last.terms_used, (s, tol, name)
+                if name == METHOD_DIRICHLET:
+                    assert bits(got.value) == bits(dirichlet_partial(got.terms_used, s)), (s, tol)
                 outcomes["answered"] += 1
                 if abs(s.imag) > 1e3:
                     continue
@@ -1057,12 +1147,13 @@ def test_truncation_spec_validation():
     spec = TruncationSpec()
     assert spec.tolerance >= 1e-14
     # The walk's own rule: an index whose prime ceiling passes the sieve
-    # limit, or a cutoff past MAX_DIRICHLET_TERMS, is refused in O(1).
+    # limit is refused in O(1), and so is a cutoff whose partition table
+    # would pass MAX_PARTITION_CUTOFF.
     last = 54_385_774
     assert primes.prime_ceiling(last) <= methods.MAX_PRIME_LIMIT < primes.prime_ceiling(last + 1)
-    spec = TruncationSpec(prime_index_i=last, dirichlet_cutoff_N=methods.MAX_DIRICHLET_TERMS)
-    assert (spec.prime_index_i, spec.dirichlet_cutoff_N) == (last, 1 << 30)
+    spec = TruncationSpec(prime_index_i=last, dirichlet_cutoff_N=methods.MAX_PARTITION_CUTOFF)
+    assert (spec.prime_index_i, spec.dirichlet_cutoff_N) == (last, 1 << 24)
     with pytest.raises(ValueError, match="may need a sieve past the limit 1073741824"):
         TruncationSpec(prime_index_i=last + 1)
-    with pytest.raises(ValueError, match="dirichlet_cutoff_N must be <= 1073741824"):
-        TruncationSpec(dirichlet_cutoff_N=methods.MAX_DIRICHLET_TERMS + 1)
+    with pytest.raises(ValueError, match="dirichlet_cutoff_N must be <= 16777216"):
+        TruncationSpec(dirichlet_cutoff_N=methods.MAX_PARTITION_CUTOFF + 1)

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from zetasum import methods
+from zetasum import methods, oracle
 from zetasum.kernel import PowerOverflowError, power_term
 from zetasum.methods import (
     METHOD_DIRICHLET,
@@ -117,6 +117,22 @@ def test_partition_edge_cutoffs_match_scalar_reference(N, s):
     for p, value in expected.items():
         assert abs(table.row(p) - value) <= 1e-13 * abs(value)
         assert (table.row(p).imag == 0.0) == (complex(s).imag == 0.0)
+
+
+def test_partition_past_its_memory_budget_is_refused_before_any_table(monkeypatch):
+    # The rank table grows with N (about 128 MB at 2^24), so a larger N is
+    # refused before the sieve or the table starts.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started before the refusal")
+
+    limit = methods.MAX_PARTITION_CUTOFF
+    monkeypatch.setattr(np, "full", forbidden)
+    monkeypatch.setattr(oracle.primes, "primes_up_to", forbidden)
+    for s in (3, 2 - 5j):
+        with pytest.raises(ValueError, match=f"N must be <= {limit}$"):
+            spf_partition_sum(s, limit + 1)
+    monkeypatch.undo()
+    assert spf_partition_sum(3, 1000).cutoff_N == 1000
 
 
 @pytest.mark.parametrize("s", [-400, -400 + 3j, -130.5 - 7j])
