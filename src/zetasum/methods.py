@@ -26,7 +26,11 @@ cost is paid once, not once per cut.
 Each certified request computes what depends on s and the method alone
 once: `_zeta_bounds`, and the constants of the closed forms for rounding
 (`_rounding_of`) and for the product tail (`_log_tail_of`), which
-`_walk_to_feasible` then evaluates at every doubling count.
+`_walk_to_feasible` then evaluates at the doubling counts from the first
+that a closed-form lower bound on the truncation does not rule out
+(`_last_ruled_out`).  With Re(s) > 1 no factor 1 - p^{-s} can come near 0
+and no power's phase can overflow, so `_blocks` skips its singular-point
+scan and `_dirichlet_fold` its per-cut overflow tests.
 
 The three evaluation methods and the tail products share one driver
 (`_trace`): record the value at a count together with an honest upper bound
@@ -178,18 +182,32 @@ def _power_terms(n: np.ndarray, z: complex) -> np.ndarray:
 
 def _blocks(p_all: np.ndarray, z: complex):
     """Yield (p, t, f) with t = p^{-z} and f = 1/(1 - t) over p_all,
-    ascending, in chunks of at most _CHUNK primes."""
+    ascending, in chunks of at most _CHUNK primes.
+
+    A block raises `SingularPointError` at its prime of least |1 - t| when
+    that gap is below DEFAULT_SINGULAR_TOL.  The scan is skipped when
+    1 - 2^{-Re z} >= 2*DEFAULT_SINGULAR_TOL, as for every certified request
+    (Re z > 1): no gap can then be below the tolerance.  For sigma = Re z > 0
+    and every prime p, |1 - t| >= 1 - |t| = 1 - p^{-sigma} >= 1 - 2^{-sigma}.
+    The computed t has modulus within a few u of p^{-sigma} (the real part
+    of -z*ln p, and exp, each round by about u relative), and 1 - t and its
+    modulus round by about u more, so the computed gap is at least
+    1 - 2^{-sigma} - 1e-15, which at the skip threshold is still about
+    twice the tolerance of 1e-9.
+    """
+    scan = not (z.real > 0.0 and 1.0 - 2.0 ** -z.real >= 2.0 * DEFAULT_SINGULAR_TOL)
     for a in range(0, len(p_all), _CHUNK):
         p = p_all[a : a + _CHUNK]
         t = _power_terms(p, z)
         d = 1.0 - t
-        gap = np.abs(d)
-        worst = int(np.argmin(gap))
-        if gap[worst] < DEFAULT_SINGULAR_TOL:
-            raise SingularPointError(int(p[worst]), z, float(gap[worst]))
-        # This frame lives on across the yield: hold no array beyond t and f,
-        # and none of them once the consumer asks for the next block.
-        del gap
+        if scan:
+            gap = np.abs(d)
+            worst = int(np.argmin(gap))
+            if gap[worst] < DEFAULT_SINGULAR_TOL:
+                raise SingularPointError(int(p[worst]), z, float(gap[worst]))
+            # This frame lives on across the yield: hold no array beyond t
+            # and f, and none of them once the consumer asks for the next block.
+            del gap
         yield p, t, np.divide(1.0, d, out=d)
         del t, d
 
@@ -269,14 +287,17 @@ def _dirichlet_fold(N: int, z: complex) -> list[complex]:
     summing every power would.  Every window is tested before any is summed;
     a window that passes its test holds only finite powers, so no sum could
     have raised first.  When every power is finite but D or O is not, the
-    error names `N`.
+    error names `N`.  No cut is tested when Re(z) >= 0 and
+    |Im z|*ln N <= _PHASE_SAFE, as for every certified request: then no
+    cut c <= N can fail either test.
     """
     cuts = [N >> k for k in range(N.bit_length() - 1, -1, -1)]
-    for c in cuts:
-        ln_c = math.log(c)
-        if -z.real * ln_c > _LOG_SAFE or abs(z.imag) * ln_c > _PHASE_SAFE:
-            for a in range((c >> 1) + 1, c + 1, _CHUNK):
-                _power_terms(np.arange(a, min(c + 1, a + _CHUNK), dtype=np.float64), z)
+    if z.real < 0.0 or abs(z.imag) * math.log(N) > _PHASE_SAFE:
+        for c in cuts:
+            ln_c = math.log(c)
+            if -z.real * ln_c > _LOG_SAFE or abs(z.imag) * ln_c > _PHASE_SAFE:
+                for a in range((c >> 1) + 1, c + 1, _CHUNK):
+                    _power_terms(np.arange(a, min(c + 1, a + _CHUNK), dtype=np.float64), z)
     # Slot 0 of the head holds 2^{-z}, slot j the j-th odd n, so the odd
     # n <= c, (c + 1) // 2 of them, end at slot (c + 1) // 2.  For N = 1,
     # which has no even n, slot 0 holds 1^{-z}, only ever times D(0) = 0.
@@ -407,6 +428,15 @@ def _expm1(x: float) -> float:
     return math.expm1(x) if x < 709.0 else math.inf
 
 
+_HEAD_LOGS = [math.log(k) for k in range(1, 9)]
+_LOG_8_5 = math.log(8.5)
+
+
+def _zeta_head(sigma: float) -> list[float]:
+    """The first eight terms of the series for zeta(sigma)."""
+    return [k ** -sigma for k in range(1, 9)]
+
+
 def _zeta_bounds(sigma: float) -> tuple[float, float, float]:
     """(lo, hi, d) with lo <= zeta(sigma) <= hi and -zeta'(sigma) <= d, for
     sigma > 1, in closed form.
@@ -416,12 +446,12 @@ def _zeta_bounds(sigma: float) -> tuple[float, float, float]:
     convex for n >= 5, and a convex f has f(n) <= the integral of f over
     [n - 1/2, n + 1/2].
     """
-    head = [k ** -sigma for k in range(1, 9)]
+    head = _zeta_head(sigma)
     lo = math.fsum(head)
     c = sigma - 1.0
     rest = 8.5 ** -c
-    d = math.fsum(h * math.log(k) for k, h in enumerate(head, 1))
-    return lo, lo + rest / c, d + rest * (math.log(8.5) / c + 1.0 / (c * c))
+    d = math.fsum(h * log_k for h, log_k in zip(head, _HEAD_LOGS))
+    return lo, lo + rest / c, d + rest * (_LOG_8_5 / c + 1.0 / (c * c))
 
 
 def _product_floor(sigma: float, zeta: tuple[float, float, float]) -> float:
@@ -430,9 +460,10 @@ def _product_floor(sigma: float, zeta: tuple[float, float, float]) -> float:
 
     Each factor has |1/(1 - p^{-s})| >= 1/(1 + p^{-sigma}), which is below 1,
     so a product over any set of primes has modulus at least the product of
-    1/(1 + p^{-sigma}) over all primes, zeta(2*sigma)/zeta(sigma).
+    1/(1 + p^{-sigma}) over all primes, zeta(2*sigma)/zeta(sigma), and
+    zeta(2*sigma) is at least its first eight terms.
     """
-    return _zeta_bounds(2.0 * sigma)[0] / zeta[1]
+    return math.fsum(_zeta_head(2.0 * sigma)) / zeta[1]
 
 
 def _integral_tail(x: float, sigma: float) -> float:
@@ -612,6 +643,51 @@ def _rounding_of(z: complex, method: str,
     return reformulated
 
 
+# Relative margin, in logs, by which `_last_ruled_out`'s lower bound must
+# exceed the tolerance: far above the few ulps by which the walk's closed
+# forms and the logs here round.
+_RULE_OUT_MARGIN = 1e-6
+
+
+def _last_ruled_out(z: complex, method: str, tolerance: float, magnitude: float) -> int:
+    """The largest n such that the truncation `_walk_to_feasible` computes
+    exceeds the tolerance at every Dirichlet count up to n, or, for a value
+    of modulus `magnitude`, at every product count c with offset + c <= n
+    (n is a prime index); 0 if there is none.  Closed form, in logs, so
+    that sigma close to 1 cannot overflow.
+
+    - Dirichlet: both forms of `_dirichlet_tail`(N) are at least
+      N^(1-sigma)/|z-1|, as |z-1| >= sigma-1, and that exceeds the
+      tolerance for ln N < -ln(tolerance*|z-1|)/(sigma-1).  n stops at
+      MAX_DIRICHLET_TERMS.
+    - Products: the truncation is magnitude*expm1(log_tail(x)) >=
+      magnitude*log_tail(x), and for 2 <= x <= MAX_PRIME_LIMIT,
+      log_tail(x) >= x^(1-sigma)*K with K = min(2/(sigma-1),
+      slope/ln MAX_PRIME_LIMIT) (`_log_tail_of`; 1/(1 - x^-sigma) >= 1).
+      That exceeds the tolerance for every x < X = min(MAX_PRIME_LIMIT,
+      (magnitude*K/tolerance)^(1/(sigma-1))).  x = `primes.prime_ceiling`(i)
+      is 11 for i < 6, and for i >= 6 at most i*(ln i + ln ln i), which is
+      below X for i <= X/(ln X + ln ln X): i is then below X, and so are
+      ln i and ln ln i.  It holds with room, X - x >= i*(ln X - ln i) >= i,
+      far above the rounding of the floats.
+    """
+    sigma = z.real
+    c = sigma - 1.0
+    if method == METHOD_DIRICHLET:
+        log_n = (-math.log(tolerance) - math.log(abs(z - 1.0)) - _RULE_OUT_MARGIN) / c
+        if log_n >= math.log(MAX_DIRICHLET_TERMS):
+            return MAX_DIRICHLET_TERMS
+        return int(math.exp(log_n)) if log_n > 0.0 else 0
+    slope = primes.PI_UPPER * sigma / c - 1.0
+    k = min(2.0 / c, slope / math.log(MAX_PRIME_LIMIT))
+    log_x = (math.log(magnitude) + math.log(k) - math.log(tolerance) - _RULE_OUT_MARGIN) / c
+    x = MAX_PRIME_LIMIT if log_x >= math.log(MAX_PRIME_LIMIT) else math.exp(log_x)
+    if x <= 11.0:
+        return 0
+    log_x = math.log(x)
+    return max(5, int(x / (log_x + math.log(log_x))))
+
+
 def _walk_to_feasible(z: complex, method: str, tolerance: float, count: int,
                       offset: int, magnitude: float,
                       rounding_bound: Callable[[int, float], float],
@@ -623,12 +699,28 @@ def _walk_to_feasible(z: complex, method: str, tolerance: float, count: int,
     `rounding_bound` and `log_tail` are the request's `_rounding_of` and
     `_log_tail_of`, built once for every walk of a request.
 
+    The walk starts past the doubling counts whose truncation
+    `_last_ruled_out` proves above the tolerance, when the last of them
+    passes the limit and rounding checks below: both are monotone in the
+    count, so every count skipped would pass them too and then fall short,
+    and the walk returns or refuses as if it had stepped through them.
+    Otherwise it steps from `count`.
+
     A refusal at the sieve limit names the count before the one it stopped
     at, which fell short (in this walk, an earlier one or a step of
     `_trace`) or lies below the first count `_trace` tries.  The count it
     stopped at is only bounded, by `primes.prime_ceiling`, so it is not
     named.
     """
+    last = _last_ruled_out(z, method, tolerance, magnitude) - offset
+    if last >= count:
+        last = count << ((last // count).bit_length() - 1)
+        if method == METHOD_DIRICHLET:
+            within = last <= MAX_DIRICHLET_TERMS
+        else:
+            within = primes.prime_ceiling(offset + last) <= MAX_PRIME_LIMIT
+        if within and rounding_bound(last, magnitude) <= tolerance:
+            count = 2 * last
     while True:
         if method == METHOD_DIRICHLET:
             if count > MAX_DIRICHLET_TERMS:
@@ -697,6 +789,9 @@ def _trace(z: complex, method: str, tolerance: float, count: int,
 
     Before any work, `_walk_to_feasible` walks the doubling counts with
     closed forms alone and stops at the first that may certify, `needed`.
+    It starts past the counts that `_last_ruled_out`, a closed-form lower
+    bound on the truncation solved for the count, proves short, and returns
+    and refuses as a walk from `count` would.
     Every value has modulus at least `floor` (0 for Dirichlet runs, whose
     bound does not depend on the value; for products `_product_floor`, or 1
     for real s), and the n-th prime is at most `primes.prime_ceiling`(n), so

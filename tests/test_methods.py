@@ -527,6 +527,36 @@ def test_reform_partial_reports_the_lowest_failing_block(i, s, error, prime, mon
     assert excinfo.value.prime == prime
 
 
+def test_singular_scan_is_skipped_only_where_no_gap_can_reach_the_tolerance(monkeypatch):
+    # `_blocks` skips its scan for 1 - 2^{-sigma} >= 2*tol.  For sigma > 0,
+    # |1 - p^{-s}| >= 1 - p^{-sigma} >= 1 - 2^{-sigma}, and the computed gap
+    # is within about 1e-15 of the exact one, so just above the threshold
+    # every gap clears tol.  Heights 2*pi*k/ln 2 put 2^{-s} on the positive
+    # real axis, where its gap is least.
+    tol = kernel.DEFAULT_SINGULAR_TOL
+    threshold = -math.log2(1.0 - 2.0 * tol)
+    p = first_primes(1 << 16)
+    heights = [0.0, 1e3, -7.5e8, 1e15] + [2.0 * math.pi * k / math.log(2.0) for k in (1, -3, 10**6)]
+    scans = []
+    argmin = np.argmin
+    monkeypatch.setattr(np, "argmin", lambda a: scans.append(a.size) or argmin(a))
+    monkeypatch.setattr(methods, "_CHUNK", 1 << 15)
+    for sigma, scanned in ((threshold * (1.0 + 1e-6), 0), (threshold * (1.0 - 1e-6), 2)):
+        for t in heights:
+            z = complex(sigma, t)
+            gap = np.abs(1.0 - methods._power_terms(p, z))
+            assert gap.min() >= tol, (z, gap.min())
+            scans.clear()
+            for _ in methods._blocks(p, z):
+                pass
+            assert len(scans) == scanned, (z, scans)
+    # Below the threshold the scan still fires where a gap is below tol.
+    sigma = -math.log2(1.0 - 0.5 * tol)
+    with pytest.raises(SingularPointError) as excinfo:
+        euler_partial(3, complex(sigma, 2.0 * math.pi / math.log(2.0)))
+    assert excinfo.value.prime == 2
+
+
 # ----------------------------------------------------------------------
 # tails
 
@@ -731,6 +761,30 @@ def test_rounding_above_the_tolerance_is_refused_before_any_work(s, tol, method,
     assert (len(cache), cache.source_limit, powers) == (0, 1, [])
 
 
+# (lo, hi, d) of `_zeta_bounds` and `_product_floor`, as hex.
+ZETA_CONSTANT_BITS = {
+    1.0001: (("0x1.5bdb79e5a2161p+1", "0x1.38849f54a9263p+13", "0x1.7d783ffb62208p+26"),
+             "0x1.404801f73223ap-13"),
+    1.5: (("0x1.ed3aaed14e925p+0", "0x1.4e6c0105a5ed7p+1", "0x1.f761ee18b012cp+1"),
+          "0x1.d46d28c6a924dp-2"),
+    2.0: (("0x1.870521b131047p+0", "0x1.a5233fcf4f229p+0", "0x1.e0236777e63fep-1"),
+          "0x1.50afe39e357eap-1"),
+    3.5: (("0x1.1ff5cd9f0aeffp+0", "0x1.207240a72cf1fp+0", "0x1.cf6888f606c0bp-4"),
+          "0x1.ca3361f045f42p-1"),
+    40.0: (("0x1.0000000001000p+0", "0x1.0000000001000p+0", "0x1.62e433451c8b5p-41"),
+           "0x1.fffffffffe000p-1"),
+}
+
+
+@pytest.mark.parametrize("sigma", sorted(ZETA_CONSTANT_BITS))
+def test_zeta_constants_keep_their_bits(sigma):
+    # Every certified bound is built on these; a cheaper form of them must
+    # not move a bit.
+    zeta = methods._zeta_bounds(sigma)
+    floor = methods._product_floor(sigma, zeta)
+    assert (tuple(x.hex() for x in zeta), floor.hex()) == ZETA_CONSTANT_BITS[sigma]
+
+
 def test_rounding_is_nondecreasing_in_count_and_magnitude():
     # The premise of the up-front refusal: once _rounding_of's bound at
     # (count, floor) exceeds the tolerance, so does every later step's bound.
@@ -751,6 +805,95 @@ def test_rounding_is_nondecreasing_in_count_and_magnitude():
             for count in counts:
                 r = [methods._rounding_of(z, method, zeta)(count, m) for m in magnitudes]
                 assert all(a <= b for a, b in zip(r, r[1:])), (z, method, count)
+
+
+def stepped_walk(z, method, tolerance, count, offset, magnitude, rounding_bound, log_tail):
+    """The feasibility walk as it stepped every doubling count from `count`,
+    the reference for `methods._walk_to_feasible`."""
+    while True:
+        if method == METHOD_DIRICHLET:
+            if count > methods.MAX_DIRICHLET_TERMS:
+                raise RuntimeError(
+                    f"certifying this tolerance needs more than {methods.MAX_DIRICHLET_TERMS} "
+                    "Dirichlet terms; relax the tolerance or pick another method"
+                )
+            truncation = methods._dirichlet_tail(count, z)
+        else:
+            x = primes.prime_ceiling(offset + count)
+            if x > methods.MAX_PRIME_LIMIT:
+                raise RuntimeError(
+                    f"certifying this tolerance needs more than the first "
+                    f"{offset + count // 2} primes, and going further may need a sieve past "
+                    f"the limit {methods.MAX_PRIME_LIMIT}; relax the tolerance or pick another method"
+                )
+            truncation = magnitude * methods._expm1(log_tail(x))
+        rounding = rounding_bound(count, magnitude)
+        if rounding > tolerance:
+            raise RuntimeError(
+                f"rounding alone may reach {rounding:.3e} at s = {z}, above the "
+                f"tolerance {tolerance:.3e}; relax the tolerance"
+            )
+        if truncation + rounding <= tolerance:
+            return count
+        count *= 2
+
+
+def walk_outcome(walk, *args):
+    try:
+        return "answer", walk(*args)
+    except RuntimeError as exc:
+        return str(exc).split(" ")[0], str(exc)
+
+
+def test_walk_starts_past_the_counts_it_rules_out_and_ends_where_stepping_would():
+    # The closed-form start skips only counts the stepped walk passes over,
+    # so both return the same count or raise the same message; and at the
+    # largest index `_last_ruled_out` names, the walk's own truncation
+    # exceeds the tolerance.  Re(s) within 1e-4 of 1 drives the ruled-out
+    # counts to the limits, where a root taken outside logs would overflow.
+    rng = random.Random(20261019)
+    tally = {}
+    for _ in range(6000):
+        if rng.random() < 0.2:
+            sigma = 1.0 + 10.0 ** rng.uniform(-12.0, -4.0)
+        else:
+            sigma = 1.0001 + 38.9999 * rng.random() ** 3
+        t = 0.0 if rng.random() < 0.3 else rng.choice((-1, 1)) * 10.0 ** rng.uniform(-3.0, 15.0)
+        z = complex(sigma, t)
+        method = rng.choice(METHODS)
+        tolerance = 10.0 ** rng.uniform(-16.0, -1.0)
+        count = 1 << rng.randrange(25)
+        zeta = methods._zeta_bounds(sigma)
+        if method == METHOD_DIRICHLET:
+            offset, magnitude = 0, 0.0
+        else:
+            offset = 0 if rng.random() < 0.5 else int(10.0 ** rng.uniform(0.0, 6.0))
+            floor = 1.0 if t == 0.0 else methods._product_floor(sigma, zeta)
+            magnitude = rng.choice((floor, zeta[1], rng.uniform(floor, zeta[1])))
+        log_tail = methods._log_tail_of(sigma)
+        args = (z, method, tolerance, count, offset, magnitude,
+                methods._rounding_of(z, method, zeta), log_tail)
+        got = walk_outcome(methods._walk_to_feasible, *args)
+        assert got == walk_outcome(stepped_walk, *args), args[:6]
+        kind = (got[0], "dirichlet" if method == METHOD_DIRICHLET else "products")
+        tally[kind] = tally.get(kind, 0) + 1
+        n = methods._last_ruled_out(z, method, tolerance, magnitude)
+        if n < 1:
+            continue
+        if method == METHOD_DIRICHLET:
+            assert methods._dirichlet_tail(n, z) > tolerance, args[:6]
+        else:
+            x = primes.prime_ceiling(n)
+            assert x <= methods.MAX_PRIME_LIMIT, args[:6]
+            assert magnitude * methods._expm1(log_tail(x)) > tolerance, args[:6]
+        if n - offset >= count:
+            kind = ("skipped", got[0])
+            tally[kind] = tally.get(kind, 0) + 1
+    for kind in ("answer", "rounding", "certifying"):
+        for route in ("dirichlet", "products"):
+            assert tally.get((kind, route), 0) >= 100, tally
+        # Skips that end in an answer, a rounding refusal, or at a limit.
+        assert tally.get(("skipped", kind), 0) >= 100, tally
 
 
 def test_tolerances_below_1e_12_are_certified_or_refused():
