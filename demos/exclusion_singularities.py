@@ -8,16 +8,22 @@ contrast the true lattice with the odd-multiple grid Im(s) = (1+2k)*pi/ln(p),
 where p^{-s} = -1 and nothing blows up at all.
 """
 
+import cmath
 import math
 
 from zetasum import (
     SingularPointError,
-    euler_factor,
+    euler_partial,
     explicit_exclusion_point,
     in_exclusion_set,
-    prime_power_term,
     singular_point,
 )
+
+
+def power(p, s):
+    """p^(-s) in plain complex arithmetic."""
+    return cmath.exp(-s * math.log(p))
+
 
 print("=" * 72)
 print("Approaching the k = 1 lattice point of p = 2 along the real direction")
@@ -27,10 +33,10 @@ target = singular_point(2, 1)
 print(f"target s0 = {target.imag:.12f}i  (2*pi/ln 2)")
 for eps in (1e-1, 1e-3, 1e-5, 1e-7):
     s = complex(eps, target.imag)
-    factor = euler_factor(2, s)
+    factor = euler_partial(1, s)  # the one factor of p = 2
     print(f"  s = s0 + {eps:<7.0e}  |factor| = {abs(factor):12.4e}")
 try:
-    euler_factor(2, target)
+    euler_partial(1, target)
 except SingularPointError as exc:
     print(f"  s = s0 exactly   -> {exc}")
 
@@ -55,8 +61,8 @@ print("=" * 72)
 print(f"{'p':>3} {'k':>3} {'even: |1 - p^(-s)|':>20} {'odd: |1 - p^(-s)|':>20}")
 for p in (2, 3, 5):
     for k in (-1, 0, 1):
-        even = abs(1 - prime_power_term(p, singular_point(p, k)))
-        odd = abs(1 - prime_power_term(p, explicit_exclusion_point(p, k)))
+        even = abs(1 - power(p, singular_point(p, k)))
+        odd = abs(1 - power(p, explicit_exclusion_point(p, k)))
         print(f"{p:>3} {k:>3} {even:>20.3e} {odd:>20.3f}")
 
 print()

@@ -12,7 +12,6 @@ from zetasum import (
     correction_coefficient,
     dirichlet_partial,
     nth_prime,
-    prime_power_term,
     smooth_numbers,
     spf_partition_sum,
     zeta_eval,
@@ -37,7 +36,7 @@ spec = TruncationSpec(tolerance=1e-10)
 for k in range(1, 7):
     p = nth_prime(k)
     row = table.row(p).real
-    predicted = (correction_coefficient(k, S, spec).value * prime_power_term(p, S)).real
+    predicted = (correction_coefficient(k, S, spec).value * p ** -S).real
     print(f"{k:>3} {p:>5} {row:>18.12f} {predicted:>20.12f} {abs(row - predicted):>12.2e}")
 
 print()
@@ -49,7 +48,7 @@ print("=" * 72)
 print("Row convergence as the cutoff grows (k = 1, the even numbers)")
 print("=" * 72)
 
-predicted = (correction_coefficient(1, S, spec).value * prime_power_term(2, S)).real
+predicted = (correction_coefficient(1, S, spec).value * 2 ** -S).real
 for cutoff in (10, 100, 1000, 10_000, 100_000):
     row = spf_partition_sum(S, cutoff).row(2).real
     print(f"  N = {cutoff:>7}: row = {row:.12f}   gap = {abs(row - predicted):.2e}")

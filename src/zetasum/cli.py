@@ -283,18 +283,23 @@ def _run_converge(args: argparse.Namespace, spec: TruncationSpec):
     return header, rows
 
 
+def _factor_gap(p: int, s: complex) -> float:
+    """|1 - p^{-s}|, computed as `methods._blocks` scans it for singular points."""
+    return float(abs(1.0 - methods._power_terms([p], s))[0])
+
+
 def _run_exclusion(args: argparse.Namespace, spec: TruncationSpec):
     header = ["source", "prime", "k", "s_re", "s_im", "factor_gap", "singular"]
     rows = []
     for p in primes.first_primes(spec.prime_index_i).tolist():
         for k in args.k_range:
             point = kernel.singular_point(p, k)
-            gap = abs(1.0 - kernel.prime_power_term(p, point))
+            gap = _factor_gap(p, point)
             rows.append(["definitional", p, k, point.real, point.imag, gap,
                          gap < DEFAULT_SINGULAR_TOL])
             if args.compare:
                 fixture = kernel.explicit_exclusion_point(p, k)
-                fixture_gap = abs(1.0 - kernel.prime_power_term(p, fixture))
+                fixture_gap = _factor_gap(p, fixture)
                 rows.append(["explicit", p, k, fixture.real, fixture.imag, fixture_gap,
                              fixture_gap < DEFAULT_SINGULAR_TOL])
     return header, rows

@@ -1,13 +1,13 @@
-"""Scalar complex primitives.
+"""Errors, the coercion of s, and the singular lattice.
 
-Powers n^{-s} are built as magnitude n^{-Re(s)} and phase -Im(s)*ln(n), so
-the magnitude is exactly the real power and conjugating s conjugates the
-result.  Anything that would leave the double range raises instead of
-letting inf or NaN escape.
+Every n^{-s} in the library comes from `methods._power_terms`; this module
+holds what the routes, the oracles and the CLI share around it: the
+errors a power or a factor raises, `as_complex`, and the lattice of points
+where a reciprocal factor 1/(1 - p^{-s}) is undefined.
 
-The reciprocal factors 1/(1 - p^{-s}) blow up exactly on the imaginary-axis
-lattice Im(s) = 2*pi*k/ln(p); `in_exclusion_set` reports the nearest such
-point within tolerance.  A second grid at odd multiples of pi/ln(p), where
+The factors blow up exactly on the imaginary-axis lattice
+Im(s) = 2*pi*k/ln(p); `in_exclusion_set` reports the nearest such point
+within tolerance.  A second grid at odd multiples of pi/ln(p), where
 p^{-s} = -1 and the factors are perfectly finite, is kept available as a
 fixture (`explicit_exclusion_points`) because it is easily mistaken for the
 singular lattice.
@@ -71,64 +71,6 @@ def as_complex(s) -> complex:
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError(f"s must be finite, got {z}")
     return z
-
-
-def power_term(n: int, s) -> complex:
-    """n^{-s} for an integer n >= 1.
-
-    Finite exactly when both parts are finite.  A modulus just past the
-    double range can still have finite parts, |cos| and |sin| of the phase
-    being below 1; such parts are built as (m*cos)*m and (m*sin)*m with
-    m = n^{-Re(s)/2}.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    z = as_complex(s)
-    if z.imag == 0.0:
-        try:
-            return complex(math.pow(n, -z.real), 0.0)
-        except OverflowError:
-            raise PowerOverflowError(n, z) from None
-    phase = -z.imag * math.log(n)
-    if not math.isfinite(phase):
-        raise PowerOverflowError(n, z)
-    cos, sin = math.cos(phase), math.sin(phase)
-    try:
-        mag = math.pow(n, -z.real)
-        re, im = mag * cos, mag * sin
-    except OverflowError:
-        try:
-            half = math.pow(n, -0.5 * z.real)
-        except OverflowError:
-            raise PowerOverflowError(n, z) from None
-        re, im = half * cos * half, half * sin * half
-    if not (math.isfinite(re) and math.isfinite(im)):
-        raise PowerOverflowError(n, z)
-    return complex(re, im)
-
-
-def prime_power_term(p: int, s) -> complex:
-    """p^{-s} for a prime p (only p >= 2 is enforced)."""
-    if p < 2:
-        raise ValueError("p must be >= 2")
-    return power_term(p, s)
-
-
-def euler_factor(p: int, s, tol: float = DEFAULT_SINGULAR_TOL) -> complex:
-    """1/(1 - p^{-s}).
-
-    Raises:
-        SingularPointError: when |1 - p^{-s}| < tol, i.e. s sits within
-            tolerance of the singular lattice for this prime.
-    """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    t = prime_power_term(p, s)
-    d = complex(1.0 - t.real, -t.imag)
-    gap = abs(d)
-    if gap < tol:
-        raise SingularPointError(p, s, gap)
-    return 1.0 / d
 
 
 def singular_point(p: int, k: int) -> complex:

@@ -7,13 +7,11 @@ one block iterator (`_blocks`) yields p, t = p^{-s} and f = 1/(1 - t) chunk
 by chunk, with the overflow and singular-point checks, and two reductions
 consume it: the product multiplies the factors, and the prime-indexed sum
 folds forward by the paper's induction step S_{i+1} = f_{i+1}*(t_{i+1} + S_i).
-`_identity` runs both in one pass.  `oracle`'s sums take their powers from
-`_power_terms` too.  `kernel`'s scalar powers are the reference the tests
-compare against; the library calls them only for single powers, in
-`oracle`'s coefficient checks and the `exclusion` report
-(`kernel.prime_power_term`).  Every fold works in cache-sized blocks of
-`_CHUNK` terms and holds one block at a time, so its memory does not grow
-with the number of terms.
+`_identity` runs both in one pass.  `oracle`'s sums and coefficient checks
+and the `exclusion` report take their powers from `_power_terms` too, the
+last two one power at a time; the library has no other n^{-s}.  Every fold
+works in cache-sized blocks of `_CHUNK` terms and holds one block at a
+time, so its memory does not grow with the number of terms.
 
 The Dirichlet sum D(x) = sum_{n <= x} n^{-s} uses the first Euler factor
 as a finite identity: every even n <= x is 2m with m <= floor(x/2), so

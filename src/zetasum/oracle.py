@@ -9,9 +9,9 @@ from the product code they check.
 Both are array code over the package's one vectorised n^{-s},
 `methods._power_terms`: the smooth sum over the array of smooth numbers,
 the partition over [2, N] in chunks of `methods._CHUNK` integers, grouped
-into rows by one smallest-prime-factor sieve and `np.bincount`.  The scalar
-`kernel.power_term` stays the independent reference the tests check both
-against.
+into rows by one smallest-prime-factor sieve and `np.bincount`.  The
+coefficient checks take their single p_k^{-s} from it too: the power that
+scales the tail product is the one the partition row of p_k sums.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import methods, primes
-from .kernel import as_complex, prime_power_term
+from .kernel import as_complex
 from .methods import NonConvergentError, TruncationSpec, correction_coefficient
 
 
@@ -135,7 +135,7 @@ def _predicted_row(k: int, z: complex, spec: TruncationSpec) -> tuple[int, compl
     """p_k and the certified tail product from p_k on times p_k^{-s}."""
     coeff = correction_coefficient(k, z, spec)
     p_k = primes.nth_prime(k)
-    return p_k, coeff.value * prime_power_term(p_k, z)
+    return p_k, coeff.value * complex(methods._power_terms([p_k], z)[0])
 
 
 def coefficient_crosscheck(k: int, s, N: int, spec: TruncationSpec) -> float:

@@ -185,25 +185,6 @@ def nth_prime(k: int, cache: PrimeCache | None = None) -> int:
     return int(cache.primes[k - 1])
 
 
-def smallest_prime_factor(n: int, cache: PrimeCache | None = None) -> int:
-    """Least prime dividing n (trial division against the cache).
-
-    Raises:
-        ValueError: for n < 2.
-    """
-    n = int(n)
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    cache = cache if cache is not None else default_cache()
-    root = math.isqrt(n)
-    cache.extend_to(root)
-    cut = int(np.searchsorted(cache.primes, root, side="right"))
-    for p in cache.primes[:cut].tolist():
-        if n % p == 0:
-            return p
-    return n
-
-
 def smooth_numbers(i: int, bound: int, cache: PrimeCache | None = None) -> list[int]:
     """All n <= bound whose prime factors lie among the first i primes,
     ascending.

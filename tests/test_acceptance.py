@@ -18,13 +18,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from scalar_reference import euler_factor, prime_power_term
 from zetasum.kernel import (
     SingularPointError,
-    euler_factor,
     explicit_exclusion_point,
     explicit_exclusion_points,
     in_exclusion_set,
-    prime_power_term,
     singular_point,
 )
 from zetasum.methods import (

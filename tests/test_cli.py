@@ -8,8 +8,10 @@ import sys
 
 import pytest
 
+from scalar_reference import power_term
 from zetasum import methods, oracle, primes
 from zetasum.cli import main, parse_complex_literal, parse_k_range
+from zetasum.kernel import explicit_exclusion_point, singular_point
 
 
 def run_cli(capsys, *argv):
@@ -258,19 +260,27 @@ def test_converge_rows_per_step(capsys):
 
 
 def test_exclusion_compare_table(capsys):
-    code, out, _ = run_cli(capsys, "exclusion", "--i", "3", "--k-range", "-2..2", "--compare")
-    assert code == 0
-    header, rows = parse_csv(out)
-    assert header == ["source", "prime", "k", "s_re", "s_im", "factor_gap", "singular"]
-    assert len(rows) == 3 * 5 * 2
-    for row in rows:
-        record = dict(zip(header, row))
-        if record["source"] == "definitional":
-            assert float(record["factor_gap"]) < 1e-9
-            assert record["singular"] == "true"
-        else:
-            assert abs(float(record["factor_gap"]) - 2.0) < 1e-12
-            assert record["singular"] == "false"
+    # Every gap is the scalar reference's |1 - p^(-s)| to the last bit, on the
+    # README's grid and on the first 200 primes with k from -50 to 50.
+    points = {"definitional": singular_point, "explicit": explicit_exclusion_point}
+    for i, k_range in ((3, "-2..2"), (200, "-50..50")):
+        code, out, _ = run_cli(capsys, "exclusion", "--i", str(i), "--k-range", k_range,
+                               "--compare")
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert header == ["source", "prime", "k", "s_re", "s_im", "factor_gap", "singular"]
+        assert len(rows) == i * len(parse_k_range(k_range)) * 2
+        for row in rows:
+            record = dict(zip(header, row))
+            p, k = int(record["prime"]), int(record["k"])
+            point = points[record["source"]](p, k)
+            assert record["factor_gap"] == format(abs(1 - power_term(p, point)), ".17g")
+            if record["source"] == "definitional":
+                assert float(record["factor_gap"]) < 1e-9
+                assert record["singular"] == "true"
+            else:
+                assert abs(float(record["factor_gap"]) - 2.0) < 1e-12
+                assert record["singular"] == "false"
 
 
 def test_oracle_compare_all_pass(capsys):

@@ -1,4 +1,6 @@
-"""Complex primitives: power terms, reciprocal factors, singular lattice."""
+"""The singular lattice and `kernel`'s errors, and the scalar reference
+powers and reciprocal factors (`scalar_reference`) that the library's
+vectorised powers are checked against."""
 
 import math
 from fractions import Fraction
@@ -7,17 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scalar_reference import euler_factor, power_term, prime_power_term
 from zetasum import kernel
 from zetasum.kernel import (
     DEFAULT_SINGULAR_TOL,
     PowerOverflowError,
     SingularPointError,
-    euler_factor,
     explicit_exclusion_point,
     explicit_exclusion_points,
     in_exclusion_set,
-    power_term,
-    prime_power_term,
     singular_point,
 )
 from zetasum.primes import first_primes

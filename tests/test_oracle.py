@@ -8,8 +8,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from scalar_reference import power_term, smallest_prime_factor
 from zetasum import methods, oracle
-from zetasum.kernel import PowerOverflowError, power_term
+from zetasum.kernel import PowerOverflowError
 from zetasum.methods import (
     METHOD_DIRICHLET,
     METHOD_EULER_PRODUCT,
@@ -25,7 +26,7 @@ from zetasum.oracle import (
     smooth_sum_oracle,
     spf_partition_sum,
 )
-from zetasum.primes import first_primes, primes_up_to, smallest_prime_factor, smooth_numbers
+from zetasum.primes import first_primes, primes_up_to, smooth_numbers
 
 
 def scalar_partition(s, N: int) -> dict[int, complex]:

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scalar_reference import smallest_prime_factor
 from zetasum import primes
-from zetasum.primes import PrimeCache, nth_prime, primes_up_to, smallest_prime_factor, smooth_numbers
+from zetasum.primes import PrimeCache, nth_prime, primes_up_to, smooth_numbers
 
 
 def trial_division_is_prime(n: int) -> bool:
