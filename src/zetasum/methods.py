@@ -129,9 +129,9 @@ class TruncationSpec:
     """How far finite computations may run and how tight their tails must be.
 
     Sizes stop at their limits: a prime index whose `prime_ceiling` passes
-    MAX_PRIME_LIMIT, or a cutoff past MAX_PARTITION_CUTOFF (the cutoff sizes
-    `oracle.compare`'s partition table), is refused before any sieve or
-    table is built."""
+    MAX_PRIME_LIMIT, or a cutoff below 2 or past MAX_PARTITION_CUTOFF (the
+    cutoff sizes `oracle.compare`'s partition table over [2, N]), is refused
+    before any sieve or table is built."""
 
     prime_index_i: int = 20
     dirichlet_cutoff_N: int = 10_000
@@ -143,8 +143,8 @@ class TruncationSpec:
         if primes.prime_ceiling(self.prime_index_i) > MAX_PRIME_LIMIT:
             raise ValueError(f"prime_index_i = {self.prime_index_i} may need a sieve past "
                              f"the limit {MAX_PRIME_LIMIT}")
-        if self.dirichlet_cutoff_N < 1:
-            raise ValueError("dirichlet_cutoff_N must be >= 1")
+        if self.dirichlet_cutoff_N < 2:
+            raise ValueError("dirichlet_cutoff_N must be >= 2")
         if self.dirichlet_cutoff_N > MAX_PARTITION_CUTOFF:
             raise ValueError(f"dirichlet_cutoff_N must be <= {MAX_PARTITION_CUTOFF}")
         _check_tolerance(self.tolerance)

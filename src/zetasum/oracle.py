@@ -73,8 +73,7 @@ def smooth_sum_oracle(i: int, s, bound: int) -> complex:
         raise NonConvergentError("the smooth-number sum", z)
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    n = np.asarray(primes.smooth_numbers(i, bound), dtype=np.float64)
-    return complex(methods._power_terms(n, z).sum())
+    return complex(methods._power_terms(primes.smooth_numbers(i, bound), z).sum())
 
 
 def spf_partition_sum(s, N: int) -> PartitionTable:

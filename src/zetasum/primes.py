@@ -1,13 +1,14 @@
 """Prime generation and caching.
 
 A single growing sieve backs every prime-indexed computation in this
-package.  The cache extends itself on demand, at least doubling the sieved
-range each time so repeated extension stays amortized.  Each extension
-sieves odd numbers only, in segments of `_SEGMENT` flags that stay in
-cache, and writes each segment's primes straight into one int64 array
-preallocated by the Rosser & Schoenfeld (1962) bound on pi(x) (`PI_UPPER`).
-The cache lives in memory only: re-sieving a range is faster than reading
-its primes back from a file.
+package: the shared cache `default_cache()`, built empty at import, which
+every helper here reads and grows.  It extends itself on demand, at least
+doubling the sieved range each time so repeated extension stays amortized.
+Each extension sieves odd numbers only, in segments of `_SEGMENT` flags
+that stay in cache, and writes each segment's primes straight into one
+int64 array preallocated by the Rosser & Schoenfeld (1962) bound on pi(x)
+(`PI_UPPER`).  The cache lives in memory only: re-sieving a range is faster
+than reading its primes back from a file.
 """
 
 from __future__ import annotations
@@ -134,66 +135,58 @@ class PrimeCache:
         return max(int(prime_ceiling(count)) + 16, 2 * self._source_limit)
 
 
-_default_cache: PrimeCache | None = None
+_default_cache = PrimeCache()
 
 
 def default_cache() -> PrimeCache:
-    """Shared cache used whenever an operation is not handed one explicitly."""
-    global _default_cache
-    if _default_cache is None:
-        _default_cache = PrimeCache()
+    """The shared cache every prime lookup in the package reads and grows."""
     return _default_cache
 
 
 def reset_default_cache() -> None:
-    """Drop the shared cache; the next use starts an empty one."""
+    """Replace the shared cache with a fresh, empty one."""
     global _default_cache
-    _default_cache = None
+    _default_cache = PrimeCache()
 
 
-def first_primes(count: int, cache: PrimeCache | None = None) -> np.ndarray:
+def first_primes(count: int) -> np.ndarray:
     """First `count` primes, ascending, as a read-only int64 array."""
     if count < 0:
         raise ValueError("count must be >= 0")
-    cache = cache if cache is not None else default_cache()
+    cache = default_cache()
     cache.extend_to_count(count)
     return cache.primes[:count]
 
 
-def primes_up_to(limit: int, cache: PrimeCache | None = None) -> list[int]:
-    """All primes <= limit, ascending.  Empty for limit < 2.
-
-    Args:
-        limit: Inclusive upper bound.
-        cache: Cache to query and grow; defaults to the shared one.
-    """
-    cache = cache if cache is not None else default_cache()
+def primes_up_to(limit: int) -> list[int]:
+    """All primes <= limit, ascending.  Empty for limit < 2."""
     limit = int(limit)
     if limit < 2:
         return []
+    cache = default_cache()
     cache.extend_to(limit)
     cut = int(np.searchsorted(cache.primes, limit, side="right"))
     return cache.primes[:cut].tolist()
 
 
-def nth_prime(k: int, cache: PrimeCache | None = None) -> int:
+def nth_prime(k: int) -> int:
     """The k-th prime, 1-indexed: nth_prime(1) == 2."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    cache = cache if cache is not None else default_cache()
+    cache = default_cache()
     cache.extend_to_count(k)
     return int(cache.primes[k - 1])
 
 
-def smooth_numbers(i: int, bound: int, cache: PrimeCache | None = None) -> list[int]:
-    """All n <= bound whose prime factors lie among the first i primes,
-    ascending.
+def smooth_numbers(i: int, bound: int) -> np.ndarray:
+    """All n <= bound whose prime factors lie among the first i primes, as a
+    sorted array.
 
     Includes n = 1 (the empty factorization).  Built by multiplying prime
     powers outward rather than filtering 1..bound, since smooth numbers are
     sparse at large bounds: for each prime p, the numbers found so far times
     p, p^2, ... as arrays, each step keeping only the numbers <= bound // p.
-    The arrays are int64 when bound fits one, else Python ints.
+    The array is int64 when bound fits one, else of Python ints (object).
     """
     if i < 1:
         raise ValueError("i must be >= 1")
@@ -201,7 +194,7 @@ def smooth_numbers(i: int, bound: int, cache: PrimeCache | None = None) -> list[
     if bound < 1:
         raise ValueError("bound must be >= 1")
     values = np.ones(1, dtype=np.int64 if bound <= np.iinfo(np.int64).max else object)
-    for p in first_primes(i, cache).tolist():
+    for p in first_primes(i).tolist():
         if p > bound:
             break
         cap, found = bound // p, [values]
@@ -209,4 +202,4 @@ def smooth_numbers(i: int, bound: int, cache: PrimeCache | None = None) -> list[
             found.append(found[-1][found[-1] <= cap] * p)
         values = np.concatenate(found)
     values.sort()
-    return values.tolist()
+    return values

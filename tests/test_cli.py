@@ -378,15 +378,19 @@ def test_oracle_compare_refuses_an_unreachable_tolerance_before_the_table(capsys
     assert "a sieve past" in err
 
 
-def test_oracle_compare_cutoff_one_refuses_the_tolerance_first(capsys):
-    # The tail products run before the partition table, whose N >= 2 check
-    # is reached only by a tolerance they can certify.
-    code, _, err = run_cli(capsys, "oracle-compare", "--s", "1.5", "--N", "1", "--tol", "1e-8")
-    assert code == 1
-    assert "a sieve past" in err
-    code, _, err = run_cli(capsys, "oracle-compare", "--s", "3", "--N", "1")
-    assert code == 2
-    assert "N must be >= 2" in err
+def test_oracle_compare_cutoff_one_is_refused_before_any_work(capsys, monkeypatch):
+    # The partition table needs N >= 2, so the spec refuses N = 1 before the
+    # smooth sum or any tail product runs, whatever the tolerance.
+    def not_reached(*args, **kwargs):
+        raise AssertionError("ran before the cutoff was checked")
+
+    monkeypatch.setattr(oracle, "smooth_sum_oracle", not_reached)
+    monkeypatch.setattr(methods, "correction_coefficient", not_reached)
+    monkeypatch.setattr(oracle, "correction_coefficient", not_reached)
+    for argv in (("--s", "1.5", "--N", "1", "--tol", "1e-8"), ("--s", "3", "--N", "1")):
+        code, out, err = run_cli(capsys, "oracle-compare", *argv)
+        assert (code, out) == (2, "")
+        assert "usage error: dirichlet_cutoff_N must be >= 2" in err
 
 
 # ----------------------------------------------------------------------

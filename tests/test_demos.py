@@ -3,7 +3,6 @@ the bytes committed under `tests/expected/`, and the README's quick tour
 runs as printed."""
 
 import doctest
-import os
 import shlex
 import subprocess
 import sys
@@ -30,9 +29,7 @@ README_COMMANDS = {
 
 
 def run_python(*argv):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, *argv], capture_output=True, env=env, check=False)
+    done = subprocess.run([sys.executable, *argv], capture_output=True, check=False)
     assert done.returncode == 0, done.stderr.decode()
     return done.stdout
 

@@ -1277,6 +1277,9 @@ def test_truncation_spec_validation():
         TruncationSpec(prime_index_i=0)
     with pytest.raises(ValueError):
         TruncationSpec(dirichlet_cutoff_N=0)
+    with pytest.raises(ValueError, match="dirichlet_cutoff_N must be >= 2"):
+        TruncationSpec(dirichlet_cutoff_N=1)
+    assert TruncationSpec(dirichlet_cutoff_N=2).dirichlet_cutoff_N == 2
     spec = TruncationSpec()
     assert spec.tolerance >= 1e-14
     # The walk's own rule: an index whose prime ceiling passes the sieve

@@ -226,6 +226,19 @@ def test_smooth_sum_matches_scalar_reference(i, s, bound):
     assert (got.imag == 0.0) == (complex(s).imag == 0.0)
 
 
+@pytest.mark.parametrize("i, s, bound, re, im", [
+    (20, 2.5 + 3j, 10**5, "0x1.b80392403abf5p-1", "-0x1.95b455e472811p-4"),
+    (3, 3.0, 10**4, "0x1.32463d29f13dap+0", "0x0.0p+0"),
+    (7, 2 - 5j, 10**9, "0x1.b4c802f60012ep-1", "-0x1.985aa633b3347p-4"),
+    (2, 1.5, 2**63 - 1, "0x1.ea62c71022c1cp+0", "0x0.0p+0"),
+    (1, 2 + 7j, 2**63, "0x1.f1b6f75cb6061p-1", "0x1.fea37d5185a81p-3"),
+])
+def test_smooth_sum_bits_are_pinned(i, s, bound, re, im):
+    # Exact bits over int64 smooth numbers and, at bound 2^63, over Python ints.
+    got = smooth_sum_oracle(i, s, bound)
+    assert (got.real.hex(), got.imag.hex()) == (re, im)
+
+
 def test_partition_table_holds_two_read_only_arrays():
     N = 10**6
     primes_up_to(math.isqrt(N))  # grow the shared prime cache outside the trace

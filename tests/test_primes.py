@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from scalar_reference import smallest_prime_factor
 from zetasum import primes
-from zetasum.primes import PrimeCache, nth_prime, primes_up_to, smooth_numbers
+from zetasum.primes import PrimeCache, first_primes, nth_prime, primes_up_to, smooth_numbers
 
 
 def trial_division_is_prime(n: int) -> bool:
@@ -31,40 +31,43 @@ def trial_division_primes(limit: int) -> list[int]:
 
 
 @pytest.fixture
-def cache():
-    return PrimeCache()
+def cache(monkeypatch):
+    # A fresh cache installed as the shared one, which every helper reads.
+    fresh = PrimeCache()
+    monkeypatch.setattr(primes, "_default_cache", fresh)
+    return fresh
 
 
 def test_primes_up_to_trivial(cache):
-    assert primes_up_to(10, cache) == [2, 3, 5, 7]
-    assert primes_up_to(1, cache) == []
-    assert primes_up_to(0, cache) == []
-    assert primes_up_to(2, cache) == [2]
+    assert primes_up_to(10) == [2, 3, 5, 7]
+    assert primes_up_to(1) == []
+    assert primes_up_to(0) == []
+    assert primes_up_to(2) == [2]
 
 
 def test_primes_up_to_100_matches_trial_division(cache):
-    got = primes_up_to(100, cache)
+    got = primes_up_to(100)
     assert got == trial_division_primes(100)
     assert len(got) == 25
     assert got[-1] == 97
 
 
 def test_primes_up_to_larger_range_matches_trial_division(cache):
-    assert primes_up_to(3000, cache) == trial_division_primes(3000)
+    assert primes_up_to(3000) == trial_division_primes(3000)
 
 
 def test_nth_prime(cache):
-    assert nth_prime(1, cache) == 2
-    assert nth_prime(4, cache) == 7
-    assert nth_prime(25, cache) == 97
+    assert nth_prime(1) == 2
+    assert nth_prime(4) == 7
+    assert nth_prime(25) == 97
     with pytest.raises(ValueError):
-        nth_prime(0, cache)
+        nth_prime(0)
 
 
 def test_nth_prime_agrees_with_primes_up_to(cache):
-    listed = primes_up_to(1000, cache)
+    listed = primes_up_to(1000)
     for k in (1, 2, 10, len(listed)):
-        assert nth_prime(k, cache) == listed[k - 1]
+        assert nth_prime(k) == listed[k - 1]
 
 
 @given(limit=st.integers(min_value=0, max_value=2000))
@@ -164,14 +167,14 @@ def smooth_by_filtering(i: int, bound: int) -> list[int]:
 
 
 def test_smooth_numbers_examples(cache):
-    assert smooth_numbers(1, 8, cache) == [1, 2, 4, 8]
-    assert smooth_numbers(2, 10, cache) == [1, 2, 3, 4, 6, 8, 9]
-    assert smooth_numbers(1, 1, cache) == [1]
+    assert smooth_numbers(1, 8).tolist() == [1, 2, 4, 8]
+    assert smooth_numbers(2, 10).tolist() == [1, 2, 3, 4, 6, 8, 9]
+    assert smooth_numbers(1, 1).tolist() == [1]
 
 
 @pytest.mark.parametrize("i,bound", [(1, 300), (2, 500), (3, 500), (4, 210)])
 def test_smooth_numbers_match_filtering(cache, i, bound):
-    assert smooth_numbers(i, bound, cache) == smooth_by_filtering(i, bound)
+    assert smooth_numbers(i, bound).tolist() == smooth_by_filtering(i, bound)
 
 
 def smooth_by_products(i: int, bound: int) -> list[int]:
@@ -194,16 +197,17 @@ def smooth_by_products(i: int, bound: int) -> list[int]:
 @pytest.mark.parametrize("i,bound", [(20, 10**5), (7, 10**9), (1, 2**63 - 1), (1, 2**63),
                                      (2, 10**25), (30, 97)])
 def test_smooth_numbers_match_the_scalar_products(cache, i, bound):
-    # Past int64 (2^63 and up) the arrays hold Python ints; the list is the same.
-    got = smooth_numbers(i, bound, cache)
-    assert got == smooth_by_products(i, bound)
-    assert {type(n) for n in got} == {int}
+    # Past int64 (2^63 and up) the array holds Python ints; the list is the same.
+    got = smooth_numbers(i, bound)
+    assert got.dtype == (np.int64 if bound <= 2**63 - 1 else object)
+    assert got.tolist() == smooth_by_products(i, bound)
+    assert {type(n) for n in got.tolist()} == {int}
 
 
 def test_smooth_numbers_membership_follows_spf_chain(cache):
     bound, i = 400, 3
-    p_i = nth_prime(i, cache)
-    members = set(smooth_numbers(i, bound, cache))
+    p_i = nth_prime(i)
+    members = set(smooth_numbers(i, bound).tolist())
     for n in range(1, bound + 1):
         m = n
         while m > 1:
@@ -221,13 +225,36 @@ def test_default_cache_in_memory_without_env(monkeypatch, tmp_path):
     stale = tmp_path / "stale.txt"
     stale.write_text("2\n3\n7\n11\n")
     monkeypatch.setenv("ZETA_PRIME_CACHE", str(stale))
+    before = primes.default_cache()
+    assert isinstance(before, PrimeCache)
     primes.reset_default_cache()
     try:
+        assert primes.default_cache() is not before
         assert len(primes.default_cache()) == 0
         assert primes_up_to(12) == [2, 3, 5, 7, 11]
         assert stale.read_text() == "2\n3\n7\n11\n"
     finally:
         primes.reset_default_cache()
+
+
+@pytest.mark.parametrize("helper, reach", [
+    (lambda: first_primes(100), 541),
+    (lambda: primes_up_to(1000), 1000),
+    (lambda: nth_prime(100), 541),
+    (lambda: smooth_numbers(100, 10**4), 541),
+], ids=["first_primes", "primes_up_to", "nth_prime", "smooth_numbers"])
+def test_each_helper_reads_and_grows_the_installed_cache(monkeypatch, helper, reach):
+    # The helpers look the shared cache up at every call: each sieves into
+    # whichever cache is installed then, and leaves the one before it alone.
+    first, second = PrimeCache(), PrimeCache()
+    monkeypatch.setattr(primes, "_default_cache", first)
+    expected = helper()
+    grown = (len(first), first.source_limit)
+    assert first.source_limit >= reach
+    monkeypatch.setattr(primes, "_default_cache", second)
+    assert np.array_equal(helper(), expected)
+    assert (len(second), second.source_limit) == grown
+    assert (len(first), first.source_limit) == grown
 
 
 def test_count_estimate_reaches_the_nth_prime():
