@@ -17,7 +17,7 @@ scales the tail product is the one the partition row of p_k sums.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,32 +31,21 @@ class PartitionTable:
     """Sums of n^{-s} over n in [2, N], grouped by smallest prime factor:
     `sums[k]` (complex128) is the row of `primes[k]`, and `primes` (int64,
     ascending) is `primes.primes_up_to(N)`; both read-only.  Every n <= N has
-    its smallest prime factor <= N, so the rows partition [2, N] exhaustively.
-    `s` is the point the rows were summed at, named by `total()`'s error."""
+    its smallest prime factor <= N, so the rows partition [2, N] exhaustively."""
 
     cutoff_N: int
     primes: np.ndarray
     sums: np.ndarray
-    s: complex = field(default=complex("nan"), compare=False, kw_only=True)
 
     def row(self, p: int) -> complex:
         """The row of p; 0j when p is not a prime <= N, whose row is empty."""
-        at = np.flatnonzero(self.primes == p)
-        return complex(self.sums[at[0]]) if at.size else complex(0.0)
+        at = int(np.searchsorted(self.primes, p))
+        hit = at < self.primes.size and self.primes[at] == p
+        return complex(self.sums[at]) if hit else complex(0.0)
 
     def total(self) -> complex:
-        """Sum of all rows, added one after another in ascending prime order.
-
-        Raises `PowerOverflowError` naming the prime whose row first takes the
-        running total out of the double range, when every row is finite but
-        their sum is not."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            running = np.cumsum(self.sums)
-        total = complex(running[-1])
-        if not methods._finite(total):  # a sum that leaves the range stays out
-            p = int(self.primes[np.flatnonzero(~np.isfinite(running))[0]])
-            raise methods._overflow(f"the partition total at prime {p}", p, self.s)
-        return total
+        """Sum of all rows, added one after another in ascending prime order."""
+        return complex(np.cumsum(self.sums)[-1])
 
     def addition_depth(self) -> int:
         """Most additions a term meets on its way into 1 + total(): its row's in a
@@ -91,14 +80,17 @@ def spf_partition_sum(s, N: int) -> PartitionTable:
     ascending n; its bin `last` gathers the rest and is dropped.  A prime
     past isqrt(N) is the smallest factor of itself alone, so one mask per
     chunk adds its one term onto its row's 0, as bincount would (-0.0 reads
-    0.0), and a chunk costs O(chunk + pi(isqrt(N))), not O(pi(N)).  A term
-    that is not finite raises as `methods._power_terms` does; a row whose sum
-    leaves the double range although its terms did not raises
-    `PowerOverflowError` naming the lowest such row's prime.  The table takes
+    0.0), and a chunk costs O(chunk + pi(isqrt(N))), not O(pi(N)).
+
+    Re(s) <= 1 is refused before any sieve or table.  Past it every row and
+    the total have modulus at most zeta(Re s), so only a power whose phase
+    overflows can raise, as `methods._power_terms` does.  The table takes
     about 6 MB per 2^20 integers, so N past `methods.MAX_PARTITION_CUTOFF`
     is refused before it is built.
     """
     z = as_complex(s)
+    if z.real <= 1.0:
+        raise NonConvergentError("the partition", z)
     N = int(N)
     if N < 2:
         raise ValueError("N must be >= 2")
@@ -122,12 +114,8 @@ def spf_partition_sum(s, N: int) -> PartitionTable:
         sums.imag[:last] += np.bincount(group, weights=t.imag, minlength=last + 1)[:last]
         big = r >= last
         sums[r[big]] += t[big]
-    bad = np.flatnonzero(~np.isfinite(sums))
-    if bad.size:
-        p = int(found[bad[0]])
-        raise methods._overflow(f"the partition row of prime {p}", p, z)
     found.flags.writeable = sums.flags.writeable = False
-    return PartitionTable(cutoff_N=N, primes=found, sums=sums, s=z)
+    return PartitionTable(cutoff_N=N, primes=found, sums=sums)
 
 
 def _predicted_row(k: int, z: complex, spec: TruncationSpec) -> tuple[int, complex]:

@@ -186,7 +186,9 @@ def smooth_numbers(i: int, bound: int) -> np.ndarray:
     powers outward rather than filtering 1..bound, since smooth numbers are
     sparse at large bounds: for each prime p, the numbers found so far times
     p, p^2, ... as arrays, each step keeping only the numbers <= bound // p.
-    The array is int64 when bound fits one, else of Python ints (object).
+    Only the primes <= min(p_i, bound) are read, so an i past pi(bound)
+    costs no more sieving than pi(bound) does.  The array is int64 when
+    bound fits one, else of Python ints (object).
     """
     if i < 1:
         raise ValueError("i must be >= 1")
@@ -194,9 +196,8 @@ def smooth_numbers(i: int, bound: int) -> np.ndarray:
     if bound < 1:
         raise ValueError("bound must be >= 1")
     values = np.ones(1, dtype=np.int64 if bound <= np.iinfo(np.int64).max else object)
-    for p in first_primes(i).tolist():
-        if p > bound:
-            break
+    ps = first_primes(i).tolist() if prime_ceiling(i) <= bound else primes_up_to(bound)[:i]
+    for p in ps:
         cap, found = bound // p, [values]
         while found[-1].size:
             found.append(found[-1][found[-1] <= cap] * p)

@@ -172,6 +172,13 @@ def test_smooth_numbers_examples(cache):
     assert smooth_numbers(1, 1).tolist() == [1]
 
 
+def test_smooth_numbers_read_no_prime_past_the_bound(cache):
+    # The 25 primes <= 100 are all a bound of 100 admits, so a million more
+    # change nothing and must not be sieved.
+    assert np.array_equal(smooth_numbers(10**6, 100), smooth_numbers(25, 100))
+    assert cache.source_limit <= 256
+
+
 @pytest.mark.parametrize("i,bound", [(1, 300), (2, 500), (3, 500), (4, 210)])
 def test_smooth_numbers_match_filtering(cache, i, bound):
     assert smooth_numbers(i, bound).tolist() == smooth_by_filtering(i, bound)
