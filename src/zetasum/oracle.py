@@ -39,9 +39,8 @@ class PartitionTable:
 
     def row(self, p: int) -> complex:
         """The row of p; 0j when p is not a prime <= N, whose row is empty."""
-        at = int(np.searchsorted(self.primes, p))
-        hit = at < self.primes.size and self.primes[at] == p
-        return complex(self.sums[at]) if hit else complex(0.0)
+        at = min(int(np.searchsorted(self.primes, p)), self.primes.size - 1)
+        return complex(self.sums[at]) if self.primes[at] == p else complex(0.0)
 
     def total(self) -> complex:
         """Sum of all rows, added one after another in ascending prime order."""

@@ -196,8 +196,7 @@ def smooth_numbers(i: int, bound: int) -> np.ndarray:
     if bound < 1:
         raise ValueError("bound must be >= 1")
     values = np.ones(1, dtype=np.int64 if bound <= np.iinfo(np.int64).max else object)
-    ps = first_primes(i).tolist() if prime_ceiling(i) <= bound else primes_up_to(bound)[:i]
-    for p in ps:
+    for p in primes_up_to(int(min(bound, prime_ceiling(i))))[:i]:
         cap, found = bound // p, [values]
         while found[-1].size:
             found.append(found[-1][found[-1] <= cap] * p)
