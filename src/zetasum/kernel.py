@@ -41,10 +41,11 @@ class SingularPointError(ValueError):
 class PowerOverflowError(OverflowError):
     """A power term or running aggregate left the double-precision range.
 
-    `prime` is the lowest n whose n^{-s} is not finite; for a prime fold, the
-    first prime at which the running Euler product, multiplied factor by
-    factor, is not finite (its block's last prime if none is); for a
-    Dirichlet sum of finite powers, its cutoff.  The message says which.
+    `prime` is the lowest n whose n^{-s} is not finite among the powers
+    evaluated (a Dirichlet sum evaluates 2^{-s} and the odd n only); for a
+    prime fold, the first prime at which the running Euler product,
+    multiplied factor by factor, is not finite (its block's last prime if
+    none is).  The message says which.
     """
 
     def __init__(self, prime: int, s: complex):

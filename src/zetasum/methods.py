@@ -26,9 +26,8 @@ once: `_zeta_bounds`, and the constants of the closed forms for rounding
 (`_rounding_of`) and for the product tail (`_log_tail_of`), which
 `_walk_to_feasible` then evaluates at the doubling counts from the first
 that a closed-form lower bound on the truncation does not rule out
-(`_last_ruled_out`).  With Re(s) > 1 no factor 1 - p^{-s} can come near 0
-and no power's phase can overflow, so `_blocks` skips its singular-point
-scan and `_dirichlet_fold` its per-cut overflow tests.
+(`_last_ruled_out`).  With Re(s) > 1 no factor 1 - p^{-s} can come near 0,
+so `_blocks` skips its singular-point scan.
 
 The three evaluation methods and the tail products share one driver
 (`_trace`): record the value at a count together with an honest upper bound
@@ -52,7 +51,6 @@ roundings a term meets on its way through the fold.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -104,11 +102,6 @@ MAX_PARTITION_CUTOFF = 1 << 24
 # crosscheck identity point of bench seeds 1-200 stays within 0.46*i*eps
 # at both sizes.
 _CHUNK = 1 << 16
-
-# n^{-z} = exp(-z*ln n) is finite when Re(-z*ln n) <= _LOG_SAFE (at most
-# max_double/e) and |Im(-z*ln n)| <= _PHASE_SAFE (no overflow in the phase).
-_LOG_SAFE = math.log(sys.float_info.max) - 1.0
-_PHASE_SAFE = 0.5 * sys.float_info.max
 
 
 def _check_tolerance(tolerance: float) -> None:
@@ -275,27 +268,8 @@ def _dirichlet_fold(N: int, z: complex) -> list[complex]:
     pairwise order, so batching changes no bit.  A fold to at most
     2*`_CHUNK` - 2 makes that one call however many cuts it walks.  A larger
     cut takes its odd powers `_CHUNK` at a time, in windows aligned to the cut.
-
-    An even power is never evaluated, so when it is not finite neither O nor
-    D need show it (complex terms cancel).  Over a window, -z*ln n has its
-    largest real part (for Re(z) < 0) and its largest imaginary part in
-    modulus at n = c, so one test per window tells when some n^{-z} there
-    may not be finite.  Such a window is evaluated term by term for the check
-    alone, so the error names the lowest n whose n^{-z} is not finite, as
-    summing every power would.  Every window is tested before any is summed;
-    a window that passes its test holds only finite powers, so no sum could
-    have raised first.  When every power is finite but D or O is not, the
-    error names `N`.  No cut is tested when Re(z) >= 0 and
-    |Im z|*ln N <= _PHASE_SAFE, as for every certified request: then no
-    cut c <= N can fail either test.
     """
     cuts = [N >> k for k in range(N.bit_length() - 1, -1, -1)]
-    if z.real < 0.0 or abs(z.imag) * math.log(N) > _PHASE_SAFE:
-        for c in cuts:
-            ln_c = math.log(c)
-            if -z.real * ln_c > _LOG_SAFE or abs(z.imag) * ln_c > _PHASE_SAFE:
-                for a in range((c >> 1) + 1, c + 1, _CHUNK):
-                    _power_terms(np.arange(a, min(c + 1, a + _CHUNK), dtype=np.float64), z)
     # Slot 0 of the head holds 2^{-z}, slot j the j-th odd n, so the odd
     # n <= c, (c + 1) // 2 of them, end at slot (c + 1) // 2.  For N = 1,
     # which has no even n, slot 0 holds 1^{-z}, only ever times D(0) = 0.
@@ -304,22 +278,19 @@ def _dirichlet_fold(N: int, z: complex) -> list[complex]:
     n[0] = min(N, 2)
     t = _power_terms(n, z)
     two, total, odd, values = complex(t[0]), 0j, 0j, []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for c in cuts:
-            if (c + 1) // 2 < _CHUNK:
-                w = t[1 + ((c >> 1) + 1) // 2 : 1 + (c + 1) // 2]
-                if w.size:
-                    odd += complex(w.sum())
-            else:
-                # Hold one block at a time: drop the head before the windows.
-                n = t = w = None
-                for a in range(((c >> 1) + 1) | 1, c + 1, 2 * _CHUNK):
-                    n = np.arange(a, min(c + 1, a + 2 * _CHUNK), 2, dtype=np.float64)
-                    odd += complex(_power_terms(n, z).sum())
-            total = two * total + odd
-            values.append(total)
-    if not (_finite(total) and _finite(odd)):
-        raise _overflow(f"the partial sum at cutoff {N}", N, z)
+    for c in cuts:
+        if (c + 1) // 2 < _CHUNK:
+            w = t[1 + ((c >> 1) + 1) // 2 : 1 + (c + 1) // 2]
+            if w.size:
+                odd += complex(w.sum())
+        else:
+            # Hold one block at a time: drop the head before the windows.
+            n = t = w = None
+            for a in range(((c >> 1) + 1) | 1, c + 1, 2 * _CHUNK):
+                n = np.arange(a, min(c + 1, a + 2 * _CHUNK), 2, dtype=np.float64)
+                odd += complex(_power_terms(n, z).sum())
+        total = two * total + odd
+        values.append(total)
     return values
 
 
@@ -400,18 +371,26 @@ def induction_step_check(i: int, s) -> float:
 
 
 def dirichlet_partial(N: int, s) -> complex:
-    """Sum of n^{-s} for n = 1..N.
+    """Sum of n^{-s} for n = 1..N, for Re(s) > 1.
 
     Evaluated through the p = 2 Euler factor: with D(x) the sum over n <= x
     and O(x) its odd-n part, D(x) = 2^{-s}*D(floor(x/2)) + O(x), because every
     even n <= x is 2m with m <= floor(x/2).  Folded up the cuts N >> k (see
     `_dirichlet_fold`), this evaluates only the ceil(N/2) odd powers plus
     2^{-s}.
+
+    Re(s) <= 1, where the series diverges, is refused before any power.
+    Above it every |n^{-s}| < 1 and |D| < zeta(Re s), so no modulus can
+    overflow; a phase can (|Im s| near 1e308), and `_power_terms` then names
+    the first power evaluated that is not finite.
     """
     N = int(N)
     if N < 1:
         raise ValueError("N must be >= 1")
-    return _dirichlet_fold(N, as_complex(s))[-1]
+    z = as_complex(s)
+    if z.real <= 1.0:
+        raise NonConvergentError("the Dirichlet partial sum", z)
+    return _dirichlet_fold(N, z)[-1]
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import BOUNDARY
 from scalar_reference import euler_factor, power_term, prime_power_term
 from zetasum import kernel, methods, primes
 from zetasum.kernel import PowerOverflowError, SingularPointError
@@ -125,18 +126,21 @@ def test_empty_conventions():
 
 def test_dirichlet_partial_values():
     assert dirichlet_partial(1, 2) == 1.0
-    assert dirichlet_partial(2, 1) == 1.5
+    assert dirichlet_partial(2, 2) == 1.25
     expected = float(Fraction(49, 36))
     assert abs(dirichlet_partial(3, 2).real - expected) <= 1e-15 * expected
-    with pytest.raises(ValueError):
+
+
+def test_dirichlet_partial_refuses_boundary(no_work):
+    # The series diverges there, so no power or cutoff array may be built.
+    work = no_work("zetasum.methods._power_terms", "numpy.arange")
+    for s in BOUNDARY:
+        with pytest.raises(NonConvergentError,
+                           match=r"^the Dirichlet partial sum requires Re\(s\) > 1"):
+            dirichlet_partial(10, s)
+    work.undo()
+    with pytest.raises(ValueError, match="^N must be >= 1$"):
         dirichlet_partial(0, 2)
-
-
-def test_dirichlet_partial_any_s_allowed():
-    # finite sum: no convergence requirement
-    assert dirichlet_partial(4, 0) == 4.0
-    got = dirichlet_partial(3, -1)
-    assert abs(got - 6.0) <= 1e-14 * 6.0
 
 
 def scalar_dirichlet(N: int, s) -> tuple[complex, float]:
@@ -151,7 +155,7 @@ def scalar_dirichlet(N: int, s) -> tuple[complex, float]:
 
 @pytest.mark.parametrize("chunk", [7, ONE_BLOCK])
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 15, 16, 17, 31, 1000, 4097])
-@pytest.mark.parametrize("s", [3, 1.5, 2.5 + 300j, 0.5 - 14.1j, -1.5 + 2j])
+@pytest.mark.parametrize("s", [3, 1.5, 2.5 + 300j, 1.001 - 14.1j, 1.05 + 2j])
 def test_dirichlet_partial_matches_scalar_reference(s, N, chunk, monkeypatch):
     # Odd cuts (3, 5, 17, 31, 4097) and chunks of 7 odd powers exercise the
     # window ends of the even/odd split.
@@ -184,19 +188,6 @@ def test_dirichlet_partial_is_exact_to_rounding(s):
     # Rounding level: the observed errors are at most 6.1e-15, while losing
     # even the smallest term, 8192^(-3) = 1.8e-12, would fail.
     assert error <= 2e-14
-
-
-OVERFLOW_POINTS = [
-    (-400, 6),  # even: 6^-s enters the fold only inside 2^-s * D(3)
-    (-400 + 3j, 6),
-    (-130.5 - 7j, 231),  # odd
-    (-250.25 + 40j, 18),
-    # |1210^-s| is past the double range but both parts of 1210^-s are
-    # finite; 1211^-s is the first power with a part that is not.
-    (-100 + 0.5j, 1211),
-    # The phase -Im(s)*ln n overflows from n = 4 on.
-    (2 + 1.5e308j, 4),
-]
 
 
 def bits(v: complex) -> str:
@@ -260,29 +251,20 @@ def test_dirichlet_values_keep_their_bits(chunk, monkeypatch):
 
 
 @pytest.mark.parametrize("chunk", [7, ONE_BLOCK])
-@pytest.mark.parametrize("s, first_bad", OVERFLOW_POINTS)
-def test_dirichlet_overflow_names_the_lowest_overflowing_n(s, first_bad, chunk, monkeypatch):
+def test_dirichlet_phase_overflow_names_the_first_power_evaluated(chunk, monkeypatch):
+    # At Re(s) > 1 only a phase can leave the double range: here -Im(s)*ln n
+    # does from n = 4 on.  The fold evaluates 2^-s and the odd powers only,
+    # so it names 5, and D(4) = 2^-s * D(2) + 1 + 3^-s is finite.
     monkeypatch.setattr(methods, "_CHUNK", chunk)
-    with pytest.raises(PowerOverflowError) as expected:
-        scalar_dirichlet(first_bad, s)
-    assert expected.value.prime == first_bad
-    for N in (first_bad, first_bad + 1, 2 * first_bad - 1, 10_000):
-        with pytest.raises(PowerOverflowError) as got:
+    s = 2 + 1.5e308j
+    for N in (5, 10_000):
+        with pytest.raises(PowerOverflowError, match=r"^5\^\(-s\) exceeds the double-precision range"):
             dirichlet_partial(N, s)
-        assert str(got.value) == str(expected.value)
-
-
-@pytest.mark.parametrize("chunk", [7, ONE_BLOCK])
-@pytest.mark.parametrize("s, first_bad", OVERFLOW_POINTS)
-def test_dirichlet_overflow_is_the_one_summing_every_power_raises(s, first_bad, chunk, monkeypatch):
-    monkeypatch.setattr(methods, "_CHUNK", chunk)
-    with pytest.raises(PowerOverflowError) as expected:
-        methods._power_terms(np.arange(1, 10_001), complex(s))
-    assert expected.value.prime == first_bad
-    for N in (first_bad, first_bad + 1, 2 * first_bad - 1, 10_000):
-        with pytest.raises(PowerOverflowError) as got:
-            dirichlet_partial(N, s)
-        assert str(got.value) == str(expected.value)
+    got = dirichlet_partial(4, s)
+    assert math.isfinite(got.real) and math.isfinite(got.imag)
+    # A certified request is refused on its rounding before any power.
+    with pytest.raises(RuntimeError, match="rounding alone"):
+        zeta_eval(s, METHOD_DIRICHLET, 1e-6)
 
 
 def test_scalar_and_vectorised_powers_share_one_overflow_rule():
@@ -299,21 +281,7 @@ def test_scalar_and_vectorised_powers_share_one_overflow_rule():
         methods._power_terms(np.array([1211.0]), z)
 
 
-@pytest.mark.parametrize("N, s", [
-    (14322, -73.66478372246908),  # the sum overflows to inf
-    (12489, -75.16881755167881 - 939.557245363289j),  # ... and to NaN
-])
-def test_dirichlet_sum_past_the_double_range_raises(N, s):
-    # Every power is finite (_power_terms would raise otherwise); the sum is not.
-    methods._power_terms(np.arange(1, N + 1), complex(s))
-    with pytest.raises(PowerOverflowError) as got:
-        dirichlet_partial(N, s)
-    assert got.value.prime == N
-
-
 @pytest.mark.parametrize("request_, message", [
-    (lambda: dirichlet_partial(10, -400), "6^(-s)"),
-    (lambda: dirichlet_partial(14322, -73.66478372246908), "the partial sum at cutoff 14322"),
     (lambda: euler_partial(3000, 2j), "the running Euler product at prime 14009"),
     (lambda: reform_partial(50, 1e-7), "the running Euler product at prime 227"),
 ])
@@ -321,15 +289,6 @@ def test_overflow_names_what_left_the_range(request_, message):
     with pytest.raises(PowerOverflowError) as got:
         request_()
     assert str(got.value).startswith(f"{message} exceeds the double-precision range at s = ")
-
-
-@pytest.mark.parametrize("s, N", [(-295.8, 11), (-250.25 + 40j, 17)])
-def test_dirichlet_window_flagged_near_overflow_still_sums(s, N, monkeypatch):
-    # N^-s is finite but within a factor e of the double range, so the last
-    # window is checked term by term and then folded as usual.
-    monkeypatch.setattr(methods, "_CHUNK", 7)
-    expected, scale = scalar_dirichlet(N, s)
-    assert abs(dirichlet_partial(N, s) - expected) <= 1e-13 * scale
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import BOUNDARY
 from scalar_reference import power_term, smallest_prime_factor
 from zetasum import methods, oracle
 from zetasum.methods import (
@@ -63,28 +64,18 @@ def test_smooth_sum_monotone_in_bound():
     assert values[-1] <= euler_partial(3, 2.5).real + 1e-12
 
 
-# Points the identity, and the Euler product it rearranges, do not reach.
-BOUNDARY = [1, 0.5 + 14.1j, -100, -400 + 3j]
-
-
-@pytest.fixture
-def no_work(monkeypatch):
-    # The sieve and the rank table fail, for a refusal that must come first.
-    def forbidden(*args, **kwargs):
-        raise AssertionError("work started before the refusal")
-
-    monkeypatch.setattr(np, "full", forbidden)
-    monkeypatch.setattr(oracle.primes, "primes_up_to", forbidden)
-    return monkeypatch
+# The sieve and the rank table, which a refusal must come before.
+SIEVE_AND_TABLE = ("numpy.full", "zetasum.primes.primes_up_to")
 
 
 def test_smooth_sum_rejects_boundary(no_work):
+    work = no_work(*SIEVE_AND_TABLE)
     for s in BOUNDARY:
         with pytest.raises(NonConvergentError, match=r"^the smooth-number sum requires Re\(s\) > 1"):
             smooth_sum_oracle(2, s, 100)
         with pytest.raises(NonConvergentError, match=r"^the partition requires Re\(s\) > 1"):
             spf_partition_sum(s, 100)
-    no_work.undo()
+    work.undo()
     with pytest.raises(ValueError):
         smooth_sum_oracle(2, 2, 0)
 
@@ -141,10 +132,11 @@ def test_partition_past_its_memory_budget_is_refused_before_any_table(no_work):
     # The rank table grows with N (about 128 MB at 2^24), so a larger N is
     # refused before the sieve or the table starts.
     limit = methods.MAX_PARTITION_CUTOFF
+    work = no_work(*SIEVE_AND_TABLE)
     for s in (3, 2 - 5j):
         with pytest.raises(ValueError, match=f"N must be <= {limit}$"):
             spf_partition_sum(s, limit + 1)
-    no_work.undo()
+    work.undo()
     assert spf_partition_sum(3, 1000).cutoff_N == 1000
 
 
@@ -270,6 +262,7 @@ def test_crosscheck_small_cutoff_has_large_but_bounded_residual():
 
 def test_crosscheck_rejects_boundary(no_work):
     spec = TruncationSpec(tolerance=1e-6)
+    no_work(*SIEVE_AND_TABLE)
     for s in BOUNDARY:
         with pytest.raises(NonConvergentError, match=r"^the tail product requires Re\(s\) > 1"):
             coefficient_crosscheck(1, s, 100, spec)
