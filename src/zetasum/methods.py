@@ -26,8 +26,10 @@ once: `_zeta_bounds`, and the constants of the closed forms for rounding
 (`_rounding_of`) and for the product tail (`_log_tail_of`), which
 `_walk_to_feasible` then evaluates at the doubling counts from the first
 that a closed-form lower bound on the truncation does not rule out
-(`_last_ruled_out`).  With Re(s) > 1 no factor 1 - p^{-s} can come near 0,
-so `_blocks` skips its singular-point scan.
+(`_last_ruled_out`).  At complex s a product request also takes the first
+eight Euler factors in scalar arithmetic, for a floor and a ceiling on the
+modulus of every later value (`_head_range`).  With Re(s) > 1 no factor
+1 - p^{-s} can come near 0, so `_blocks` skips its singular-point scan.
 
 The three evaluation methods and the tail products share one driver
 (`_trace`): record the value at a count together with an honest upper bound
@@ -40,8 +42,9 @@ doubling counts (`_first_certifying`), so their terms_used is at most
 digits.  The products fold each new window of primes into a running product
 or sum; a Dirichlet request is one fold.  Every bound is truncation plus
 rounding.  The product tail is a sum over primes only, bounded by partial
-summation against Rosser & Schoenfeld's bounds on pi(x) and combined with
-|log(1-z)| <= |z|/(1-|z|) (`tail_bound`).  The Dirichlet tail is the
+summation against Rosser & Schoenfeld's bounds on Chebyshev's theta(x), and
+at complex s by a phase form that sees the cancellation between the p^{-s}
+(`_log_tail_of`).  The Dirichlet tail is the
 smaller of the integral bound and a second-order Euler-Maclaurin bound
 (`_dirichlet_tail`).  Rounding is one closed form per step
 (`_rounding_of`): the error of each power, mostly in its phase, plus the
@@ -443,54 +446,148 @@ def _product_floor(sigma: float, zeta: tuple[float, float, float]) -> float:
     return math.fsum(_zeta_head(2.0 * sigma)) / zeta[1]
 
 
+_FIRST_PRIME_LOGS = [math.log(p) for p in (2, 3, 5, 7, 11, 13, 17, 19)]
+
+
+def _head_range(z: complex, log_tail: Callable[..., float]) -> tuple[float, float]:
+    """(lo, hi) with lo <= |P_c| for every c >= 1 and hi >= |P_c| for every
+    c >= 8, where P_c is the Euler product over the first c primes, for
+    complex z with Re(z) > 1; `log_tail` is `_log_tail_of`(z).
+
+    |P_1| .. |P_8| are computed in real arithmetic, from |1 - p^{-z}|^2 =
+    1 + a*(a - 2*cos(Im(z)*ln p)) with a = p^-Re(z), and a later P_c is P_8
+    times factors whose logs sum to at most b = log_tail(19, whole=False) in
+    modulus.  The phase Im(z)*ln p is off by at most about 3u*|z|*ln p, so each
+    squared gap, which is at least 1/4, is off by at most u*(12|z|*ln p + 20)
+    relative, and each prime moves a computed modulus by half that: every
+    computed |P_c| is within a relative `slack` of the exact one, and the
+    range is widened by it.
+    """
+    slack = 8.0 * _U * (6.0 * abs(z) * _FIRST_PRIME_LOGS[-1] + 12.0)
+    if not slack < 1.0:
+        return 0.0, math.inf  # the phases hold no digits
+    sigma, tau, exp, cos = z.real, z.imag, math.exp, math.cos
+    gap = widest = 1.0  # |P_c|^-2, and its largest value so far
+    for log_p in _FIRST_PRIME_LOGS:
+        a = exp(-sigma * log_p)
+        gap *= 1.0 + a * (a - 2.0 * cos(tau * log_p))
+        if gap > widest:
+            widest = gap
+    spread = 1.0 + _expm1(log_tail(19, whole=False))
+    modulus = 1.0 / math.sqrt(gap)
+    return (min(1.0 / math.sqrt(widest), modulus / spread) * (1.0 - slack),
+            modulus * spread * (1.0 + slack))
+
+
 def _integral_tail(x: float, sigma: float) -> float:
     """x^(1-sigma)/(sigma-1) >= the sum of n^-sigma over n > x, for sigma > 1."""
     return x ** (1.0 - sigma) / (sigma - 1.0)
 
 
-def _log_tail_of(sigma: float) -> Callable[[float], float]:
-    """x -> an upper bound on the sum of |log(1 - p^{-s})| over primes p > x,
-    for Re(s) = sigma > 1 and x >= 2; nonincreasing in x (see `tail_bound`).
-    The constants that depend on sigma alone are computed once."""
-    slope = primes.PI_UPPER * sigma / (sigma - 1.0) - 1.0
+# Rosser & Schoenfeld (Illinois J. Math. 6, 1962) on Chebyshev's function
+# theta(x) = sum of ln p over primes p <= x: theta(x) < 1.01624*x for x > 0,
+# theta(x) > x*(1 - 1/ln x) for x >= 41, and |theta(x) - x| < 2.05282*sqrt(x)
+# for 0 < x <= 10^8.  A test checks all three at every prime up to 10^8.
+_THETA_UPPER = 1.01624
+_THETA_LOWER_FROM = 41
+_THETA_SQRT = 2.05282
+_THETA_SQRT_LIMIT = 10**8
 
-    def log_tail(x: float) -> float:
-        bound = 2.0 * _integral_tail(x, sigma)
-        if x >= 17:
-            over_primes = x ** (1.0 - sigma) / math.log(x) * slope
-            bound = min(bound, over_primes / (1.0 - x ** -sigma))
+
+def _log_tail_of(z: complex) -> Callable[..., float]:
+    """(x, whole=True) -> an upper bound on |log| of the product of
+    1/(1 - p^{-z}) over primes p > x, for Re(z) = sigma > 1 and integer
+    x >= 2; nonincreasing in x.  With whole=False, a bound on the sum of the
+    moduli of the logs, which covers the product over any set of primes past
+    x.  The constants that depend on z alone are computed once.
+
+    The log is the sum over p > x of w + r(w) with w = p^{-z}, where
+    |r(w)| <= |w|^2/(2(1 - |w|)), and the sum of p^-2sigma over p > x is at
+    most x^(1-2sigma)/(2sigma - 1).  Of these forms the smallest is returned:
+
+    - every integer past x: |log(1 - w)| <= 2|w| for |w| <= 1/2, and the sum
+      of n^-sigma over n > x is at most x^(1-sigma)/(sigma-1);
+    - for x >= 17, partial summation against pi(t) < 1.25506*t/ln t
+      (`primes.PI_UPPER`) and pi(x) > x/ln x, with |log(1 - w)| <=
+      |w|/(1 - |w|): x^(1-sigma)/ln x*(1.25506*sigma/(sigma-1) - 1)/(1 - x^-sigma);
+    - the theta form, for x >= 41: with L = ln x, the sum of p^-sigma over
+      p > x is -theta(x)*x^-sigma/L plus the integral over (x, inf) of
+      theta(t)*t^(-sigma-1)*(sigma/ln t + 1/ln^2 t), and theta(t) < 1.01624*t,
+      theta(x) > x*(1 - 1/L) make it at most
+      x^(1-sigma)/L*(1.01624*(sigma + 1/L)/(sigma-1) - 1 + 1/L);
+    - the phase form, for Im z != 0 and 41 <= x < X = 10^8: write theta(t) =
+      t + E(t) in the sum of p^{-z} over x < p <= X.  The part against dt,
+      integrated by parts, is at most (x^(1-sigma)/L + X^(1-sigma)/ln X)/|z-1|
+      + x^(1-sigma)/(|z-1|*(sigma-1)*L^2): smaller than the sum of moduli by
+      about |z-1|/(sigma-1).  The part against dE, with |E(t)| < 2.05282*sqrt(t),
+      is at most 2.05282*(x^(1/2-sigma)/L*(1 + (|z| + 1/L)/(sigma-1/2))
+      + X^(1/2-sigma)/ln X), and the primes past X take the theta form at X.
+
+    The first three bound the sum of the moduli, so they also bound |log| of
+    the product over any set of primes past x, at any s with Re(s) = sigma
+    (`tail_bound`).  The phase form covers only the whole tail past x, not a
+    stretch of it, so whole=False leaves it out.
+    """
+    sigma = z.real
+    c = sigma - 1.0
+    slope = primes.PI_UPPER * sigma / c - 1.0
+    # The theta form is x^(1-sigma)/L*(theta_0 + theta_1/L).
+    theta_0, theta_1 = _THETA_UPPER * sigma / c - 1.0, _THETA_UPPER / c + 1.0
+    squares = 0.5 / (2.0 * sigma - 1.0)
+    phase, limit, log, sqrt = z.imag != 0.0, _THETA_SQRT_LIMIT, math.log, math.sqrt
+    if phase:
+        # x^(1-sigma)/L*(main_0 + main_1/L + (error_0 + error_1/L)/sqrt(x)),
+        # plus `far`: the terms at X, and the theta form at X.
+        half = sigma - 0.5
+        main_0 = 1.0 / abs(z - 1.0)
+        main_1 = main_0 / c
+        error_0, error_1 = _THETA_SQRT * (1.0 + abs(z) / half), _THETA_SQRT / half
+        edge = 1.0 / log(limit)
+        far = limit ** -c * edge * (theta_0 + theta_1 * edge + main_0 + _THETA_SQRT / sqrt(limit))
+
+    def log_tail(x: float, whole: bool = True) -> float:
+        power = x ** -c
+        integral = 2.0 * power / c
+        if x < 17:
+            return integral
+        inverse_log = 1.0 / log(x)
+        over_primes = power * inverse_log
+        w = power / x
+        bound = over_primes * slope / (1.0 - w)
+        if integral < bound:
+            bound = integral
+        if x < _THETA_LOWER_FROM:
+            return bound
+        prime_powers = squares * power * w / (1.0 - w)
+        theta = over_primes * (theta_0 + theta_1 * inverse_log) + prime_powers
+        if theta < bound:
+            bound = theta
+        if phase and whole and x < limit:
+            near = over_primes * (main_0 + main_1 * inverse_log
+                                  + (error_0 + error_1 * inverse_log) / sqrt(x))
+            if near + far + prime_powers < bound:
+                bound = near + far + prime_powers
         return bound
 
     return log_tail
 
 
 def tail_bound(i: int, sigma: float) -> float:
-    """Upper bound on |log| of the product of 1/(1 - p^{-s}) over primes past
-    the i-th, valid for any s with Re(s) = sigma > 1.
+    """Upper bound on the sum over primes p past the i-th of
+    |log(1 - p^{-s})|, and so on |log| of the product of 1/(1 - p^{-s}) over
+    any set of them, valid for any s with Re(s) = sigma > 1: `_log_tail_of`
+    at real sigma, taken at x = p_i.
 
-    With z = p^{-s}, |log(1 - z)| = |sum_k z^k/k| <= |z|/(1 - |z|), so the
-    bound is sum_{p > x} p^{-sigma}/(1 - x^{-sigma}) with x = p_i, and the
-    sum over primes is bounded in one of two ways:
-
-    - by the sum over all integers past x, <= x^(1-sigma)/(sigma-1); with
-      |log(1 - z)| <= 2|z| for |z| <= 1/2 this gives 2*x^(1-sigma)/(sigma-1),
-      the only bound used for x < 17;
-    - for x >= 17, by partial summation against pi:
-      sum_{p > x} p^{-sigma} = -pi(x)*x^{-sigma} + sigma * integral_x^inf
-      pi(t)*t^(-sigma-1) dt, and with pi(x) > x/ln x for x >= 17 and
-      pi(t) < 1.25506*t/ln t (Rosser & Schoenfeld, Illinois J. Math. 6,
-      1962; `primes.PI_UPPER`) and 1/ln t <= 1/ln x this is at most
-      x^(1-sigma)/ln x * (1.25506*sigma/(sigma-1) - 1).
-
-    The smaller of the two is returned; past x = 17 the second is smaller
-    by a factor of about ln x.
+    The smallest of the integer-sum form, the form by partial summation
+    against pi(x) (from x = 17) and the theta form (from x = 41) is
+    returned; the theta form is the smallest from about x = 70 on.
     """
     if i < 1:
         raise ValueError("i must be >= 1")
     sigma = float(sigma)
     if not sigma > 1.0:
         raise ValueError("sigma must exceed 1")
-    return _log_tail_of(sigma)(primes.nth_prime(i))
+    return _log_tail_of(complex(sigma))(primes.nth_prime(i))
 
 
 def _dirichlet_tail(N: int, z: complex) -> float:
@@ -638,11 +735,17 @@ def _last_ruled_out(z: complex, method: str, tolerance: float, magnitude: float)
       tolerance for ln N < -ln(tolerance*|z-1|)/(sigma-1).  n stops at
       MAX_DIRICHLET_TERMS.
     - Products: the truncation is magnitude*expm1(log_tail(x)) >=
-      magnitude*log_tail(x), and for 2 <= x <= MAX_PRIME_LIMIT,
-      log_tail(x) >= x^(1-sigma)*K with K = min(2/(sigma-1),
-      slope/ln MAX_PRIME_LIMIT) (`_log_tail_of`; 1/(1 - x^-sigma) >= 1).
-      That exceeds the tolerance for every x < X = min(MAX_PRIME_LIMIT,
-      (magnitude*K/tolerance)^(1/(sigma-1))).  x = `primes.prime_ceiling`(i)
+      magnitude*log_tail(x), with log_tail the least of the forms of
+      `_log_tail_of`, so it exceeds the tolerance, T = tolerance/magnitude,
+      wherever every form does.  For 2 <= x <= MAX_PRIME_LIMIT, every form
+      but the phase form is at least x^(1-sigma)*K with K = min(2/(sigma-1),
+      (1.01624*sigma/(sigma-1) - 1)/ln MAX_PRIME_LIMIT), which is above T for
+      x < (K/T)^(1/(sigma-1)).  The phase form is at least both
+      x^(1-sigma)*A and x^(1/2-sigma)*B, with A = 1/(|z-1|*ln MAX_PRIME_LIMIT)
+      and B = 2.05282*|z|/((sigma-1/2)*ln MAX_PRIME_LIMIT), so it is above T
+      for x below the larger of (A/T)^(1/(sigma-1)) and (B/T)^(1/(sigma-1/2)).
+      The truncation exceeds the tolerance for every x < X, the least of
+      MAX_PRIME_LIMIT and these thresholds.  x = `primes.prime_ceiling`(i)
       is 11 for i < 6, and for i >= 6 at most i*(ln i + ln ln i), which is
       below X for i <= X/(ln X + ln ln X): i is then below X, and so are
       ln i and ln ln i.  It holds with room, X - x >= i*(ln X - ln i) >= i,
@@ -655,9 +758,15 @@ def _last_ruled_out(z: complex, method: str, tolerance: float, magnitude: float)
         if log_n >= math.log(MAX_DIRICHLET_TERMS):
             return MAX_DIRICHLET_TERMS
         return int(math.exp(log_n)) if log_n > 0.0 else 0
-    slope = primes.PI_UPPER * sigma / c - 1.0
-    k = min(2.0 / c, slope / math.log(MAX_PRIME_LIMIT))
-    log_x = (math.log(magnitude) + math.log(k) - math.log(tolerance) - _RULE_OUT_MARGIN) / c
+    log_max = math.log(MAX_PRIME_LIMIT)
+    log_ratio = math.log(magnitude) - math.log(tolerance) - _RULE_OUT_MARGIN
+    k = min(2.0 / c, (_THETA_UPPER * sigma / c - 1.0) / log_max)
+    log_x = (math.log(k) + log_ratio) / c
+    if z.imag != 0.0:
+        half = sigma - 0.5
+        main = (log_ratio - math.log(abs(z - 1.0) * log_max)) / c
+        error = (log_ratio + math.log(_THETA_SQRT * abs(z) / (half * log_max))) / half
+        log_x = min(log_x, max(main, error))
     x = MAX_PRIME_LIMIT if log_x >= math.log(MAX_PRIME_LIMIT) else math.exp(log_x)
     if x <= 11.0:
         return 0
@@ -668,7 +777,7 @@ def _last_ruled_out(z: complex, method: str, tolerance: float, magnitude: float)
 def _walk_to_feasible(z: complex, method: str, tolerance: float, count: int,
                       offset: int, magnitude: float,
                       rounding_bound: Callable[[int, float], float],
-                      log_tail: Callable[[float], float]) -> int:
+                      log_tail: Callable[..., float]) -> int:
     """Walk the doubling counts from `count` with closed forms alone and
     return the first that may certify a value of modulus >= `magnitude`;
     refuse at the first past a limit or whose rounding alone exceeds the
@@ -760,9 +869,9 @@ def _trace(z: complex, method: str, tolerance: float, count: int,
     Each step's bound is truncation plus rounding.  Rounding is
     r = `_rounding_of`, which bounds |value - exact truncation|.  Truncation is
     `_dirichlet_tail` for Dirichlet runs.  For products it is
-    (|value| + r)*expm1(b), with b = `tail_bound` at the step's last prime:
-    the exact truncation has modulus at most |value| + r, and the remaining
-    factor differs from 1 by at most expm1(b).
+    (|value| + r)*expm1(b), with b = `_log_tail_of`(s) at the step's last
+    prime: the exact truncation has modulus at most |value| + r, and the
+    remaining factor differs from 1 by at most expm1(b).
 
     Before any work, `_walk_to_feasible` walks the doubling counts with
     closed forms alone and stops at the first that may certify, `needed`.
@@ -770,8 +879,10 @@ def _trace(z: complex, method: str, tolerance: float, count: int,
     bound on the truncation solved for the count, proves short, and returns
     and refuses as a walk from `count` would.
     Every value has modulus at least `floor` (0 for Dirichlet runs, whose
-    bound does not depend on the value; for products `_product_floor`, or 1
-    for real s), and the n-th prime is at most `primes.prime_ceiling`(n), so
+    bound does not depend on the value; for products 1 for real s, else
+    `_product_floor`, raised to the floor of `_head_range` when the product
+    starts at the first prime), and the n-th prime is at most
+    `primes.prime_ceiling`(n), so
     a product count certifies only if floor*expm1(b) + r(floor) <= tolerance
     with b taken at that ceiling (`_log_tail_of` is nonincreasing).  The walk
     refuses at the first count past MAX_DIRICHLET_TERMS, whose sieve would
@@ -781,7 +892,10 @@ def _trace(z: complex, method: str, tolerance: float, count: int,
     at most the latest `needed`, which passed, and all three are monotone in
     count.  After each product step, `floor` is raised to that step's own
     lower bound on every later modulus, (|value| - r)*exp(-b), when that is
-    larger, and the walk resumes from the next doubling count: a larger floor
+    larger, with b here the sum-of-moduli bound `_log_tail_of`(Re s): a
+    later value differs from this one by the factors of a stretch of the
+    tail, which the phase form does not cover.  The walk then resumes from
+    the next doubling count: a larger floor
     only makes the counts it passed less feasible.  No count the walk passed
     over could certify: there |value| >= floor, p_c <= `prime_ceiling`(c),
     and r is nondecreasing in the modulus, so the loop's bound at c is at
@@ -807,10 +921,13 @@ def _trace(z: complex, method: str, tolerance: float, count: int,
     with b at the exact c-th prime past the offset, read from the first
     offset + `needed` primes, which the fold to `needed` sieves anyway, and
     M an upper bound on every later modulus: zeta(sigma) from `_zeta_bounds`
-    (|1/(1 - p^{-s})| <= 1/(1 - p^{-sigma})), lowered after each step to that
-    step's (|value| + r)*exp(b).  It searches only when the form holds at
-    `needed`, and otherwise folds to `needed` as the doubling loop would, so
-    no fold is taken that only the walk's necessary form allows.  M bounds
+    (|1/(1 - p^{-s})| <= 1/(1 - p^{-sigma})), or the ceiling of `_head_range`
+    when that is smaller and `needed` >= 16, so that every count searched
+    is past the eighth prime; it is lowered after each step to that step's
+    (|value| + r)*exp(b), b again the sum-of-moduli bound.  It searches only
+    when the form holds at `needed`, and otherwise folds to `needed` as the
+    doubling loop would, so no fold is taken that only the walk's necessary
+    form allows.  M bounds
     the exact modulus, not the computed one, so a fold short of `needed` can
     still fail; the next step then searches the rest of the bracket, and
     only a failed step at `needed` resumes the walk.  No count depends on
@@ -822,13 +939,20 @@ def _trace(z: complex, method: str, tolerance: float, count: int,
     """
     sigma = z.real
     zeta = _zeta_bounds(sigma)
+    rounding_bound, log_tail = _rounding_of(z, method, zeta), _log_tail_of(z)
+    ceiling = head_ceiling = zeta[1]
     if method == METHOD_DIRICHLET:
         floor = 0.0
+    elif z.imag == 0.0:
+        floor = 1.0  # every factor exceeds 1, and so does every product
     else:
-        # For real s every factor exceeds 1, and so does every product.
-        floor = 1.0 if z.imag == 0.0 else _product_floor(sigma, zeta)
-    rounding_bound, log_tail = _rounding_of(z, method, zeta), _log_tail_of(sigma)
+        floor = _product_floor(sigma, zeta)
+        if offset == 0:
+            head_floor, head_ceiling = _head_range(z, log_tail)
+            floor = max(floor, head_floor)
     needed = _walk_to_feasible(z, method, tolerance, count, offset, floor, rounding_bound, log_tail)
+    if needed >= 16:
+        ceiling = min(ceiling, head_ceiling)
     below = count - 1  # the first count, less one, bounds every search
     if method == METHOD_DIRICHLET:
         def bound(c: int) -> float:
@@ -843,7 +967,6 @@ def _trace(z: complex, method: str, tolerance: float, count: int,
         return [EvaluationResult(value, method, c, bound(c)) for value, c in zip(values, counts)]
     steps: list[EvaluationResult] = []
     running = complex(1.0) if method == METHOD_EULER_PRODUCT else complex(0.0)
-    ceiling = zeta[1]
     lo = offset
     while True:
         if not every_step:
@@ -869,13 +992,16 @@ def _trace(z: complex, method: str, tolerance: float, count: int,
             running = _sum(blocks, z, running)
             value = 1.0 + running
         rounding = rounding_bound(count, abs(value))
-        b = log_tail(primes.nth_prime(hi))
+        x = primes.nth_prime(hi)
+        b = log_tail(x)
         bound = (abs(value) + rounding) * _expm1(b) + rounding
         steps.append(EvaluationResult(value, method, count, float(bound)))
         if bound <= tolerance:
             return steps
         # The factors past p_hi change |log| of every later value by at
-        # most b, so each has modulus at least this, and at most `ceiling`.
+        # most the sum of their moduli, so each has modulus at least this,
+        # and at most `ceiling`.
+        b = log_tail(x, whole=False)
         floor = max(floor, (abs(value) - rounding) * math.exp(-b))
         ceiling = min(ceiling, (abs(value) + rounding) * math.exp(b))
         lo = hi

@@ -532,35 +532,119 @@ def test_tail_bound_rejects_bad_sigma():
         tail_bound(0, 2.0)
 
 
-def test_tail_bound_sums_over_primes_from_17_on():
-    # p_7 = 17: from here on partial summation against pi(x) wins.
-    for i, sigma in ((7, 2.0), (100, 1.5), (10_000, 3.0)):
+def test_tail_bound_takes_the_theta_form_from_41_on():
+    # p_7 = 17 and p_12 = 37 take partial summation against pi(x); from
+    # p_13 = 41 on, the theta form is allowed, and it wins from p_20 = 71 on.
+    def by_pi(p, sigma):
+        return p ** (1 - sigma) / math.log(p) * (1.25506 * sigma / (sigma - 1) - 1) / (1 - p ** -sigma)
+
+    def by_theta(p, sigma):
+        inverse_log = 1 / math.log(p)
+        primes_part = p ** (1 - sigma) * inverse_log * (
+            1.01624 * (sigma + inverse_log) / (sigma - 1) - 1 + inverse_log)
+        powers = p ** (1 - 2 * sigma) / (2 * (2 * sigma - 1) * (1 - p ** -sigma))
+        return primes_part + powers
+
+    for i, sigma in ((7, 2.0), (12, 3.0)):
         p = nth_prime(i)
-        over_primes = p ** (1 - sigma) / math.log(p) * (1.25506 * sigma / (sigma - 1) - 1)
-        assert tail_bound(i, sigma) == pytest.approx(over_primes / (1 - p ** -sigma), rel=1e-15)
-        assert tail_bound(i, sigma) < 2 * p ** (1 - sigma) / (sigma - 1)
+        assert tail_bound(i, sigma) == pytest.approx(by_pi(p, sigma), rel=1e-15)
+    assert tail_bound(13, 2.0) == pytest.approx(by_pi(41, 2.0), rel=1e-15)
+    assert by_pi(41, 2.0) < by_theta(41, 2.0)
+    for i, sigma in ((20, 2.0), (100, 1.5), (10_000, 3.0), (10**6, 1.2)):
+        p = nth_prime(i)
+        assert tail_bound(i, sigma) == pytest.approx(by_theta(p, sigma), rel=1e-15)
+        assert tail_bound(i, sigma) < by_pi(p, sigma) < 2 * p ** (1 - sigma) / (sigma - 1)
+
+
+def test_theta_bounds_hold_at_every_prime_up_to_1e8():
+    # The three inequalities of Rosser & Schoenfeld the product tail rests
+    # on, checked on [2, 10^8] by exhaustion.  theta is constant between
+    # primes and t - theta(t), t*(1 - 1/ln t) grow with t, so the worst t
+    # of [p_k, p_k+1) is p_k for theta(t) < t (and so < 1.01624*t) and just
+    # below p_k+1 (or 10^8) for the two lower bounds.  np.log is within one
+    # ulp, and np.cumsum adds in order, block after block onto the carry, so
+    # the float theta at the k-th prime is within (k + 4)*u*theta of the
+    # exact one.  A private cache leaves the shared one as it was, and
+    # blocks of 2^20 primes keep the arrays small.
+    limit = methods._THETA_SQRT_LIMIT
+    cache = primes.PrimeCache()
+    cache.extend_to(limit)
+    p, block, carry = cache.primes, 1 << 20, 0.0
+    below, above = [], []
+    for a in range(0, p.size, block):
+        x = p[a : a + block + 1].astype(np.float64)  # this block and the next prime
+        theta = carry + np.cumsum(np.log(x[:block]))
+        carry = float(theta[-1])
+        error = (np.arange(a + 5, a + 5 + theta.size)) * methods._U * theta
+        t = x[1:] if x.size > block else np.append(x[1:], limit)
+        assert np.all(theta + error < x[: theta.size])
+        ratio = (t - (theta - error)) / np.sqrt(t)
+        below.append((ratio.max(), t[np.argmax(ratio)]))
+        start = int(np.searchsorted(x[: theta.size], methods._THETA_LOWER_FROM))
+        gap = theta[start:] - error[start:] - t[start:] * (1.0 - 1.0 / np.log(t[start:]))
+        above.append((gap.min(), t[start + np.argmin(gap)]))
+    assert methods._THETA_UPPER > 1.0 and p[0] == 2 and methods._THETA_LOWER_FROM == 41
+    assert max(below)[0] < methods._THETA_SQRT and min(above)[0] > 0.0
+    assert (round(max(below)[0], 7), max(below)[1]) == (2.0528178, 1423.0)
+    assert (round(min(above)[0], 2), min(above)[1]) == (0.40, 59.0)
+
+
+TAIL_PRIMES = 2_000_000
+
+
+def prime_tails(s, cuts):
+    """(x, an upper bound on |sum over p > x of log(1/(1 - p^{-s}))|) for
+    each x in `cuts`: the modulus of the exact sum over the primes in (x, Y],
+    Y the TAIL_PRIMES-th prime, plus a bound on the rest.
+
+    The rest is at most the sum over p > Y of p^-sigma/(1 - Y^-sigma), and
+    by partial summation against pi(t) < 1.25506*t/ln t, with pi(Y) =
+    TAIL_PRIMES exactly, that sum is at most
+    1.25506*sigma/((sigma-1)*ln Y)*Y^(1-sigma) - pi(Y)*Y^-sigma.
+    Each log is its series to the fourth power (|p^{-s}| <= 50^-2 here),
+    plus the sum of |p^{-s}|^5 for the rest of the series.
+    """
+    p = first_primes(TAIL_PRIMES).astype(np.float64)
+    Y, sigma = p[-1], s.real
+    rest = (1.25506 * sigma / ((sigma - 1) * math.log(Y)) * Y ** (1 - sigma)
+            - TAIL_PRIMES * Y ** -sigma) / (1 - Y ** -sigma)
+    t = np.exp(-s * np.log(p)) if s.imag else np.power(p, -sigma)
+    after = np.cumsum((t + t * t * (0.5 + t * (1 / 3 + t / 4)))[::-1])[::-1]
+    series = np.cumsum((np.abs(t) ** 5)[::-1])[::-1]
+    for x in cuts:
+        i = int(np.searchsorted(p, x, side="right"))  # p[i] is the first prime past x
+        yield x, abs(complex(after[i])) + 2 * float(series[i]) + rest
 
 
 @pytest.mark.parametrize("sigma, x_max", [(2.0, 10**6), (3.0, 10**7), (4.0, 10**7)])
 def test_tail_bound_covers_exact_prime_sums(sigma, x_max):
-    # Exact sum of -log(1 - p^-sigma) over the primes in (x, Y], plus a bound
-    # for p > Y that does not use pi(x): every prime past 5 lies in one of
-    # the 8 classes prime to 30, and a class sums to at most
-    # Y^-sigma + Y^(1-sigma)/(30*(sigma-1)) past Y.  At sigma = 2 that rest
-    # exceeds the bound at x = 1e7, so that row stops at 1e6.
-    p = first_primes(2_000_000).astype(np.float64)
-    Y = p[-1]
-    rest = 8 * (Y ** -sigma + Y ** (1 - sigma) / (30 * (sigma - 1))) / (1 - Y ** -sigma)
-    logs = -np.log1p(-(p ** -sigma))
-    after = np.cumsum(logs[::-1])[::-1]  # after[j]: the primes from p[j] on
-    x = 17
-    while x <= x_max:
-        i = int(np.searchsorted(p, x, side="right"))  # p_i = p[i - 1] <= x
-        exact = float(after[i]) + rest
-        assert exact <= tail_bound(i, sigma)
+    # At real s, tail_bound within a factor of 3 of the exact tail from
+    # x = 1000 on.  Summed to 2e8 instead, the exact tail at sigma = 3,
+    # x = 1e7 is 3.01e-16 against a bound of 3.83e-16.
+    cuts = [17] + [10**k for k in range(2, 8) if 10**k <= x_max]
+    for x, exact in prime_tails(complex(sigma), cuts):
+        bound = methods._log_tail_of(complex(sigma))(x)
+        assert exact <= bound, (x, exact, bound)
         if x >= 1000:
-            assert tail_bound(i, sigma) <= 3 * exact
-        x *= 10 if x > 17 else 100 / 17
+            assert bound <= 3 * exact, (x, exact, bound)
+    i = len(primes_up_to(cuts[-1]))
+    assert tail_bound(i, sigma) == methods._log_tail_of(complex(sigma))(nth_prime(i))
+
+
+@pytest.mark.parametrize("s, x_max", [(2 + 0.5j, 5 * 10**5), (2 + 10j, 5 * 10**5),
+                                      (2.5 - 40j, 5 * 10**5), (3.5 + 3j, 5 * 10**6),
+                                      (3 + 1000j, 5 * 10**6)])
+def test_phase_tail_covers_exact_prime_sums(s, x_max):
+    # At complex s the phase form bounds |log| of the whole tail, and by
+    # x_max it is below the sum-of-moduli bound.  Each x_max is the largest
+    # of the cuts where the rest past the 2,000,000-th prime stays below
+    # the bound.  Checked on sums to 2e8 for x up to 1e7, the tightest of
+    # these points is 3.5+3i at x = 1e7, at 0.95 of the bound.
+    cuts = [5 * 10**k for k in range(1, 7) if 5 * 10**k <= x_max]
+    log_tail, moduli = methods._log_tail_of(s), methods._log_tail_of(complex(s.real))
+    for x, exact in prime_tails(s, cuts):
+        assert exact <= log_tail(x) <= moduli(x), (x, exact, log_tail(x))
+    assert log_tail(x_max) < moduli(x_max)
 
 
 def test_dirichlet_tail_bound_holds_and_is_tight():
@@ -700,8 +784,10 @@ def test_real_product_rounding_bound_holds(sigma):
 
 
 @pytest.mark.parametrize("s, tol, method", [
-    # The phase error alone, about u*|t|*(-zeta'(sigma)), exceeds tol.
-    *[(s, tol, method) for s, tol in ((3 + 1e8j, 1e-10), (2 + 1e12j, 1e-6), (4 + 1e14j, 1e-10))
+    # The phase error alone, about u*|t|*(-zeta'(sigma)), exceeds tol.  At
+    # 2+1.5e308i the phase Im(s)*ln p is not even finite.
+    *[(s, tol, method) for s, tol in ((3 + 1e8j, 1e-10), (2 + 1e12j, 1e-6), (4 + 1e14j, 1e-10),
+                                      (2 + 1.5e308j, 1e-6))
       for method in METHODS],
 ])
 def test_rounding_above_the_tolerance_is_refused_before_any_work(s, tol, method, monkeypatch):
@@ -804,6 +890,8 @@ def test_walk_starts_past_the_counts_it_rules_out_and_ends_where_stepping_would(
     # largest index `_last_ruled_out` names, the walk's own truncation
     # exceeds the tolerance.  Re(s) within 1e-4 of 1 drives the ruled-out
     # counts to the limits, where a root taken outside logs would overflow.
+    # At complex s the walk takes the phase form, and the rule-out its own
+    # threshold.
     rng = random.Random(20261019)
     tally = {}
     for _ in range(6000):
@@ -823,7 +911,7 @@ def test_walk_starts_past_the_counts_it_rules_out_and_ends_where_stepping_would(
             offset = 0 if rng.random() < 0.5 else int(10.0 ** rng.uniform(0.0, 6.0))
             floor = 1.0 if t == 0.0 else methods._product_floor(sigma, zeta)
             magnitude = rng.choice((floor, zeta[1], rng.uniform(floor, zeta[1])))
-        log_tail = methods._log_tail_of(sigma)
+        log_tail = methods._log_tail_of(z)
         args = (z, method, tolerance, count, offset, magnitude,
                 methods._rounding_of(z, method, zeta), log_tail)
         got = walk_outcome(methods._walk_to_feasible, *args)
@@ -847,6 +935,26 @@ def test_walk_starts_past_the_counts_it_rules_out_and_ends_where_stepping_would(
             assert tally.get((kind, route), 0) >= 100, tally
         # Skips that end in an answer, a rounding refusal, or at a limit.
         assert tally.get(("skipped", kind), 0) >= 100, tally
+
+
+# bound / |error| against 40-digit mpmath, at most, for the Dirichlet route
+# and the two product routes: about 1.2 times the measured ratio.
+SLACK_CAPS = {(2, 1e-6): (1.2, 1.5), (2 + 10j, 1e-6): (1.2, 2.5), (3, 1e-10): (1.2, 1.7),
+              (2.5 - 4j, 1e-8): (1.2, 1.5), (1.8 + 30j, 1e-5): (1.2, 13.5)}
+
+
+@pytest.mark.parametrize("s, tol", sorted(SLACK_CAPS, key=str))
+def test_each_routes_slack_is_capped(s, tol):
+    # A later change that loosens a bound fails here, where no soundness
+    # test would notice.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        exact = mpmath.zeta(mpmath.mpc(s))
+        for method in METHODS:
+            got = zeta_eval(s, method, tol)
+            slack = got.tail_error_bound / float(abs(mpmath.mpc(got.value) - exact))
+            cap = SLACK_CAPS[s, tol][method != METHOD_DIRICHLET]
+            assert 1.0 <= slack <= cap, (method, slack)
 
 
 def test_tolerances_below_1e_12_are_certified_or_refused():
@@ -888,11 +996,11 @@ def test_rounding_is_the_reason_a_real_product_is_refused(monkeypatch):
 
 def test_sigma_1_5_at_1e_4_is_answered():
     # The integer-sum tail could not certify this below the sieve limit; the
-    # prime-only tail first certifies past 2^20 primes, and the doubling
-    # count after it is 2^21 (a sieve to 3.5e7).
+    # theta form first certifies past 2^19 primes, and the doubling count
+    # after it is 2^20 (a sieve to 1.7e7).
     got = zeta_eval(1.5, METHOD_EULER_PRODUCT, 1e-4)
-    assert convergence_trace(1.5, METHOD_EULER_PRODUCT, 1e-4)[-1].terms_used == 2**21
-    assert 2**20 < got.terms_used <= 2**21
+    assert convergence_trace(1.5, METHOD_EULER_PRODUCT, 1e-4)[-1].terms_used == 2**20
+    assert 2**19 < got.terms_used <= 2**20
     assert abs(got.value - 2.612375348685488) <= got.tail_error_bound <= 1e-4
 
 
@@ -907,6 +1015,42 @@ def test_every_product_clears_the_refusal_floor(s):
     for result in results:
         assert abs(result.value) > (sigma - 1.0) / sigma
         assert abs(result.value) >= methods._product_floor(sigma, methods._zeta_bounds(sigma))
+
+
+@pytest.mark.parametrize("s, tol", [(2 + 10j, 1e-8), (2.5 - 40j, 1e-9), (1.5 + 14.13j, 1e-4),
+                                    (2.2 - 5j, 1e-9)])
+def test_later_products_stay_inside_each_steps_floor_and_ceiling(s, tol, monkeypatch):
+    # After a step at p_hi with modulus v and rounding r, `_trace` holds every
+    # later modulus within (v - r)*exp(-b) and (v + r)*exp(b), with b the
+    # sum-of-moduli bound at p_hi: a later value differs from this one by a
+    # stretch of the tail, which the phase form does not cover.  Before the
+    # first step the floor is the head's, which holds from the first prime on
+    # (its ceiling from the eighth).  Checked against every partial product
+    # up to the last step's count.
+    floors = []
+    walk = methods._walk_to_feasible
+    monkeypatch.setattr(methods, "_walk_to_feasible", lambda *args: floors.append(args[5]) or walk(*args))
+    trace = convergence_trace(s, METHOD_EULER_PRODUCT, tol)
+    sigma = s.real
+    moduli = methods._log_tail_of(complex(sigma))  # as log_tail(x, whole=False)
+    rounding = methods._rounding_of(s, METHOD_EULER_PRODUCT, methods._zeta_bounds(sigma))
+    factors = 1.0 / (1.0 - methods._power_terms(first_primes(trace[-1].terms_used), s))
+    later = np.abs(np.cumprod(factors))  # later[c - 1]: the product over the first c primes
+    lo, hi = methods._head_range(s, methods._log_tail_of(s))
+    assert floors[0] == max(lo, methods._product_floor(sigma, methods._zeta_bounds(sigma)))
+    assert lo <= later.min() and later[7:].max() <= hi, (lo, later.min(), later[7:].max(), hi)
+    floor = floors[0]
+    for step, walked in zip(trace[:-1], floors[1:]):
+        c, v = step.terms_used, abs(step.value)
+        r, x = rounding(c, v), nth_prime(c)
+        b = moduli(x)
+        floor = max(floor, (v - r) * math.exp(-b))
+        assert walked == floor
+        assert (v - r) * math.exp(-b) <= later[c:].min()
+        assert later[c:].max() <= (v + r) * math.exp(b)
+    # The phase form is the smaller bound there, so it is not what held them.
+    x = nth_prime(trace[-2].terms_used)
+    assert methods._log_tail_of(s)(x) < moduli(x)
 
 
 def test_feasible_tolerance_near_the_floor_is_still_answered():
