@@ -10,12 +10,12 @@ Subcommands
 
 Reports are CSV (default), JSON, or an aligned human table, written to
 stdout or --output.  Identical invocations produce byte-identical reports;
-the elapsed_ns column stays 0 unless --timing is given.  A --config file
-stands for flags of its command, parsed before the explicit ones.  Exit codes:
-0 success, 1 computational rejection (singular point, non-convergent
-request, overflow, or a tolerance the certificate refuses as unreachable),
-2 usage error (including a tolerance that is not finite and > 0, and a
---i or --N past the sieve limits).
+eval's elapsed_ns column stays 0 unless its --timing is given.  A --config
+file stands for flags of its command, parsed before the explicit ones.
+Exit codes: 0 success, 1 computational rejection (singular point,
+non-convergent request, overflow, or a tolerance the certificate refuses as
+unreachable), 2 usage error (including a tolerance that is not finite and
+> 0, and a --i or --N past the sieve limits).
 """
 
 from __future__ import annotations
@@ -171,8 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="report format: csv (default), json, or human")
         p.add_argument("--output", "-o", default=None, metavar="PATH",
                        help="write the report here instead of stdout")
-        p.add_argument("--timing", action="store_true",
-                       help="fill elapsed_ns with real timings (breaks byte-identical output)")
 
     def add_s(p: argparse.ArgumentParser, help_text: str) -> None:
         p.add_argument("--s", action="append", type=_argtype(parse_complex_literal),
@@ -186,6 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
                         default=TruncationSpec.tolerance,
                         help="certified tail tolerance (default 1e-6)")
     add_common(p_eval)
+    p_eval.add_argument("--timing", action="store_true",
+                        help="fill elapsed_ns with real timings (breaks byte-identical output)")
 
     p_ident = sub.add_parser("identity-check",
                              help="residual of the product-equals-one-plus-sum identity")

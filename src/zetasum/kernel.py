@@ -2,14 +2,18 @@
 
 Every n^{-s} in the library comes from `methods._power_terms`; this module
 holds what the routes, the oracles and the CLI share around it: the
-errors a power or a factor raises, `as_complex`, and the lattice of points
-where a reciprocal factor 1/(1 - p^{-s}) is undefined.
+errors a power or a factor raises, `as_complex`, the witness type of the
+singular test, and the lattice of points where a reciprocal factor
+1/(1 - p^{-s}) is undefined.
 
 The factors blow up exactly on the imaginary-axis lattice
-Im(s) = 2*pi*k/ln(p); `in_exclusion_set` reports the nearest such point
-within tolerance.  A second grid at odd multiples of pi/ln(p), where
-p^{-s} = -1 and the factors are perfectly finite, is kept available as a
-fixture (`explicit_exclusion_points`) because it is easily mistaken for the
+Im(s) = 2*pi*k/ln(p) (`singular_point`).  Whether s is near enough to count
+is decided in one place, `methods`: the folds refuse a factor whose
+|1 - p^{-s}| is below DEFAULT_SINGULAR_TOL, and `methods.in_exclusion_set`
+asks the same test and names the point as an `ExclusionWitness`.  A second
+grid at odd multiples of pi/ln(p), where p^{-s} = -1 and the factors are
+perfectly finite, is kept available as a fixture
+(`explicit_exclusion_points`) because it is easily mistaken for the
 singular lattice.
 """
 
@@ -21,9 +25,6 @@ from dataclasses import dataclass
 from . import primes
 
 DEFAULT_SINGULAR_TOL = 1e-9
-
-_TWO_PI = 2.0 * math.pi
-
 
 class SingularPointError(ValueError):
     """s lies within tolerance of a point where some 1 - p^{-s} vanishes."""
@@ -58,8 +59,9 @@ class PowerOverflowError(OverflowError):
 
 @dataclass(frozen=True)
 class ExclusionWitness:
-    """Nearest singular point to a tested s: its prime, lattice index k, and
-    the Euclidean distance from s to that point."""
+    """The singular point that `methods.in_exclusion_set` names for a tested
+    s: its prime, lattice index k, and the Euclidean distance from s to that
+    point."""
 
     prime: int
     k: int
@@ -78,7 +80,7 @@ def singular_point(p: int, k: int) -> complex:
     """The k-th point on the imaginary axis where p^{-s} = 1 (k = 0 is s = 0)."""
     if p < 2:
         raise ValueError("p must be >= 2")
-    return complex(0.0, _TWO_PI * k / math.log(p))
+    return complex(0.0, math.tau * k / math.log(p))
 
 
 def explicit_exclusion_point(p: int, k: int) -> complex:
@@ -106,29 +108,3 @@ def explicit_exclusion_points(i: int, k_range) -> list[complex]:
         for k in ks:
             points.append(explicit_exclusion_point(p, k))
     return points
-
-
-def in_exclusion_set(s, i: int, tol: float = DEFAULT_SINGULAR_TOL) -> ExclusionWitness | None:
-    """Nearest singular point within tolerance, or None.
-
-    s counts as excluded when |Re(s)| <= tol and Im(s) is within tol/ln(p)
-    of 2*pi*k/ln(p) for some integer k and one of the first i primes.  Ties
-    resolve to the smallest prime.
-    """
-    if i < 1:
-        raise ValueError("i must be >= 1")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    z = as_complex(s)
-    if abs(z.real) > tol:
-        return None
-    best: ExclusionWitness | None = None
-    for p in primes.first_primes(i).tolist():
-        ln_p = math.log(p)
-        k = round(z.imag * ln_p / _TWO_PI)
-        gap_im = z.imag - _TWO_PI * k / ln_p
-        if abs(gap_im) <= tol / ln_p:
-            dist = math.hypot(z.real, gap_im)
-            if best is None or dist < best.distance:
-                best = ExclusionWitness(prime=p, k=int(k), distance=dist)
-    return best

@@ -30,6 +30,8 @@ that a closed-form lower bound on the truncation does not rule out
 eight Euler factors in scalar arithmetic, for a floor and a ceiling on the
 modulus of every later value (`_head_range`).  With Re(s) > 1 no factor
 1 - p^{-s} can come near 0, so `_blocks` skips its singular-point scan.
+That scan is the library's one singular rule: `in_exclusion_set` asks it
+too, so s is a member exactly where a fold refuses a factor.
 
 The three evaluation methods and the tail products share one driver
 (`_trace`): record the value at a count together with an honest upper bound
@@ -62,6 +64,7 @@ import numpy as np
 from . import primes
 from .kernel import (
     DEFAULT_SINGULAR_TOL,
+    ExclusionWitness,
     PowerOverflowError,
     SingularPointError,
     as_complex,
@@ -174,36 +177,84 @@ def _power_terms(n: np.ndarray, z: complex) -> np.ndarray:
     return t
 
 
+def _clear_of_singular(sigma: float, tol: float) -> bool:
+    """True when Re(z) = sigma puts every computed |1 - p^{-z}| at or above
+    tol, so no prime needs scanning.
+
+    Whatever the prime, |1 - t| >= 1 - |t| = 1 - p^{-sigma} >= 1 - 2^{-sigma}
+    for sigma > 0, and |1 - t| >= |t| - 1 >= 2^{|sigma|} - 1 >= 1 - 2^{-|sigma|}
+    for sigma < 0.  The computed t has modulus within a few u of p^{-sigma}
+    relative (the real part of -z*ln p, and exp, each round by about u), and
+    1 - t and its modulus round by about u more, so the computed gap is at
+    least 1 - 2^{-|sigma|} - 1e-15.  This holds when 1 - 2^{-|sigma|} >=
+    2*tol: the computed gap is then at least 2*tol - 1e-15, which is tol or
+    more for every tol from 1e-15 on.  (Below that no computed gap can
+    resolve the test, and the answer is the exact one.)
+    """
+    return 1.0 - 2.0 ** -abs(sigma) >= 2.0 * tol
+
+
+def _least_gap(p: np.ndarray, d: np.ndarray) -> tuple[int, float]:
+    """The prime of least |d| = |1 - p^{-z}| among `p` and that gap; ties go
+    to the smallest prime, as `np.argmin` gives."""
+    gap = np.abs(d)
+    worst = int(np.argmin(gap))
+    return int(p[worst]), float(gap[worst])
+
+
 def _blocks(p_all: np.ndarray, z: complex):
     """Yield (p, t, f) with t = p^{-z} and f = 1/(1 - t) over p_all,
     ascending, in chunks of at most _CHUNK primes.
 
     A block raises `SingularPointError` at its prime of least |1 - t| when
     that gap is below DEFAULT_SINGULAR_TOL.  The scan is skipped when
-    1 - 2^{-Re z} >= 2*DEFAULT_SINGULAR_TOL, as for every certified request
-    (Re z > 1): no gap can then be below the tolerance.  For sigma = Re z > 0
-    and every prime p, |1 - t| >= 1 - |t| = 1 - p^{-sigma} >= 1 - 2^{-sigma}.
-    The computed t has modulus within a few u of p^{-sigma} (the real part
-    of -z*ln p, and exp, each round by about u relative), and 1 - t and its
-    modulus round by about u more, so the computed gap is at least
-    1 - 2^{-sigma} - 1e-15, which at the skip threshold is still about
-    twice the tolerance of 1e-9.
+    `_clear_of_singular` finds no gap can be, as for every certified request
+    (Re z > 1).  `in_exclusion_set` asks the same test.
     """
-    scan = not (z.real > 0.0 and 1.0 - 2.0 ** -z.real >= 2.0 * DEFAULT_SINGULAR_TOL)
+    scan = not _clear_of_singular(z.real, DEFAULT_SINGULAR_TOL)
     for a in range(0, len(p_all), _CHUNK):
         p = p_all[a : a + _CHUNK]
         t = _power_terms(p, z)
         d = 1.0 - t
         if scan:
-            gap = np.abs(d)
-            worst = int(np.argmin(gap))
-            if gap[worst] < DEFAULT_SINGULAR_TOL:
-                raise SingularPointError(int(p[worst]), z, float(gap[worst]))
-            # This frame lives on across the yield: hold no array beyond t
-            # and f, and none of them once the consumer asks for the next block.
-            del gap
+            prime, gap = _least_gap(p, d)
+            if gap < DEFAULT_SINGULAR_TOL:
+                raise SingularPointError(prime, z, gap)
         yield p, t, np.divide(1.0, d, out=d)
+        # This frame lives on across the yield: hold no array once the
+        # consumer asks for the next block.
         del t, d
+
+
+def in_exclusion_set(s, i: int, tol: float = DEFAULT_SINGULAR_TOL) -> ExclusionWitness | None:
+    """The singular point of the prime among the first i whose factor the
+    folds refuse, or None.
+
+    The test is `_blocks`' own: the first i primes' |1 - p^{-s}|, from one
+    `_power_terms` call, and the prime of least gap when that gap is below
+    tol (ties go to the smallest prime).  Its witness is the lattice point
+    k = round(Im(s)*ln p/(2*pi)) of that prime, at Euclidean distance from s.
+    With tol = DEFAULT_SINGULAR_TOL, s is a member exactly when
+    `euler_partial`(i, s) raises `SingularPointError`.  An s where
+    `_clear_of_singular` holds, as from |Re s| of about 2.9*tol on for small
+    tol, is answered None in O(1): every gap is at least 1 - 2^{-|Re s|}.
+    A phase past the double range (|Im s| near 1e308) raises the
+    `PowerOverflowError` the folds raise.
+    """
+    if i < 1:
+        raise ValueError("i must be >= 1")
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+    z = as_complex(s)
+    if _clear_of_singular(z.real, tol):
+        return None
+    p = primes.first_primes(i)
+    prime, gap = _least_gap(p, 1.0 - _power_terms(p, z))
+    if not gap < tol:
+        return None
+    ln_p = math.log(prime)
+    k = round(z.imag * ln_p / math.tau)
+    return ExclusionWitness(prime, k, math.hypot(z.real, z.imag - math.tau * k / ln_p))
 
 
 def _finite(x: complex) -> bool:
@@ -449,15 +500,16 @@ def _product_floor(sigma: float, zeta: tuple[float, float, float]) -> float:
 _FIRST_PRIME_LOGS = [math.log(p) for p in (2, 3, 5, 7, 11, 13, 17, 19)]
 
 
-def _head_range(z: complex, log_tail: Callable[..., float]) -> tuple[float, float]:
+def _head_range(z: complex, moduli: Callable[[float], float]) -> tuple[float, float]:
     """(lo, hi) with lo <= |P_c| for every c >= 1 and hi >= |P_c| for every
     c >= 8, where P_c is the Euler product over the first c primes, for
-    complex z with Re(z) > 1; `log_tail` is `_log_tail_of`(z).
+    complex z with Re(z) > 1; `moduli` is the sum-of-moduli bound
+    `_log_tail_of`(Re z).
 
     |P_1| .. |P_8| are computed in real arithmetic, from |1 - p^{-z}|^2 =
     1 + a*(a - 2*cos(Im(z)*ln p)) with a = p^-Re(z), and a later P_c is P_8
-    times factors whose logs sum to at most b = log_tail(19, whole=False) in
-    modulus.  The phase Im(z)*ln p is off by at most about 3u*|z|*ln p, so each
+    times factors whose logs sum to at most b = moduli(19) in modulus.  The
+    phase Im(z)*ln p is off by at most about 3u*|z|*ln p, so each
     squared gap, which is at least 1/4, is off by at most u*(12|z|*ln p + 20)
     relative, and each prime moves a computed modulus by half that: every
     computed |P_c| is within a relative `slack` of the exact one, and the
@@ -473,7 +525,7 @@ def _head_range(z: complex, log_tail: Callable[..., float]) -> tuple[float, floa
         gap *= 1.0 + a * (a - 2.0 * cos(tau * log_p))
         if gap > widest:
             widest = gap
-    spread = 1.0 + _expm1(log_tail(19, whole=False))
+    spread = 1.0 + _expm1(moduli(19))
     modulus = 1.0 / math.sqrt(gap)
     return (min(1.0 / math.sqrt(widest), modulus / spread) * (1.0 - slack),
             modulus * spread * (1.0 + slack))
@@ -494,12 +546,10 @@ _THETA_SQRT = 2.05282
 _THETA_SQRT_LIMIT = 10**8
 
 
-def _log_tail_of(z: complex) -> Callable[..., float]:
-    """(x, whole=True) -> an upper bound on |log| of the product of
-    1/(1 - p^{-z}) over primes p > x, for Re(z) = sigma > 1 and integer
-    x >= 2; nonincreasing in x.  With whole=False, a bound on the sum of the
-    moduli of the logs, which covers the product over any set of primes past
-    x.  The constants that depend on z alone are computed once.
+def _log_tail_of(z: complex) -> Callable[[float], float]:
+    """x -> an upper bound on |log| of the product of 1/(1 - p^{-z}) over
+    primes p > x, for Re(z) = sigma > 1 and integer x >= 2; nonincreasing
+    in x.  The constants that depend on z alone are computed once.
 
     The log is the sum over p > x of w + r(w) with w = p^{-z}, where
     |r(w)| <= |w|^2/(2(1 - |w|)), and the sum of p^-2sigma over p > x is at
@@ -524,9 +574,10 @@ def _log_tail_of(z: complex) -> Callable[..., float]:
       + X^(1/2-sigma)/ln X), and the primes past X take the theta form at X.
 
     The first three bound the sum of the moduli, so they also bound |log| of
-    the product over any set of primes past x, at any s with Re(s) = sigma
-    (`tail_bound`).  The phase form covers only the whole tail past x, not a
-    stretch of it, so whole=False leaves it out.
+    the product over any set of primes past x, at any s with Re(s) = sigma.
+    The phase form covers only the whole tail past x, not a stretch of it,
+    and real z has none: `_log_tail_of`(Re z) is the sum-of-moduli bound
+    (`tail_bound`, and `_trace`'s floor and ceiling).
     """
     sigma = z.real
     c = sigma - 1.0
@@ -545,7 +596,7 @@ def _log_tail_of(z: complex) -> Callable[..., float]:
         edge = 1.0 / log(limit)
         far = limit ** -c * edge * (theta_0 + theta_1 * edge + main_0 + _THETA_SQRT / sqrt(limit))
 
-    def log_tail(x: float, whole: bool = True) -> float:
+    def log_tail(x: float) -> float:
         power = x ** -c
         integral = 2.0 * power / c
         if x < 17:
@@ -562,7 +613,7 @@ def _log_tail_of(z: complex) -> Callable[..., float]:
         theta = over_primes * (theta_0 + theta_1 * inverse_log) + prime_powers
         if theta < bound:
             bound = theta
-        if phase and whole and x < limit:
+        if phase and x < limit:
             near = over_primes * (main_0 + main_1 * inverse_log
                                   + (error_0 + error_1 * inverse_log) / sqrt(x))
             if near + far + prime_powers < bound:
@@ -777,7 +828,7 @@ def _last_ruled_out(z: complex, method: str, tolerance: float, magnitude: float)
 def _walk_to_feasible(z: complex, method: str, tolerance: float, count: int,
                       offset: int, magnitude: float,
                       rounding_bound: Callable[[int, float], float],
-                      log_tail: Callable[..., float]) -> int:
+                      log_tail: Callable[[float], float]) -> int:
     """Walk the doubling counts from `count` with closed forms alone and
     return the first that may certify a value of modulus >= `magnitude`;
     refuse at the first past a limit or whose rounding alone exceeds the
@@ -892,14 +943,15 @@ def _trace(z: complex, method: str, tolerance: float, count: int,
     at most the latest `needed`, which passed, and all three are monotone in
     count.  After each product step, `floor` is raised to that step's own
     lower bound on every later modulus, (|value| - r)*exp(-b), when that is
-    larger, with b here the sum-of-moduli bound `_log_tail_of`(Re s): a
-    later value differs from this one by the factors of a stretch of the
-    tail, which the phase form does not cover.  The walk then resumes from
-    the next doubling count: a larger floor
-    only makes the counts it passed less feasible.  No count the walk passed
-    over could certify: there |value| >= floor, p_c <= `prime_ceiling`(c),
-    and r is nondecreasing in the modulus, so the loop's bound at c is at
-    least the walk's closed form, which exceeds the tolerance.
+    larger, with b here the sum-of-moduli bound `_log_tail_of`(Re s), built
+    once per run at complex s (at real s the run's own closure is that
+    bound): a later value differs from this one by the factors of a stretch
+    of the tail, which the phase form does not cover.  The walk then resumes
+    from the next doubling count: a larger floor only makes the counts it
+    passed less feasible.  No count the walk passed over could certify:
+    there |value| >= floor, p_c <= `prime_ceiling`(c), and r is
+    nondecreasing in the modulus, so the loop's bound at c is at least the
+    walk's closed form, which exceeds the tolerance.
 
     With `every_step` (`convergence_trace`, which reports the whole story)
     the loop steps through every doubling count from `count`.  Without it
@@ -944,11 +996,13 @@ def _trace(z: complex, method: str, tolerance: float, count: int,
     if method == METHOD_DIRICHLET:
         floor = 0.0
     elif z.imag == 0.0:
-        floor = 1.0  # every factor exceeds 1, and so does every product
+        # Every factor exceeds 1, and so does every product.  The closure
+        # has no phase form here, so it is its own sum-of-moduli bound.
+        floor, moduli = 1.0, log_tail
     else:
-        floor = _product_floor(sigma, zeta)
+        floor, moduli = _product_floor(sigma, zeta), _log_tail_of(complex(sigma))
         if offset == 0:
-            head_floor, head_ceiling = _head_range(z, log_tail)
+            head_floor, head_ceiling = _head_range(z, moduli)
             floor = max(floor, head_floor)
     needed = _walk_to_feasible(z, method, tolerance, count, offset, floor, rounding_bound, log_tail)
     if needed >= 16:
@@ -1001,7 +1055,7 @@ def _trace(z: complex, method: str, tolerance: float, count: int,
         # The factors past p_hi change |log| of every later value by at
         # most the sum of their moduli, so each has modulus at least this,
         # and at most `ceiling`.
-        b = log_tail(x, whole=False)
+        b = moduli(x)
         floor = max(floor, (abs(value) - rounding) * math.exp(-b))
         ceiling = min(ceiling, (abs(value) + rounding) * math.exp(b))
         lo = hi

@@ -71,12 +71,13 @@ def spf_partition_sum(s, N: int) -> PartitionTable:
     error no larger than the Dirichlet tail beyond N.
 
     One int32 sieve labels every n <= N with the rank, from 0, of its
-    smallest prime factor: the k-th base prime p <= isqrt(N) writes k into
-    the entries of its multiples from p*p on that are still -1, and the
-    entries of [2, N] left at -1 are the primes, ranked in order.  The powers
-    then go into the rows `methods._CHUNK` integers at a time.  The base
-    primes' rows go through `np.bincount`, which adds each row's terms in
-    ascending n; its bin `last` gathers the rest and is dropped.  A prime
+    smallest prime factor: the base primes p <= isqrt(N), largest first,
+    each write their rank k into the entries of their multiples from p*p
+    on, so the smallest prime factor writes last, and the entries of [2, N]
+    left at -1 are the primes, ranked in order.  The powers then go into
+    the rows `methods._CHUNK` integers at a time.  The base primes' rows go
+    through `np.bincount`, which adds each row's terms in ascending n; its
+    bin `last` gathers the rest and is dropped.  A prime
     past isqrt(N) is the smallest factor of itself alone, so one mask per
     chunk adds its one term onto its row's 0, as bincount would (-0.0 reads
     0.0), and a chunk costs O(chunk + pi(isqrt(N))), not O(pi(N)).
@@ -97,9 +98,8 @@ def spf_partition_sum(s, N: int) -> PartitionTable:
         raise ValueError(f"N must be <= {methods.MAX_PARTITION_CUTOFF}")
     rank = np.full(N + 1, -1, dtype=np.int32)
     base = primes.primes_up_to(math.isqrt(N))
-    for k, p in enumerate(base):
-        multiples = rank[p * p :: p]
-        multiples[multiples < 0] = k
+    for k, p in reversed(list(enumerate(base))):
+        rank[p * p :: p] = k
     found = np.flatnonzero(rank[2:] < 0) + 2
     rank[found] = np.arange(found.size)
     sums = np.zeros(found.size, dtype=np.complex128)

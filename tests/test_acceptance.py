@@ -23,7 +23,6 @@ from zetasum.kernel import (
     SingularPointError,
     explicit_exclusion_point,
     explicit_exclusion_points,
-    in_exclusion_set,
     singular_point,
 )
 from zetasum.methods import (
@@ -35,6 +34,7 @@ from zetasum.methods import (
     dirichlet_partial,
     euler_partial,
     identity_residual,
+    in_exclusion_set,
     induction_step_check,
     reform_partial,
     zeta_eval,

@@ -136,6 +136,29 @@ def test_eval_timing_flag_fills_elapsed(capsys):
     assert int(dict(zip(header, rows[0]))["elapsed_ns"]) > 0
 
 
+# The keys each command other than eval takes in a config file.
+NO_TIMING = {
+    ("identity-check", "--s", "3"): "s, i, format, output",
+    ("converge", "--s", "3"): "s, methods, tol, format, output",
+    ("exclusion",): "i, k-range, compare, format, output",
+    ("oracle-compare", "--s", "3"): "s, i, N, tol, format, output",
+}
+
+
+@pytest.mark.parametrize("argv", list(NO_TIMING), ids=lambda argv: argv[0])
+def test_timing_is_eval_only(argv, tmp_path, capsys):
+    # Only eval has an elapsed_ns column, so only eval takes --timing.
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--timing"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --timing" in capsys.readouterr().err
+    cfg = tmp_path / "timing.cfg"
+    cfg.write_text("timing=true\n")
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == f"usage error: {cfg}:1: unknown key 'timing'; {argv[0]} takes {NO_TIMING[argv]}\n"
+
+
 def test_usage_errors_exit_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         main(["eval", "--s", "2+0x"])

@@ -1,25 +1,29 @@
-"""The singular lattice and `kernel`'s errors, and the scalar reference
-powers and reciprocal factors (`scalar_reference`) that the library's
-vectorised powers are checked against."""
+"""The singular lattice and `kernel`'s errors, the membership test that
+asks the folds' own singular rule (`methods.in_exclusion_set`), and the
+scalar reference powers and reciprocal factors (`scalar_reference`) that the
+library's vectorised powers are checked against."""
 
+import csv
+import io
 import math
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scalar_reference import euler_factor, power_term, prime_power_term
-from zetasum import kernel
+from zetasum import cli, kernel
 from zetasum.kernel import (
     DEFAULT_SINGULAR_TOL,
     PowerOverflowError,
     SingularPointError,
     explicit_exclusion_point,
     explicit_exclusion_points,
-    in_exclusion_set,
     singular_point,
 )
+from zetasum.methods import euler_partial, in_exclusion_set
 from zetasum.primes import first_primes
 
 SMALL_PRIMES = first_primes(50).tolist()
@@ -137,11 +141,87 @@ def test_in_exclusion_set_full_lattice():
     re=st.floats(min_value=-5, max_value=5),
     im=st.floats(min_value=-50, max_value=50),
 )
+@example(re=2.0 * DEFAULT_SINGULAR_TOL, im=2.0 * math.pi / math.log(2))
+@example(re=-2.0 * DEFAULT_SINGULAR_TOL, im=0.0)
+@example(re=2.0 * DEFAULT_SINGULAR_TOL, im=-100.0 * math.pi / math.log(3))
 @settings(max_examples=100)
 def test_in_exclusion_set_none_off_axis(re, im):
-    if abs(re) <= DEFAULT_SINGULAR_TOL:
+    # Every gap |1 - p^{-s}| is at least 1 - 2^{-2*tol}, about 1.386*tol,
+    # once |Re s| >= 2*tol.
+    if abs(re) < 2.0 * DEFAULT_SINGULAR_TOL:
         return
     assert in_exclusion_set(complex(re, im), 10) is None
+
+
+def _refused_prime(i, s):
+    """The prime at which `euler_partial`(i, s) refuses a factor, or None."""
+    try:
+        euler_partial(i, s)
+    except SingularPointError as exc:
+        return exc.prime
+    return None
+
+
+# A rectangle test (|Re s| <= tol and Im s within tol/ln p of the lattice)
+# answers these four the other way.  The first two lie outside the rectangles
+# but inside the disc |s - s_k| < tol/ln p around a lattice point of 2, where
+# the fold refuses; the last two lie inside a rectangle but outside its disc.
+NAMED_NEAR_LATTICE = {
+    "past_the_rectangle_of_2": (1.2e-9, 2, True),
+    "past_the_rectangle_of_2_left": (-1.2e-9, 2, True),
+    "in_the_rectangle_of_3": (complex(9.5e-10, 2.0 * math.pi / math.log(3)), 2, False),
+    "in_the_corner_of_2": (complex(9e-10, 2.0 * math.pi / math.log(2) + 9e-10 / math.log(2)),
+                           1, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_NEAR_LATTICE))
+def test_in_exclusion_set_named_points(name):
+    s, i, member = NAMED_NEAR_LATTICE[name]
+    assert (_refused_prime(i, s) is not None) is member
+    assert (in_exclusion_set(s, i) is not None) is member
+
+
+def test_in_exclusion_set_agrees_with_the_fold():
+    # 3,000 points within 3*tol in Re and 3*tol/ln p in Im of singular_point(p, k),
+    # p among the first 10 primes and k in -50..50, tested over the first i
+    # primes, i from p's index to 10.  The folds refuse at about 150 of them.
+    tol = DEFAULT_SINGULAR_TOL
+    rng = random.Random(20261020)
+    refused = 0
+    for _ in range(3000):
+        j = rng.randint(1, 10)
+        p, i = SMALL_PRIMES[j - 1], rng.randint(j, 10)
+        s = singular_point(p, rng.randint(-50, 50)) + complex(
+            rng.uniform(-3.0, 3.0) * tol, rng.uniform(-3.0, 3.0) * tol / math.log(p))
+        prime = _refused_prime(i, s)
+        refused += prime is not None
+        # A member exactly where the fold refuses, witnessed by its prime.
+        w = in_exclusion_set(s, i)
+        assert (None if w is None else w.prime) == prime, (s, i)
+    assert 100 < refused < 200
+
+
+def test_in_exclusion_set_covers_every_singular_row_of_the_report(capsys):
+    assert cli.main(["exclusion", "--i", "10", "--k-range", "-50..50"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    singular = [row for row in rows if row["singular"] == "true"]
+    assert len(singular) == len(rows) == 10 * 101
+    for row in singular:
+        w = in_exclusion_set(complex(float(row["s_re"]), float(row["s_im"])), 10)
+        assert w is not None, row
+
+
+def test_in_exclusion_set_phase_overflow_is_the_folds():
+    # 7 is the first of the first 10 primes whose phase 1e308*ln p passes
+    # the double range.
+    s = complex(0.0, 1e308)
+    with pytest.raises(PowerOverflowError) as fold:
+        euler_partial(10, s)
+    with pytest.raises(PowerOverflowError) as member:
+        in_exclusion_set(s, 10)
+    assert member.value.prime == fold.value.prime == 7
+    assert str(member.value) == str(fold.value)
 
 
 def test_witness_distance_within_tolerance_for_inscribed_points():

@@ -28,6 +28,7 @@ from zetasum.methods import (
     dirichlet_partial,
     euler_partial,
     identity_residual,
+    in_exclusion_set,
     induction_step_check,
     reform_partial,
     tail_bound,
@@ -311,8 +312,6 @@ def test_identity_residual_random_box():
     count = 0
     while count < 100:
         s = complex(rng.uniform(-3, 5), rng.uniform(-20, 20))
-        from zetasum.kernel import in_exclusion_set
-
         if in_exclusion_set(s, 20) is not None:
             continue
         count += 1
@@ -481,11 +480,12 @@ def test_reform_partial_reports_the_lowest_failing_block(i, s, error, prime, mon
 
 
 def test_singular_scan_is_skipped_only_where_no_gap_can_reach_the_tolerance(monkeypatch):
-    # `_blocks` skips its scan for 1 - 2^{-sigma} >= 2*tol.  For sigma > 0,
-    # |1 - p^{-s}| >= 1 - p^{-sigma} >= 1 - 2^{-sigma}, and the computed gap
-    # is within about 1e-15 of the exact one, so just above the threshold
-    # every gap clears tol.  Heights 2*pi*k/ln 2 put 2^{-s} on the positive
-    # real axis, where its gap is least.
+    # `_blocks` skips its scan for 1 - 2^{-|sigma|} >= 2*tol.  For sigma > 0,
+    # |1 - p^{-s}| >= 1 - p^{-sigma} >= 1 - 2^{-sigma}, for sigma < 0 it is
+    # at least 2^{-sigma} - 1, which is larger, and the computed gap is
+    # within about 1e-15 of the exact one, so just past the threshold every
+    # gap clears tol.  Heights 2*pi*k/ln 2 put 2^{-s} on the positive real
+    # axis, where its gap is least.
     tol = kernel.DEFAULT_SINGULAR_TOL
     threshold = -math.log2(1.0 - 2.0 * tol)
     p = first_primes(1 << 16)
@@ -494,7 +494,8 @@ def test_singular_scan_is_skipped_only_where_no_gap_can_reach_the_tolerance(monk
     argmin = np.argmin
     monkeypatch.setattr(np, "argmin", lambda a: scans.append(a.size) or argmin(a))
     monkeypatch.setattr(methods, "_CHUNK", 1 << 15)
-    for sigma, scanned in ((threshold * (1.0 + 1e-6), 0), (threshold * (1.0 - 1e-6), 2)):
+    for sigma, scanned in ((threshold * (1.0 + 1e-6), 0), (threshold * (1.0 - 1e-6), 2),
+                           (-threshold * (1.0 + 1e-6), 0), (-threshold * (1.0 - 1e-6), 2)):
         for t in heights:
             z = complex(sigma, t)
             gap = np.abs(1.0 - methods._power_terms(p, z))
@@ -504,10 +505,10 @@ def test_singular_scan_is_skipped_only_where_no_gap_can_reach_the_tolerance(monk
                 pass
             assert len(scans) == scanned, (z, scans)
     # Below the threshold the scan still fires where a gap is below tol.
-    sigma = -math.log2(1.0 - 0.5 * tol)
-    with pytest.raises(SingularPointError) as excinfo:
-        euler_partial(3, complex(sigma, 2.0 * math.pi / math.log(2.0)))
-    assert excinfo.value.prime == 2
+    for sigma in (-math.log2(1.0 - 0.5 * tol), math.log2(1.0 - 0.5 * tol)):
+        with pytest.raises(SingularPointError) as excinfo:
+            euler_partial(3, complex(sigma, 2.0 * math.pi / math.log(2.0)))
+        assert excinfo.value.prime == 2
 
 
 # ----------------------------------------------------------------------
@@ -1032,11 +1033,11 @@ def test_later_products_stay_inside_each_steps_floor_and_ceiling(s, tol, monkeyp
     monkeypatch.setattr(methods, "_walk_to_feasible", lambda *args: floors.append(args[5]) or walk(*args))
     trace = convergence_trace(s, METHOD_EULER_PRODUCT, tol)
     sigma = s.real
-    moduli = methods._log_tail_of(complex(sigma))  # as log_tail(x, whole=False)
+    moduli = methods._log_tail_of(complex(sigma))  # the sum-of-moduli bound
     rounding = methods._rounding_of(s, METHOD_EULER_PRODUCT, methods._zeta_bounds(sigma))
     factors = 1.0 / (1.0 - methods._power_terms(first_primes(trace[-1].terms_used), s))
     later = np.abs(np.cumprod(factors))  # later[c - 1]: the product over the first c primes
-    lo, hi = methods._head_range(s, methods._log_tail_of(s))
+    lo, hi = methods._head_range(s, moduli)
     assert floors[0] == max(lo, methods._product_floor(sigma, methods._zeta_bounds(sigma)))
     assert lo <= later.min() and later[7:].max() <= hi, (lo, later.min(), later[7:].max(), hi)
     floor = floors[0]
