@@ -22,10 +22,10 @@ from one call, the head batch of at most one block, so a request's fixed
 cost is paid once, not once per cut.
 
 Each certified request computes what depends on s and the method alone
-once: `_zeta_bounds`, and the constants of the closed forms for rounding
-(`_rounding_of`) and for the product tail (`_log_tail_of`), which
-`_walk_to_feasible` then evaluates at the doubling counts from the first
-that a closed-form lower bound on the truncation does not rule out
+once: `_zeta_bounds`, the constants of the closed form for rounding
+(`_rounding_of`) and, for a product, those of the tail (`_log_tail_of`).
+`_walk_to_feasible` then evaluates them at the doubling counts from the
+first that a closed-form lower bound on the truncation does not rule out
 (`_last_ruled_out`).  At complex s a product request also takes the first
 eight Euler factors in scalar arithmetic, for a floor and a ceiling on the
 modulus of every later value (`_head_range`).  With Re(s) > 1 no factor
@@ -33,16 +33,18 @@ modulus of every later value (`_head_range`).  With Re(s) > 1 no factor
 That scan is the library's one singular rule: `in_exclusion_set` asks it
 too, so s is a member exactly where a fold refuses a factor.
 
-The three evaluation methods and the tail products share one driver
-(`_trace`): record the value at a count together with an honest upper bound
+The two product methods and the tail products share one driver
+(`_trace`): fold each new window of primes into a running product or sum,
+record the value at the count reached together with an honest upper bound
 on its distance to the limit, and stop once that bound drops below the
-requested tolerance.  `convergence_trace` records every doubling count;
-`zeta_eval` and `correction_coefficient` fold once to a count within 1/32
-of the first that certifies, found by bisecting a closed form between two
-doubling counts (`_first_certifying`), so their terms_used is at most
-`convergence_trace`'s last and their values differ from its in the last
-digits.  The products fold each new window of primes into a running product
-or sum; a Dirichlet request is one fold.  Every bound is truncation plus
+requested tolerance.  A Dirichlet request needs none of the driver's
+state: its bound does not depend on the value, so it is the feasibility
+walk and one `_dirichlet_fold` (`_checked_trace`).  `convergence_trace`
+records every doubling count; `zeta_eval` and `correction_coefficient`
+fold once to a count within 1/32 of the first that certifies, found by
+bisecting a closed form between two doubling counts (`_first_certifying`),
+so their terms_used is at most `convergence_trace`'s last and their values
+differ from its in the last digits.  Every bound is truncation plus
 rounding.  The product tail is a sum over primes only, bounded by partial
 summation against Rosser & Schoenfeld's bounds on Chebyshev's theta(x), and
 at complex s by a phase form that sees the cancellation between the p^{-s}
@@ -257,28 +259,22 @@ def in_exclusion_set(s, i: int, tol: float = DEFAULT_SINGULAR_TOL) -> ExclusionW
     return ExclusionWitness(prime, k, math.hypot(z.real, z.imag - math.tau * k / ln_p))
 
 
-def _finite(x: complex) -> bool:
-    return math.isfinite(x.real) and math.isfinite(x.imag)
-
-
-def _overflow(what: str, n: int, z: complex) -> PowerOverflowError:
-    # Named for the running aggregate `what` that left the range, not n^(-s).
-    error = PowerOverflowError(n, z)
-    error.args = (f"{what} exceeds the double-precision range at s = {z}",)
-    return error
-
-
 def _checked_fold(folded: complex, p: np.ndarray, carry: complex, f: np.ndarray,
                   z: complex) -> complex:
-    """`folded` if finite; else raise at the first p where carry*f[0]*...*f[k],
-    multiplied in that order, is not finite (the block's last prime if none is)."""
-    if _finite(folded):
+    """`folded` if finite; else raise `PowerOverflowError` at the first p where
+    carry*f[0]*...*f[k], multiplied in that order, is not finite (the block's
+    last prime if none is).  The product folds' one overflow locator: its
+    message names the running Euler product that left the range, not p^(-s)."""
+    if math.isfinite(folded.real) and math.isfinite(folded.imag):
         return folded
     with np.errstate(all="ignore"):
         running = np.cumprod(np.concatenate(([carry], f)))[1:]
     bad = np.flatnonzero(~np.isfinite(running))
     at = int(p[bad[0]]) if bad.size else int(p[-1])
-    raise _overflow(f"the running Euler product at prime {at}", at, z)
+    error = PowerOverflowError(at, z)
+    error.args = (f"the running Euler product at prime {at} exceeds the double-precision "
+                  f"range at s = {z}",)
+    raise error
 
 
 def _product(blocks, z: complex, out: complex = complex(1.0)) -> complex:
@@ -676,11 +672,12 @@ def _power_sum_rounding(z: complex, depth: int, zeta: tuple[float, float, float]
 def _rounding_of(z: complex, method: str,
                  zeta: tuple[float, float, float]) -> Callable[[int, float], float]:
     """(count, magnitude) -> an a-priori bound on |computed - exact| for the
-    `method` truncation at `count` terms past its start, as `_trace` folds
-    it; `magnitude` is |computed value| (unused by the Dirichlet route), and
-    `zeta` is `_zeta_bounds`(Re(z)).  The parts that depend on z and the
-    method alone are computed once, each expression in the order the closed
-    form below is written, so a bound has the same bits however it is split.
+    `method` truncation at `count` terms past its start, as `_trace` (or,
+    for Dirichlet, `_dirichlet_fold`) folds it; `magnitude` is |computed
+    value| (unused by the Dirichlet route), and `zeta` is
+    `_zeta_bounds`(Re(z)).  The parts that depend on z and the method alone
+    are computed once, each expression in the order the closed form below
+    is written, so a bound has the same bits however it is split.
 
     Closed form, to first order in u = 2^-53: the neglected terms are
     smaller by a factor of about count*u < 1e-6, and the phase error is
@@ -828,13 +825,14 @@ def _last_ruled_out(z: complex, method: str, tolerance: float, magnitude: float)
 def _walk_to_feasible(z: complex, method: str, tolerance: float, count: int,
                       offset: int, magnitude: float,
                       rounding_bound: Callable[[int, float], float],
-                      log_tail: Callable[[float], float]) -> int:
+                      log_tail: Callable[[float], float] | None) -> int:
     """Walk the doubling counts from `count` with closed forms alone and
     return the first that may certify a value of modulus >= `magnitude`;
     refuse at the first past a limit or whose rounding alone exceeds the
     tolerance, as no count after it can certify (see `_trace`).
     `rounding_bound` and `log_tail` are the request's `_rounding_of` and
-    `_log_tail_of`, built once for every walk of a request.
+    `_log_tail_of`, built once for every walk of a request; a Dirichlet
+    walk reads no `log_tail` and is passed None (see `_checked_trace`).
 
     The walk starts past the doubling counts whose truncation
     `_last_ruled_out` proves above the tolerance, when the last of them
@@ -905,22 +903,21 @@ def _first_certifying(lo: int, hi: int, certifies: Callable[[int], bool]) -> int
 
 def _trace(z: complex, method: str, tolerance: float, count: int,
            offset: int = 0, every_step: bool = True) -> list[EvaluationResult]:
-    """The driver behind every adaptive evaluation.
+    """The driver behind the product evaluations: `euler_product` and
+    `reformulated` requests from count 1, and `correction_coefficient` from
+    count 16 past its offset.
 
-    Truncates at counts of terms past the first `offset` primes (Dirichlet
-    runs have offset 0): with `every_step` at `count`, 2*`count`,
-    4*`count`, ..., else at a count that certifies (below).  For the products
-    each step folds only its new primes, those at positions lo..offset+c-1
-    (0-based) for a step at count c, with lo the previous step's end, into
-    one running product or prime-indexed sum, so each power is computed once
-    over the whole run.  Records one result per step, with terms_used = c,
-    and stops once its certified bound is <= tolerance.  A Dirichlet run is
-    one `_dirichlet_fold` (see below).
+    Truncates at counts of primes past the first `offset`: with `every_step`
+    at `count`, 2*`count`, 4*`count`, ..., else at a count that certifies
+    (below).  Each step folds only its new primes, those at positions
+    lo..offset+c-1 (0-based) for a step at count c, with lo the previous
+    step's end, into one running product or prime-indexed sum, so each power
+    is computed once over the whole run.  Records one result per step, with
+    terms_used = c, and stops once its certified bound is <= tolerance.
 
     Each step's bound is truncation plus rounding.  Rounding is
-    r = `_rounding_of`, which bounds |value - exact truncation|.  Truncation is
-    `_dirichlet_tail` for Dirichlet runs.  For products it is
-    (|value| + r)*expm1(b), with b = `_log_tail_of`(s) at the step's last
+    r = `_rounding_of`, which bounds |value - exact truncation|.  Truncation
+    is (|value| + r)*expm1(b), with b = `_log_tail_of`(s) at the step's last
     prime: the exact truncation has modulus at most |value| + r, and the
     remaining factor differs from 1 by at most expm1(b).
 
@@ -928,48 +925,39 @@ def _trace(z: complex, method: str, tolerance: float, count: int,
     closed forms alone and stops at the first that may certify, `needed`.
     It starts past the counts that `_last_ruled_out`, a closed-form lower
     bound on the truncation solved for the count, proves short, and returns
-    and refuses as a walk from `count` would.
-    Every value has modulus at least `floor` (0 for Dirichlet runs, whose
-    bound does not depend on the value; for products 1 for real s, else
-    `_product_floor`, raised to the floor of `_head_range` when the product
-    starts at the first prime), and the n-th prime is at most
-    `primes.prime_ceiling`(n), so
-    a product count certifies only if floor*expm1(b) + r(floor) <= tolerance
-    with b taken at that ceiling (`_log_tail_of` is nonincreasing).  The walk
-    refuses at the first count past MAX_DIRICHLET_TERMS, whose sieve would
-    pass MAX_PRIME_LIMIT, or whose r(count, floor) alone exceeds the
-    tolerance: r is nondecreasing in count and in modulus, so no later count
-    certifies.  The loop checks none of the three: each count it reaches is
-    at most the latest `needed`, which passed, and all three are monotone in
-    count.  After each product step, `floor` is raised to that step's own
-    lower bound on every later modulus, (|value| - r)*exp(-b), when that is
-    larger, with b here the sum-of-moduli bound `_log_tail_of`(Re s), built
-    once per run at complex s (at real s the run's own closure is that
-    bound): a later value differs from this one by the factors of a stretch
-    of the tail, which the phase form does not cover.  The walk then resumes
-    from the next doubling count: a larger floor only makes the counts it
-    passed less feasible.  No count the walk passed over could certify:
-    there |value| >= floor, p_c <= `prime_ceiling`(c), and r is
-    nondecreasing in the modulus, so the loop's bound at c is at least the
-    walk's closed form, which exceeds the tolerance.
+    and refuses as a walk from `count` would.  Every value has modulus at
+    least `floor` (1 for real s, else `_product_floor`, raised to the floor
+    of `_head_range` when the product starts at the first prime), and the
+    n-th prime is at most `primes.prime_ceiling`(n), so a count certifies
+    only if floor*expm1(b) + r(floor) <= tolerance with b taken at that
+    ceiling (`_log_tail_of` is nonincreasing).  The walk refuses at the
+    first count whose sieve would pass MAX_PRIME_LIMIT, or whose r(count,
+    floor) alone exceeds the tolerance: r is nondecreasing in count and in
+    modulus, so no later count certifies.  The loop checks neither: each
+    count it reaches is at most the latest `needed`, which passed, and both
+    are monotone in count.  After each step, `floor` is raised to that
+    step's own lower bound on every later modulus, (|value| - r)*exp(-b),
+    when that is larger, with b here the sum-of-moduli bound
+    `_log_tail_of`(Re s), built once per run at complex s (at real s the
+    run's own closure is that bound): a later value differs from this one by
+    the factors of a stretch of the tail, which the phase form does not
+    cover.  The walk then resumes from the next doubling count: a larger
+    floor only makes the counts it passed less feasible.  No count the walk
+    passed over could certify: there |value| >= floor, p_c <=
+    `prime_ceiling`(c), and r is nondecreasing in the modulus, so the loop's
+    bound at c is at least the walk's closed form, which exceeds the
+    tolerance.
 
     With `every_step` (`convergence_trace`, which reports the whole story)
     the loop steps through every doubling count from `count`.  Without it
     (`zeta_eval`, `correction_coefficient`) each step searches the bracket
     (lo, `needed`] for a count that certifies (`_first_certifying`, to
     within 1/32), lo the largest of the count folded so far, the doubling
-    count before `needed`, which the walk passed over, and the method's
-    first count less one.  So terms_used is at most `convergence_trace`'s
-    last, and the values differ from its in the last digits.
+    count before `needed`, which the walk passed over, and the first count
+    less one.  So terms_used is at most `convergence_trace`'s last, and the
+    values differ from its in the last digits.
 
-    A Dirichlet step's bound, `_dirichlet_tail` plus r(count, 0), is the
-    walk's closed form expression for expression, so every doubling count up
-    to `needed` is a cut of one fold to it, from which `convergence_trace`
-    takes every step, while `zeta_eval` bisects that closed form and folds
-    once to the count found: its value is `dirichlet_partial`(terms_used)
-    bit for bit.
-
-    A product step bisects the sufficient form (M + r)*expm1(b) + r(c, M),
+    A step bisects the sufficient form (M + r)*expm1(b) + r(c, M),
     with b at the exact c-th prime past the offset, read from the first
     offset + `needed` primes, which the fold to `needed` sieves anyway, and
     M an upper bound on every later modulus: zeta(sigma) from `_zeta_bounds`
@@ -993,9 +981,7 @@ def _trace(z: complex, method: str, tolerance: float, count: int,
     zeta = _zeta_bounds(sigma)
     rounding_bound, log_tail = _rounding_of(z, method, zeta), _log_tail_of(z)
     ceiling = head_ceiling = zeta[1]
-    if method == METHOD_DIRICHLET:
-        floor = 0.0
-    elif z.imag == 0.0:
+    if z.imag == 0.0:
         # Every factor exceeds 1, and so does every product.  The closure
         # has no phase form here, so it is its own sum-of-moduli bound.
         floor, moduli = 1.0, log_tail
@@ -1008,17 +994,6 @@ def _trace(z: complex, method: str, tolerance: float, count: int,
     if needed >= 16:
         ceiling = min(ceiling, head_ceiling)
     below = count - 1  # the first count, less one, bounds every search
-    if method == METHOD_DIRICHLET:
-        def bound(c: int) -> float:
-            return _dirichlet_tail(c, z) + rounding_bound(c, 0.0)
-
-        if every_step:
-            counts = [needed >> k for k in range((needed // count).bit_length() - 1, -1, -1)]
-        else:
-            counts = [_first_certifying(max(below, needed // 2), needed,
-                                        lambda c: bound(c) <= tolerance)]
-        values = _dirichlet_fold(counts[-1], z)[-len(counts):]
-        return [EvaluationResult(value, method, c, bound(c)) for value, c in zip(values, counts)]
     steps: list[EvaluationResult] = []
     running = complex(1.0) if method == METHOD_EULER_PRODUCT else complex(0.0)
     lo = offset
@@ -1084,15 +1059,42 @@ def correction_coefficient(k: int, s, spec: TruncationSpec) -> EvaluationResult:
 
 
 def _checked_trace(s, method: str, tolerance: float, every_step: bool) -> list[EvaluationResult]:
-    """Check a request for zeta(s), then `_trace` it from the method's first count."""
+    """Check a request for zeta(s), then run it: a product request is
+    `_trace`d from count 1, and a Dirichlet request is run here.
+
+    The Dirichlet route needs none of the product driver's state.
+    `_walk_to_feasible` walks its doubling counts from 16 with closed forms
+    alone, to the first, `needed`, whose bound `_dirichlet_tail` plus
+    r(count, 0), r = `_rounding_of`, may certify; that bound does not depend
+    on the value, so it is each step's bound too, expression for expression,
+    and `needed` certifies.  `convergence_trace` takes every doubling count
+    from 16 to `needed`; `zeta_eval` takes the count within 1/32 of the first
+    that certifies, bisecting that bound over (max(15, needed // 2), needed]
+    (`_first_certifying`).  Each count taken is a cut N >> k of one
+    `_dirichlet_fold` to the largest, which is the fold `dirichlet_partial`
+    makes, so a `dirichlet` value is `dirichlet_partial`(terms_used) bit for
+    bit.
+    """
     z = as_complex(s)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     _check_tolerance(tolerance)
     if z.real <= 1.0:
         raise NonConvergentError("zeta evaluation", z)
-    return _trace(z, method, tolerance, count=16 if method == METHOD_DIRICHLET else 1,
-                  every_step=every_step)
+    if method != METHOD_DIRICHLET:
+        return _trace(z, method, tolerance, count=1, every_step=every_step)
+    rounding_bound = _rounding_of(z, method, _zeta_bounds(z.real))
+    needed = _walk_to_feasible(z, method, tolerance, 16, 0, 0.0, rounding_bound, None)
+
+    def bound(c: int) -> float:
+        return _dirichlet_tail(c, z) + rounding_bound(c, 0.0)
+
+    if every_step:
+        counts = [needed >> k for k in range((needed // 16).bit_length() - 1, -1, -1)]
+    else:
+        counts = [_first_certifying(max(15, needed // 2), needed, lambda c: bound(c) <= tolerance)]
+    values = _dirichlet_fold(counts[-1], z)[-len(counts):]
+    return [EvaluationResult(value, method, c, bound(c)) for value, c in zip(values, counts)]
 
 
 def convergence_trace(s, method: str, tolerance: float) -> list[EvaluationResult]:
@@ -1111,10 +1113,10 @@ def zeta_eval(s, method: str = METHOD_REFORMULATED, tolerance: float = 1e-6) -> 
     `reformulated` returns 1 plus the prime-indexed sum, `euler_product` the
     plain finite product (the two agree identically, so this is a live
     cross-check), `dirichlet` the partial sum of n^{-s}.  It folds once to a
-    count within 1/32 of the first that certifies (see `_trace`), so
-    terms_used is at most that of `convergence_trace`'s last step, which
-    stops at a doubling count, and the value differs from that step's in
-    the last digits.  A `dirichlet` value is `dirichlet_partial`(terms_used)
-    bit for bit.
+    count within 1/32 of the first that certifies (see `_trace` and
+    `_checked_trace`), so terms_used is at most that of `convergence_trace`'s
+    last step, which stops at a doubling count, and the value differs from
+    that step's in the last digits.  A `dirichlet` value is
+    `dirichlet_partial`(terms_used) bit for bit.
     """
     return _checked_trace(s, method, tolerance, every_step=False)[-1]

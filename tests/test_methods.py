@@ -182,6 +182,19 @@ def test_dirichlet_trace_steps_are_the_partial_sums(s, chunk, monkeypatch):
         assert step.value == dirichlet_partial(step.terms_used, s)
 
 
+@pytest.mark.parametrize("s, tol", [(2, 1e-6), (2 + 10j, 1e-8), (3.5 - 400j, 1e-10)])
+def test_dirichlet_requests_never_enter_the_product_driver(s, tol, no_work):
+    # A Dirichlet request is the feasibility walk and one fold: it builds no
+    # product tail, head range or floor, and folds no prime block.
+    no_work(*(f"zetasum.methods.{name}" for name in
+              ("_trace", "_log_tail_of", "_head_range", "_product_floor", "_blocks")))
+    got = zeta_eval(s, METHOD_DIRICHLET, tol)
+    assert got.tail_error_bound <= tol
+    steps = convergence_trace(s, METHOD_DIRICHLET, tol)
+    assert steps[-1].tail_error_bound <= tol
+    assert got.terms_used <= steps[-1].terms_used
+
+
 @pytest.mark.parametrize("s", [2, 2.5 + 300j, 1.7 - 900j, 3 + 10j])
 def test_dirichlet_partial_is_exact_to_rounding(s):
     mpmath = pytest.importorskip("mpmath")
@@ -907,12 +920,13 @@ def test_walk_starts_past_the_counts_it_rules_out_and_ends_where_stepping_would(
         count = 1 << rng.randrange(25)
         zeta = methods._zeta_bounds(sigma)
         if method == METHOD_DIRICHLET:
-            offset, magnitude = 0, 0.0
+            # As `_checked_trace` calls it: a Dirichlet walk has no product tail.
+            offset, magnitude, log_tail = 0, 0.0, None
         else:
             offset = 0 if rng.random() < 0.5 else int(10.0 ** rng.uniform(0.0, 6.0))
             floor = 1.0 if t == 0.0 else methods._product_floor(sigma, zeta)
             magnitude = rng.choice((floor, zeta[1], rng.uniform(floor, zeta[1])))
-        log_tail = methods._log_tail_of(z)
+            log_tail = methods._log_tail_of(z)
         args = (z, method, tolerance, count, offset, magnitude,
                 methods._rounding_of(z, method, zeta), log_tail)
         got = walk_outcome(methods._walk_to_feasible, *args)
