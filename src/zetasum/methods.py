@@ -34,22 +34,24 @@ That scan is the library's one singular rule: `in_exclusion_set` asks it
 too, so s is a member exactly where a fold refuses a factor.
 
 The two product methods and the tail products share one driver
-(`_trace`): fold each new window of primes into a running product or sum,
-record the value at the count reached together with an honest upper bound
-on its distance to the limit, and stop once that bound drops below the
-requested tolerance.  A Dirichlet request needs none of the driver's
-state: its bound does not depend on the value, so it is the feasibility
-walk and one `_dirichlet_fold` (`_checked_trace`).  `convergence_trace`
-records every doubling count; `zeta_eval` and `correction_coefficient`
-fold once to a count within 1/32 of the first that certifies, found by
-bisecting a closed form between two doubling counts (`_first_certifying`),
-so their terms_used is at most `convergence_trace`'s last and their values
-differ from its in the last digits.  Every bound is truncation plus
-rounding.  The product tail is a sum over primes only, bounded by partial
-summation against Rosser & Schoenfeld's bounds on Chebyshev's theta(x), and
-at complex s by a phase form that sees the cancellation between the p^{-s}
-(`_log_tail_of`).  The Dirichlet tail is the
-smaller of the integral bound and a second-order Euler-Maclaurin bound
+(`_trace`), and every request takes it in one shape: from one prime, with
+one prime window per step, and with every step that falls short resuming
+the feasibility walk.  Each step folds its new primes into a running
+product or sum, records the value at the count reached together with an
+honest upper bound on its distance to the limit, and stops once that
+bound drops below the requested tolerance.  A Dirichlet request needs none
+of the driver's state: its bound does not depend on the value, so it is
+the feasibility walk and one `_dirichlet_fold` (`_checked_trace`).
+`convergence_trace` records every doubling count; `zeta_eval` and
+`correction_coefficient` fold to a count within 1/32 of the first that
+certifies, found by bisecting a closed form between two doubling counts
+(`_first_certifying`), so their terms_used is at most `convergence_trace`'s
+last and their values differ from its in the last digits.  Every bound is
+truncation plus rounding.  The product tail is a sum over primes only,
+bounded by partial summation against Rosser & Schoenfeld's bounds on
+Chebyshev's theta(x), and at complex s by a phase form that sees the
+cancellation between the p^{-s} (`_log_tail_of`).  The Dirichlet tail is
+the smaller of the integral bound and a second-order Euler-Maclaurin bound
 (`_dirichlet_tail`).  Rounding is one closed form per step
 (`_rounding_of`): the error of each power, mostly in its phase, plus the
 roundings a term meets on its way through the fold.
@@ -260,11 +262,11 @@ def in_exclusion_set(s, i: int, tol: float = DEFAULT_SINGULAR_TOL) -> ExclusionW
 
 
 def _checked_fold(folded: complex, p: np.ndarray, carry: complex, f: np.ndarray,
-                  z: complex) -> complex:
+                  z: complex, name: str) -> complex:
     """`folded` if finite; else raise `PowerOverflowError` at the first p where
     carry*f[0]*...*f[k], multiplied in that order, is not finite (the block's
-    last prime if none is).  The product folds' one overflow locator: its
-    message names the running Euler product that left the range, not p^(-s)."""
+    last prime if none is).  The prime folds' one overflow locator: its
+    message names the fold that left the range, `name`, not p^(-s)."""
     if math.isfinite(folded.real) and math.isfinite(folded.imag):
         return folded
     with np.errstate(all="ignore"):
@@ -272,8 +274,7 @@ def _checked_fold(folded: complex, p: np.ndarray, carry: complex, f: np.ndarray,
     bad = np.flatnonzero(~np.isfinite(running))
     at = int(p[bad[0]]) if bad.size else int(p[-1])
     error = PowerOverflowError(at, z)
-    error.args = (f"the running Euler product at prime {at} exceeds the double-precision "
-                  f"range at s = {z}",)
+    error.args = (f"{name} at prime {at} exceeds the double-precision range at s = {z}",)
     raise error
 
 
@@ -281,7 +282,8 @@ def _product(blocks, z: complex, out: complex = complex(1.0)) -> complex:
     """`out` times every factor f in the blocks, one block product at a time."""
     for p, _, f in blocks:
         with np.errstate(all="ignore"):
-            out = _checked_fold(out * complex(f.prod()), p, out, f, z)
+            out = _checked_fold(out * complex(f.prod()), p, out, f, z,
+                                "the running Euler product")
         # Free this block before `blocks` builds the next: one block's memory.
         del p, _, f
     return out
@@ -292,8 +294,12 @@ def _sum(blocks, z: complex, total: complex = 0j) -> complex:
 
     The induction step S_{i+1} = f_{i+1}*(t_{i+1} + S_i), applied to a whole
     block at once: S <- (product of the block's f)*S + sum of t times the
-    block's suffix products of f.  A suffix product that is not finite leaves
-    S not finite, located from the carry 1 + S, the running Euler product.
+    block's suffix products of f.  A term t*suffix that is not finite leaves
+    S not finite, and `_checked_fold` names the prime-indexed sum, at the
+    first prime where the carry 1 + S times the factors leaves the range,
+    else at the block's last prime.  The terms can leave the range where
+    the product does not: at s = 2i, `euler_partial`(1547) is about 5e225
+    in modulus, and `reform_partial`(1547) raises at prime 12983.
     """
     for p, t, f in blocks:
         with np.errstate(all="ignore"):
@@ -301,7 +307,7 @@ def _sum(blocks, z: complex, total: complex = 0j) -> complex:
             # order than real ones, and the real-s reports follow the former.
             suffix = np.cumprod(f[::-1], dtype=complex)[::-1]
             total = _checked_fold(complex(suffix[0]) * total + complex((t * suffix).sum()),
-                                  p, 1.0 + total, f, z)
+                                  p, 1.0 + total, f, z, "the prime-indexed sum")
         del p, t, f, suffix  # as in `_product`
     return total
 
@@ -836,10 +842,13 @@ def _walk_to_feasible(z: complex, method: str, tolerance: float, count: int,
 
     The walk starts past the doubling counts whose truncation
     `_last_ruled_out` proves above the tolerance, when the last of them
-    passes the limit and rounding checks below: both are monotone in the
-    count, so every count skipped would pass them too and then fall short,
-    and the walk returns or refuses as if it had stepped through them.
-    Otherwise it steps from `count`.
+    passes the rounding check below: it is monotone in the count, so every
+    count skipped would pass it too and then fall short, and the walk
+    returns or refuses as if it had stepped through them.  Otherwise it
+    steps from `count`.  The skip needs no limit check: `_last_ruled_out`
+    names an n with `prime_ceiling` below MAX_PRIME_LIMIT at every index up
+    to n (products), or n at most MAX_DIRICHLET_TERMS, and the last count
+    skipped lies at most n past the offset.
 
     A refusal at the sieve limit names the count before the one it stopped
     at, which fell short (in this walk, an earlier one or a step of
@@ -850,11 +859,7 @@ def _walk_to_feasible(z: complex, method: str, tolerance: float, count: int,
     last = _last_ruled_out(z, method, tolerance, magnitude) - offset
     if last >= count:
         last = count << ((last // count).bit_length() - 1)
-        if method == METHOD_DIRICHLET:
-            within = last <= MAX_DIRICHLET_TERMS
-        else:
-            within = primes.prime_ceiling(offset + last) <= MAX_PRIME_LIMIT
-        if within and rounding_bound(last, magnitude) <= tolerance:
+        if rounding_bound(last, magnitude) <= tolerance:
             count = 2 * last
     while True:
         if method == METHOD_DIRICHLET:
@@ -901,81 +906,80 @@ def _first_certifying(lo: int, hi: int, certifies: Callable[[int], bool]) -> int
 # ----------------------------------------------------------------------
 # adaptive evaluation
 
-def _trace(z: complex, method: str, tolerance: float, count: int,
-           offset: int = 0, every_step: bool = True) -> list[EvaluationResult]:
-    """The driver behind the product evaluations: `euler_product` and
-    `reformulated` requests from count 1, and `correction_coefficient` from
-    count 16 past its offset.
+def _trace(z: complex, method: str, tolerance: float, offset: int = 0,
+           every_step: bool = True) -> list[EvaluationResult]:
+    """The driver behind every product request, from one prime:
+    `euler_product` and `reformulated` requests, and `correction_coefficient`
+    past its offset.
 
     Truncates at counts of primes past the first `offset`: with `every_step`
-    at `count`, 2*`count`, 4*`count`, ..., else at a count that certifies
-    (below).  Each step folds only its new primes, those at positions
-    lo..offset+c-1 (0-based) for a step at count c, with lo the previous
-    step's end, into one running product or prime-indexed sum, so each power
-    is computed once over the whole run.  Records one result per step, with
-    terms_used = c, and stops once its certified bound is <= tolerance.
+    at 1, 2, 4, ... primes, else at a count that certifies (below).  Each
+    step folds only its new primes, those at positions lo..offset+c-1
+    (0-based) for a step at count c, with lo the previous step's end, into
+    one running product or prime-indexed sum, so each power is computed once
+    over the whole run.  Records one result per step, with terms_used = c,
+    and stops once its certified bound is <= tolerance.
 
-    Each step's bound is truncation plus rounding.  Rounding is
-    r = `_rounding_of`, which bounds |value - exact truncation|.  Truncation
-    is (|value| + r)*expm1(b), with b = `_log_tail_of`(s) at the step's last
-    prime: the exact truncation has modulus at most |value| + r, and the
-    remaining factor differs from 1 by at most expm1(b).
+    One closed form, `bound`(c, M) = (M + r)*expm1(b) + r, gives each step's
+    bound, at M = |value|, and the searches' test.  r = `_rounding_of`(c, M)
+    bounds |value - exact truncation| for a value of modulus M, and b =
+    `_log_tail_of`(s) at the c-th prime past the offset: the exact truncation
+    has modulus at most M + r, and the remaining factor differs from 1 by at
+    most expm1(b).  Each step reads its primes from one window, the first
+    offset + `needed`, sieved after each walk: the fold takes its slice and
+    b its last prime.  No count depends on the cache beyond that window.
 
-    Before any work, `_walk_to_feasible` walks the doubling counts with
-    closed forms alone and stops at the first that may certify, `needed`.
-    It starts past the counts that `_last_ruled_out`, a closed-form lower
-    bound on the truncation solved for the count, proves short, and returns
-    and refuses as a walk from `count` would.  Every value has modulus at
-    least `floor` (1 for real s, else `_product_floor`, raised to the floor
-    of `_head_range` when the product starts at the first prime), and the
-    n-th prime is at most `primes.prime_ceiling`(n), so a count certifies
-    only if floor*expm1(b) + r(floor) <= tolerance with b taken at that
-    ceiling (`_log_tail_of` is nonincreasing).  The walk refuses at the
+    Before any work, `_walk_to_feasible` walks the doubling counts from 1
+    with closed forms alone and stops at the first that may certify,
+    `needed`.  It starts past the counts that `_last_ruled_out`, a
+    closed-form lower bound on the truncation solved for the count, proves
+    short, and returns and refuses as a walk from 1 would.  Every value has
+    modulus at least `floor` (1 for real s, else `_product_floor`, raised to
+    the floor of `_head_range` when the product starts at the first prime),
+    and the n-th prime is at most `primes.prime_ceiling`(n), so a count
+    certifies only if floor*expm1(b) + r(floor) <= tolerance with b taken at
+    that ceiling (`_log_tail_of` is nonincreasing).  The walk refuses at the
     first count whose sieve would pass MAX_PRIME_LIMIT, or whose r(count,
     floor) alone exceeds the tolerance: r is nondecreasing in count and in
     modulus, so no later count certifies.  The loop checks neither: each
     count it reaches is at most the latest `needed`, which passed, and both
-    are monotone in count.  After each step, `floor` is raised to that
-    step's own lower bound on every later modulus, (|value| - r)*exp(-b),
-    when that is larger, with b here the sum-of-moduli bound
+    are monotone in count.
+
+    One failure rule: after every step that falls short, `floor` is raised
+    to that step's own lower bound on every later modulus, (|value| -
+    r)*exp(-b), when that is larger, with b here the sum-of-moduli bound
     `_log_tail_of`(Re s), built once per run at complex s (at real s the
-    run's own closure is that bound): a later value differs from this one by
-    the factors of a stretch of the tail, which the phase form does not
-    cover.  The walk then resumes from the next doubling count: a larger
-    floor only makes the counts it passed less feasible.  No count the walk
-    passed over could certify: there |value| >= floor, p_c <=
-    `prime_ceiling`(c), and r is nondecreasing in the modulus, so the loop's
-    bound at c is at least the walk's closed form, which exceeds the
-    tolerance.
+    run's own closure is that bound): a later value differs from this one
+    by the factors of a stretch of the tail, which the phase form does not
+    cover.  The walk then resumes from twice the step's count, or from
+    `needed` when that is larger, so `needed` is at least twice every count
+    folded.  No count it passes over could certify: the counts below
+    `needed` it passed before, a larger floor only makes them less
+    feasible, and there |value| >= floor, p_c <= `prime_ceiling`(c) and r
+    is nondecreasing in the modulus, so the loop's bound at c is at least
+    the walk's closed form, which exceeds the tolerance.
 
     With `every_step` (`convergence_trace`, which reports the whole story)
-    the loop steps through every doubling count from `count`.  Without it
-    (`zeta_eval`, `correction_coefficient`) each step searches the bracket
-    (lo, `needed`] for a count that certifies (`_first_certifying`, to
-    within 1/32), lo the largest of the count folded so far, the doubling
-    count before `needed`, which the walk passed over, and the first count
-    less one.  So terms_used is at most `convergence_trace`'s last, and the
-    values differ from its in the last digits.
-
-    A step bisects the sufficient form (M + r)*expm1(b) + r(c, M),
-    with b at the exact c-th prime past the offset, read from the first
-    offset + `needed` primes, which the fold to `needed` sieves anyway, and
-    M an upper bound on every later modulus: zeta(sigma) from `_zeta_bounds`
-    (|1/(1 - p^{-s})| <= 1/(1 - p^{-sigma})), or the ceiling of `_head_range`
-    when that is smaller and `needed` >= 16, so that every count searched
-    is past the eighth prime; it is lowered after each step to that step's
-    (|value| + r)*exp(b), b again the sum-of-moduli bound.  It searches only
-    when the form holds at `needed`, and otherwise folds to `needed` as the
-    doubling loop would, so no fold is taken that only the walk's necessary
-    form allows.  M bounds
-    the exact modulus, not the computed one, so a fold short of `needed` can
-    still fail; the next step then searches the rest of the bracket, and
-    only a failed step at `needed` resumes the walk.  No count depends on
-    the cache beyond the first offset + `needed` primes.  `_rounding_of`
-    charges a product for at most count.bit_length() + 1 windows, each a
-    partial block and a multiply into the running value; the doubling counts
-    never fold more, and a fold short of `needed` is taken only while one
-    more window after it stays within that charge.
+    the loop steps through every doubling count.  Without it (`zeta_eval`,
+    `correction_coefficient`) each step searches (`needed` // 2, `needed`],
+    which lies past every count folded, for a count that certifies
+    (`_first_certifying`, to within 1/32).  So terms_used is at most
+    `convergence_trace`'s last, and the values differ from its in the last
+    digits.  The search tests `bound`(c, M) with M an upper bound on every
+    later modulus: zeta(sigma) from `_zeta_bounds` (|1/(1 - p^{-s})| <=
+    1/(1 - p^{-sigma})), or the ceiling of `_head_range` when that is
+    smaller and `needed` >= 16, so that every count searched is past the
+    eighth prime; it is lowered after each step to that step's (|value| +
+    r)*exp(b), b again the sum-of-moduli bound.  It searches only when the
+    form holds at `needed`, and otherwise folds to `needed` as the doubling
+    loop would, so no fold is taken that only the walk's necessary form
+    allows.  M bounds the exact modulus, not the computed one, so a fold
+    short of `needed` can still fail, and it resumes the walk as any step
+    that falls short does.  `_rounding_of` charges a product for at most
+    count.bit_length() + 1 windows, each a partial block and a multiply into
+    the running value; the doubling counts never fold more, and a fold short
+    of `needed` is taken only while one more window after it stays within
+    that charge.
     """
     sigma = z.real
     zeta = _zeta_bounds(sigma)
@@ -990,28 +994,28 @@ def _trace(z: complex, method: str, tolerance: float, count: int,
         if offset == 0:
             head_floor, head_ceiling = _head_range(z, moduli)
             floor = max(floor, head_floor)
+    count = 1
     needed = _walk_to_feasible(z, method, tolerance, count, offset, floor, rounding_bound, log_tail)
     if needed >= 16:
         ceiling = min(ceiling, head_ceiling)
-    below = count - 1  # the first count, less one, bounds every search
+
+    def bound(c: int, m: float) -> float:
+        r = rounding_bound(c, m)
+        return (m + r) * _expm1(log_tail(int(window[offset + c - 1]))) + r
+
     steps: list[EvaluationResult] = []
     running = complex(1.0) if method == METHOD_EULER_PRODUCT else complex(0.0)
     lo = offset
     while True:
+        window = primes.first_primes(offset + needed)
         if not every_step:
-            window = primes.first_primes(offset + needed)
-
-            def certifies(c: int, m: float = ceiling) -> bool:
-                r = rounding_bound(c, m)
-                return (m + r) * _expm1(log_tail(int(window[offset + c - 1]))) + r <= tolerance
-
             count = needed
-            if certifies(needed):
-                c = _first_certifying(max(below, needed // 2, lo - offset), needed, certifies)
+            if bound(needed, ceiling) <= tolerance:
+                c = _first_certifying(needed // 2, needed, lambda c: bound(c, ceiling) <= tolerance)
                 if len(steps) < c.bit_length():
                     count = c
         hi = offset + count
-        blocks = _blocks(primes.first_primes(hi)[lo:], z)
+        blocks = _blocks(window[lo:hi], z)
         if method == METHOD_EULER_PRODUCT:
             # The new primes' own product first, then into the running
             # one: that order fixes the digits euler_product reports print.
@@ -1020,24 +1024,19 @@ def _trace(z: complex, method: str, tolerance: float, count: int,
         else:
             running = _sum(blocks, z, running)
             value = 1.0 + running
-        rounding = rounding_bound(count, abs(value))
-        x = primes.nth_prime(hi)
-        b = log_tail(x)
-        bound = (abs(value) + rounding) * _expm1(b) + rounding
-        steps.append(EvaluationResult(value, method, count, float(bound)))
-        if bound <= tolerance:
+        steps.append(EvaluationResult(value, method, count, bound(count, abs(value))))
+        if steps[-1].tail_error_bound <= tolerance:
             return steps
         # The factors past p_hi change |log| of every later value by at
         # most the sum of their moduli, so each has modulus at least this,
         # and at most `ceiling`.
-        b = moduli(x)
+        rounding, b = rounding_bound(count, abs(value)), moduli(int(window[hi - 1]))
         floor = max(floor, (abs(value) - rounding) * math.exp(-b))
         ceiling = min(ceiling, (abs(value) + rounding) * math.exp(b))
         lo = hi
-        if every_step or count == needed:
-            count *= 2
-            needed = _walk_to_feasible(z, method, tolerance, max(count, needed), offset, floor,
-                                       rounding_bound, log_tail)
+        count *= 2
+        needed = _walk_to_feasible(z, method, tolerance, max(count, needed), offset, floor,
+                                   rounding_bound, log_tail)
 
 
 def correction_coefficient(k: int, s, spec: TruncationSpec) -> EvaluationResult:
@@ -1045,7 +1044,7 @@ def correction_coefficient(k: int, s, spec: TruncationSpec) -> EvaluationResult:
 
     Grows the cutoff until the certified tail sits below spec.tolerance,
     folding to a count within 1/32 of the first that certifies (see
-    `_trace`), so terms_used is at most the doubling count, from 16 primes,
+    `_trace`), so terms_used is at most the doubling count, from one prime,
     at which the every-step loop would stop.  The k = 1 case is the full
     Euler product, i.e. zeta(s) itself.
     """
@@ -1054,8 +1053,7 @@ def correction_coefficient(k: int, s, spec: TruncationSpec) -> EvaluationResult:
     z = as_complex(s)
     if z.real <= 1.0:
         raise NonConvergentError("the tail product", z)
-    return _trace(z, METHOD_EULER_PRODUCT, spec.tolerance, count=16, offset=k - 1,
-                  every_step=False)[-1]
+    return _trace(z, METHOD_EULER_PRODUCT, spec.tolerance, offset=k - 1, every_step=False)[-1]
 
 
 def _checked_trace(s, method: str, tolerance: float, every_step: bool) -> list[EvaluationResult]:
@@ -1082,7 +1080,7 @@ def _checked_trace(s, method: str, tolerance: float, every_step: bool) -> list[E
     if z.real <= 1.0:
         raise NonConvergentError("zeta evaluation", z)
     if method != METHOD_DIRICHLET:
-        return _trace(z, method, tolerance, count=1, every_step=every_step)
+        return _trace(z, method, tolerance, every_step=every_step)
     rounding_bound = _rounding_of(z, method, _zeta_bounds(z.real))
     needed = _walk_to_feasible(z, method, tolerance, 16, 0, 0.0, rounding_bound, None)
 

@@ -128,11 +128,8 @@ class PrimeCache:
         """Ensure at least `count` primes are cached."""
         count = int(count)
         while len(self) < count:
-            self.extend_to(self._estimate_limit(count))
-
-    def _estimate_limit(self, count: int) -> int:
-        # Just past `prime_ceiling`; the margin absorbs rounding of the float.
-        return max(int(prime_ceiling(count)) + 16, 2 * self._source_limit)
+            # Just past `prime_ceiling`; the margin absorbs rounding of the float.
+            self.extend_to(int(prime_ceiling(count)) + 16)
 
 
 _default_cache = PrimeCache()

@@ -301,7 +301,12 @@ def test_scalar_and_vectorised_powers_share_one_overflow_rule():
 
 @pytest.mark.parametrize("request_, message", [
     (lambda: euler_partial(3000, 2j), "the running Euler product at prime 14009"),
-    (lambda: reform_partial(50, 1e-7), "the running Euler product at prime 227"),
+    (lambda: reform_partial(50, 1e-7), "the prime-indexed sum at prime 227"),
+    # The sum's terms leave the range at 1547 primes, where the product
+    # (about 5e225) does not.
+    (lambda: reform_partial(1547, 2j), "the prime-indexed sum at prime 12983"),
+    (lambda: identity_residual(1547, 2j), "the prime-indexed sum at prime 12983"),
+    (lambda: induction_step_check(1547, 2j), "the prime-indexed sum at prime 12983"),
 ])
 def test_overflow_names_what_left_the_range(request_, message):
     with pytest.raises(PowerOverflowError) as got:
@@ -936,13 +941,20 @@ def test_walk_starts_past_the_counts_it_rules_out_and_ends_where_stepping_would(
         n = methods._last_ruled_out(z, method, tolerance, magnitude)
         if n < 1:
             continue
+        # Within the limits, so the walk's skip needs no limit check.
         if method == METHOD_DIRICHLET:
+            assert n <= methods.MAX_DIRICHLET_TERMS, args[:6]
             assert methods._dirichlet_tail(n, z) > tolerance, args[:6]
         else:
             x = primes.prime_ceiling(n)
             assert x <= methods.MAX_PRIME_LIMIT, args[:6]
             assert magnitude * methods._expm1(log_tail(x)) > tolerance, args[:6]
         if n - offset >= count:
+            last = count << (((n - offset) // count).bit_length() - 1)
+            if method == METHOD_DIRICHLET:
+                assert last <= methods.MAX_DIRICHLET_TERMS, args[:6]
+            else:
+                assert primes.prime_ceiling(offset + last) <= methods.MAX_PRIME_LIMIT, args[:6]
             kind = ("skipped", got[0])
             tally[kind] = tally.get(kind, 0) + 1
     for kind in ("answer", "rounding", "certifying"):
@@ -1217,7 +1229,7 @@ def cache_routes(every_step):
     for k, s, tol in CACHE_COEFFICIENTS:
         if every_step:
             yield (s, k), lambda s=s, k=k, t=tol: methods._trace(
-                complex(s), METHOD_EULER_PRODUCT, t, 16, k - 1)[-1]
+                complex(s), METHOD_EULER_PRODUCT, t, k - 1)[-1]
         else:
             yield (s, k), lambda s=s, k=k, t=tol: correction_coefficient(
                 k, s, TruncationSpec(tolerance=t))
@@ -1247,6 +1259,24 @@ def test_eval_does_not_depend_on_what_the_cache_holds(monkeypatch):
         got.append([(bits(r.value), r.terms_used, r.tail_error_bound.hex())
                     for r in (run() for _, run in cache_routes(every_step=False))])
     assert got[0] == got[1]
+
+
+@pytest.mark.parametrize("s, tol", [(2, 1e-6), (2 + 10j, 1e-6), (3, 1e-10), (2.5 - 4j, 1e-8)])
+def test_a_failed_short_fold_resumes_the_walk(monkeypatch, s, tol):
+    # Each search lands just past its bracket's low end, so its fold falls
+    # short; the walk resumes from twice that count, every step folds
+    # further than the last, and the answer still holds against mpmath.
+    mpmath = pytest.importorskip("mpmath")
+    monkeypatch.setattr(methods, "_first_certifying", lambda lo, hi, certifies: lo + 1)
+    with mpmath.workdps(40):
+        exact = mpmath.zeta(mpmath.mpc(s))
+    for method in (METHOD_EULER_PRODUCT, METHOD_REFORMULATED):
+        counts = [step.terms_used for step in methods._checked_trace(s, method, tol, False)]
+        assert len(counts) > 1 and all(a < b for a, b in zip(counts, counts[1:])), counts
+        got = zeta_eval(s, method, tol)
+        assert got.terms_used == counts[-1]
+        error = float(abs(mpmath.mpc(got.value) - exact))
+        assert error <= got.tail_error_bound <= tol, (method, counts)
 
 
 @pytest.mark.parametrize("fold", [euler_partial, reform_partial])
@@ -1307,7 +1337,7 @@ def test_eval_matches_every_step_trace_and_holds_against_mpmath(monkeypatch):
             yield (method, lambda m=method: zeta_eval(s, m, tol),
                    lambda m=method: convergence_trace(s, m, tol)[-1])
         yield ("coefficient", lambda: correction_coefficient(k, s, TruncationSpec(tolerance=tol)),
-               lambda: methods._trace(s, METHOD_EULER_PRODUCT, tol, 16, k - 1)[-1])
+               lambda: methods._trace(s, METHOD_EULER_PRODUCT, tol, k - 1)[-1])
 
     with mpmath.workdps(40):
         for s, tol, k in certified_grid(420, seed=20261018):
@@ -1383,6 +1413,22 @@ def test_correction_coefficient_tends_to_one():
     assert nth_prime(k) > 10**4
     got = correction_coefficient(k, 2, TruncationSpec(tolerance=1e-6))
     assert abs(got.value - 1.0) < 2e-4
+
+
+@pytest.mark.parametrize("k, s, tol", [(1, 3, 1e-2), (3, 4 - 2j, 1e-4), (5, 2.5, 1e-3),
+                                        (1, 6, 1e-5)])
+def test_correction_coefficient_starts_at_one_prime(k, s, tol):
+    # A loose request certifies before 16 primes, and holds against 40-digit
+    # zeta(s) times the factors 1 - p_j^{-s} for j < k.
+    mpmath = pytest.importorskip("mpmath")
+    got = correction_coefficient(k, s, TruncationSpec(tolerance=tol))
+    assert got.terms_used < 16
+    with mpmath.workdps(40):
+        exact = mpmath.zeta(mpmath.mpc(s))
+        for p in first_primes(k - 1).tolist():
+            exact *= 1 - mpmath.power(p, -mpmath.mpc(s))
+        error = float(abs(mpmath.mpc(got.value) - exact))
+    assert error <= got.tail_error_bound <= tol
 
 
 def test_correction_coefficient_rejects_boundary():

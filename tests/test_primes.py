@@ -265,14 +265,13 @@ def test_each_helper_reads_and_grows_the_installed_cache(monkeypatch, helper, re
 
 
 def test_count_estimate_reaches_the_nth_prime():
-    # extend_to_count sieves once only if the estimate for `count` is at least
-    # p_count: n(ln n + ln ln n) below 39017 and Dusart's sharper
-    # n(ln n + ln ln n - 0.9484) from 39017 on.
+    # extend_to_count sieves once only if its target for `count`,
+    # prime_ceiling(count) + 16, is at least p_count: n(ln n + ln ln n) below
+    # 39017 and Dusart's sharper n(ln n + ln ln n - 0.9484) from 39017 on.
     sieved = PrimeCache()
     sieved.extend_to_count(1 << 20)
-    fresh = PrimeCache()
     counts = sorted({*range(6, (1 << 20) + 1, 7), 39016, 39017, 1 << 20})
-    limits = np.array([fresh._estimate_limit(c) for c in counts])
+    limits = np.array([int(primes.prime_ceiling(c)) + 16 for c in counts])
     assert (limits >= sieved.primes[np.array(counts) - 1]).all()
     # p_{2^24} = 310,248,241: the target overshoots it by under 0.04%.
-    assert 310_248_241 <= fresh._estimate_limit(1 << 24) <= 310_248_241 * 1.0004
+    assert 310_248_241 <= int(primes.prime_ceiling(1 << 24)) + 16 <= 310_248_241 * 1.0004
