@@ -13,6 +13,26 @@ last two one power at a time; the library has no other n^{-s}.  Every fold
 works in cache-sized blocks of `_CHUNK` terms and holds one block at a
 time, so its memory does not grow with the number of terms.
 
+`_power_terms` checks finiteness in O(1).  With Re z >= 0 every |n^{-z}|
+is at most 1, and with |Im z|*ln n_max below 1e308 (room for the ulp by
+which `np.log` may differ from `math.log`) every phase is finite, so every
+power is.  Only an input that fails this rule has its powers scanned, for
+the first n whose power is not finite.  It enters `np.errstate` only where
+a flag can arise, and none can where also Re z*ln n_max <= 600 and
+neither Re z nor |Im z| lies in (0, 1e-40).  Then each part of -z*ln n is
+0 or at least 6.9e-41 in modulus, and each part of exp(-z*ln n) is 0 or
+at least e^-600*5.8e-41: |sin y| >= 0.84|y| for |y| <= 1, and no double
+lies nearer a nonzero multiple of pi/2 than about 4e-19, the worst case of
+argument reduction.  So nothing overflows or underflows.  A sum of powers
+needs no `np.errstate` either: an addition whose result is that small is
+exact, so none underflows.  The prime folds (`_product`, `_sum`,
+`_identity`, `induction_step_check`) enter `np.errstate(all="ignore")`
+once per call, around all their blocks: at large Re s a factor's
+imaginary part can be so small that the division and the products
+underflow in it, and at Re s <= 1 a fold can overflow, which
+`_checked_fold` then locates.  No result depends on the caller's
+floating-point error state.
+
 The Dirichlet sum D(x) = sum_{n <= x} n^{-s} uses the first Euler factor
 as a finite identity: every even n <= x is 2m with m <= floor(x/2), so
 D(x) = 2^{-s}*D(floor(x/2)) + O(x) with O(x) the odd-n part.  One fold from
@@ -52,14 +72,17 @@ bounded by partial summation against Rosser & Schoenfeld's bounds on
 Chebyshev's theta(x), and at complex s by a phase form that sees the
 cancellation between the p^{-s} (`_log_tail_of`).  The Dirichlet tail is
 the smaller of the integral bound and a second-order Euler-Maclaurin bound
-(`_dirichlet_tail`).  Rounding is one closed form per step
+(`_dirichlet_tail_of`).  Rounding is one closed form per step
 (`_rounding_of`): the error of each power, mostly in its phase, plus the
 roundings a term meets on its way through the fold.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -168,14 +191,18 @@ class EvaluationResult:
 # vectorised powers, the prime block iterator and its two reductions
 
 def _power_terms(n: np.ndarray, z: complex) -> np.ndarray:
-    """n^{-z} for every n in an array of positive integers, checked finite."""
+    """n^{-z} for every n in a nonempty array of positive integers whose
+    largest is its first or last entry, checked finite, and computed
+    without `np.errstate` where no flag can arise (module docstring)."""
     base = np.asarray(n, dtype=np.float64)
+    top = math.log(max(base[0], base[-1]))
+    finite = z.real >= 0.0 and abs(z.imag) * top < 1e308
+    tiny = 0.0 < z.real < 1e-40 or 0.0 < abs(z.imag) < 1e-40
+    if finite and z.real * top <= 600.0 and not tiny:
+        return np.power(base, -z.real) if z.imag == 0.0 else np.exp(-z * np.log(base))
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        if z.imag == 0.0:
-            t = np.power(base, -z.real)
-        else:
-            t = np.exp(-z * np.log(base))
-    if not np.isfinite(t).all():
+        t = np.power(base, -z.real) if z.imag == 0.0 else np.exp(-z * np.log(base))
+    if not finite and not np.isfinite(t).all():
         bad = np.flatnonzero(~np.isfinite(t))
         raise PowerOverflowError(int(n[bad[0]]), z)
     return t
@@ -213,9 +240,9 @@ def _blocks(p_all: np.ndarray, z: complex):
     A block raises `SingularPointError` at its prime of least |1 - t| when
     that gap is below DEFAULT_SINGULAR_TOL.  The scan is skipped when
     `_clear_of_singular` finds no gap can be, as for every certified request
-    (Re z > 1).  `in_exclusion_set` asks the same test.
+    (Re z > 1, which is asked first).  `in_exclusion_set` asks the same test.
     """
-    scan = not _clear_of_singular(z.real, DEFAULT_SINGULAR_TOL)
+    scan = z.real <= 1.0 and not _clear_of_singular(z.real, DEFAULT_SINGULAR_TOL)
     for a in range(0, len(p_all), _CHUNK):
         p = p_all[a : a + _CHUNK]
         t = _power_terms(p, z)
@@ -266,11 +293,11 @@ def _checked_fold(folded: complex, p: np.ndarray, carry: complex, f: np.ndarray,
     """`folded` if finite; else raise `PowerOverflowError` at the first p where
     carry*f[0]*...*f[k], multiplied in that order, is not finite (the block's
     last prime if none is).  The prime folds' one overflow locator: its
-    message names the fold that left the range, `name`, not p^(-s)."""
+    message names the fold that left the range, `name`, not p^(-s).  It runs
+    inside the folds' `np.errstate`."""
     if math.isfinite(folded.real) and math.isfinite(folded.imag):
         return folded
-    with np.errstate(all="ignore"):
-        running = np.cumprod(np.concatenate(([carry], f)))[1:]
+    running = np.cumprod(np.concatenate(([carry], f)))[1:]
     bad = np.flatnonzero(~np.isfinite(running))
     at = int(p[bad[0]]) if bad.size else int(p[-1])
     error = PowerOverflowError(at, z)
@@ -278,17 +305,18 @@ def _checked_fold(folded: complex, p: np.ndarray, carry: complex, f: np.ndarray,
     raise error
 
 
+@np.errstate(all="ignore")
 def _product(blocks, z: complex, out: complex = complex(1.0)) -> complex:
     """`out` times every factor f in the blocks, one block product at a time."""
     for p, _, f in blocks:
-        with np.errstate(all="ignore"):
-            out = _checked_fold(out * complex(f.prod()), p, out, f, z,
-                                "the running Euler product")
+        out = _checked_fold(out * complex(f.prod()), p, out, f, z,
+                            "the running Euler product")
         # Free this block before `blocks` builds the next: one block's memory.
         del p, _, f
     return out
 
 
+@np.errstate(all="ignore")
 def _sum(blocks, z: complex, total: complex = 0j) -> complex:
     """Fold the blocks into the prime-indexed sum `total`.
 
@@ -302,12 +330,11 @@ def _sum(blocks, z: complex, total: complex = 0j) -> complex:
     in modulus, and `reform_partial`(1547) raises at prime 12983.
     """
     for p, t, f in blocks:
-        with np.errstate(all="ignore"):
-            # Complex even for real s: numpy sums complex arrays in another
-            # order than real ones, and the real-s reports follow the former.
-            suffix = np.cumprod(f[::-1], dtype=complex)[::-1]
-            total = _checked_fold(complex(suffix[0]) * total + complex((t * suffix).sum()),
-                                  p, 1.0 + total, f, z, "the prime-indexed sum")
+        # Complex even for real s: numpy sums complex arrays in another
+        # order than real ones, and the real-s reports follow the former.
+        suffix = np.cumprod(f[::-1], dtype=complex)[::-1]
+        total = _checked_fold(complex(suffix[0]) * total + complex((t * suffix).sum()),
+                              p, 1.0 + total, f, z, "the prime-indexed sum")
         del p, t, f, suffix  # as in `_product`
     return total
 
@@ -321,24 +348,30 @@ def _dirichlet_fold(N: int, z: complex) -> list[complex]:
     whose odd n fit in the head batch, one `_power_terms` call of at most
     `_CHUNK` terms (2^{-z}, then the odd powers of the lowest cuts), sums its
     own slice of it, the terms its own call would have summed, in the same
-    pairwise order, so batching changes no bit.  A fold to at most
+    pairwise order (a slice of at most three in plain Python, in numpy's own
+    order for so few), so batching changes no bit.  A fold to at most
     2*`_CHUNK` - 2 makes that one call however many cuts it walks.  A larger
     cut takes its odd powers `_CHUNK` at a time, in windows aligned to the cut.
     """
     cuts = [N >> k for k in range(N.bit_length() - 1, -1, -1)]
     # Slot 0 of the head holds 2^{-z}, slot j the j-th odd n, so the odd
-    # n <= c, (c + 1) // 2 of them, end at slot (c + 1) // 2.  For N = 1,
-    # which has no even n, slot 0 holds 1^{-z}, only ever times D(0) = 0.
-    head = [c for c in cuts if (c + 1) // 2 < _CHUNK]
-    n = np.arange(-1, head[-1] + 1, 2, dtype=np.float64)
+    # n <= c, (c + 1) // 2 of them, end at slot (c + 1) // 2, where the next
+    # cut's begin.  The head ends at the largest cut N >> k <= 2*_CHUNK - 2.
+    # For N = 1, which has no even n, slot 0 holds 1^{-z}, only ever times
+    # D(0) = 0.
+    n = np.arange(-1, (N >> (N // (2 * _CHUNK - 1)).bit_length()) + 1, 2, dtype=np.float64)
     n[0] = min(N, 2)
     t = _power_terms(n, z)
-    two, total, odd, values = complex(t[0]), 0j, 0j, []
+    two, total, odd, values, lo = complex(t[0]), 0j, 0j, [], 1
     for c in cuts:
-        if (c + 1) // 2 < _CHUNK:
-            w = t[1 + ((c >> 1) + 1) // 2 : 1 + (c + 1) // 2]
-            if w.size:
+        hi = 1 + (c + 1) // 2
+        if hi <= _CHUNK:
+            w, lo = t[lo:hi], hi
+            if w.size > 3:
                 odd += complex(w.sum())
+            elif w.size:
+                # numpy sums fewer than four values in order: the same bits.
+                odd += functools.reduce(operator.add, w.tolist())
         else:
             # Hold one block at a time: drop the head before the windows.
             n = t = w = None
@@ -374,6 +407,7 @@ def reform_partial(i: int, s) -> complex:
     return _sum(_blocks(primes.first_primes(i), z), z)
 
 
+@np.errstate(all="ignore")
 def _identity(i: int, s) -> tuple[complex, complex]:
     """euler_partial(i, s) and reform_partial(i, s) from one pass over the
     blocks, each power computed once.
@@ -409,6 +443,7 @@ def identity_residual(i: int, s) -> float:
     return abs(product - 1.0 - total)
 
 
+@np.errstate(all="ignore")
 def induction_step_check(i: int, s) -> float:
     """Residual of rebuilding the (i+1)-prime product from the i-prime sum.
 
@@ -461,13 +496,14 @@ def _expm1(x: float) -> float:
     return math.expm1(x) if x < 709.0 else math.inf
 
 
-_HEAD_LOGS = [math.log(k) for k in range(1, 9)]
+_HEAD = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0)
+_HEAD_LOGS = [math.log(k) for k in _HEAD]
 _LOG_8_5 = math.log(8.5)
 
 
 def _zeta_head(sigma: float) -> list[float]:
     """The first eight terms of the series for zeta(sigma)."""
-    return [k ** -sigma for k in range(1, 9)]
+    return [k ** -sigma for k in _HEAD]
 
 
 def _zeta_bounds(sigma: float) -> tuple[float, float, float]:
@@ -483,7 +519,7 @@ def _zeta_bounds(sigma: float) -> tuple[float, float, float]:
     lo = math.fsum(head)
     c = sigma - 1.0
     rest = 8.5 ** -c
-    d = math.fsum(h * log_k for h, log_k in zip(head, _HEAD_LOGS))
+    d = math.fsum(map(operator.mul, head, _HEAD_LOGS))
     return lo, lo + rest / c, d + rest * (_LOG_8_5 / c + 1.0 / (c * c))
 
 
@@ -499,18 +535,18 @@ def _product_floor(sigma: float, zeta: tuple[float, float, float]) -> float:
     return math.fsum(_zeta_head(2.0 * sigma)) / zeta[1]
 
 
-_FIRST_PRIME_LOGS = [math.log(p) for p in (2, 3, 5, 7, 11, 13, 17, 19)]
+_FIRST_PRIME_LOGS = [math.log(p) for p in primes._FIRST_PRIMES[:8]]
 
 
-def _head_range(z: complex, moduli: Callable[[float], float]) -> tuple[float, float]:
+def _head_range(z: complex, log_tail: Callable[[float], float]) -> tuple[float, float]:
     """(lo, hi) with lo <= |P_c| for every c >= 1 and hi >= |P_c| for every
     c >= 8, where P_c is the Euler product over the first c primes, for
-    complex z with Re(z) > 1; `moduli` is the sum-of-moduli bound
-    `_log_tail_of`(Re z).
+    complex z with Re(z) > 1; `log_tail` is `_log_tail_of`(z) or of Re z,
+    which agree below 41, where the phase form does not apply.
 
     |P_1| .. |P_8| are computed in real arithmetic, from |1 - p^{-z}|^2 =
     1 + a*(a - 2*cos(Im(z)*ln p)) with a = p^-Re(z), and a later P_c is P_8
-    times factors whose logs sum to at most b = moduli(19) in modulus.  The
+    times factors whose logs sum to at most b = log_tail(19) in modulus.  The
     phase Im(z)*ln p is off by at most about 3u*|z|*ln p, so each
     squared gap, which is at least 1/4, is off by at most u*(12|z|*ln p + 20)
     relative, and each prime moves a computed modulus by half that: every
@@ -520,14 +556,14 @@ def _head_range(z: complex, moduli: Callable[[float], float]) -> tuple[float, fl
     slack = 8.0 * _U * (6.0 * abs(z) * _FIRST_PRIME_LOGS[-1] + 12.0)
     if not slack < 1.0:
         return 0.0, math.inf  # the phases hold no digits
-    sigma, tau, exp, cos = z.real, z.imag, math.exp, math.cos
+    rate, tau, exp, cos = -z.real, z.imag, math.exp, math.cos
     gap = widest = 1.0  # |P_c|^-2, and its largest value so far
     for log_p in _FIRST_PRIME_LOGS:
-        a = exp(-sigma * log_p)
+        a = exp(rate * log_p)
         gap *= 1.0 + a * (a - 2.0 * cos(tau * log_p))
         if gap > widest:
             widest = gap
-    spread = 1.0 + _expm1(moduli(19))
+    spread = 1.0 + _expm1(log_tail(19))
     modulus = 1.0 / math.sqrt(gap)
     return (min(1.0 / math.sqrt(widest), modulus / spread) * (1.0 - slack),
             modulus * spread * (1.0 + slack))
@@ -546,6 +582,7 @@ _THETA_UPPER = 1.01624
 _THETA_LOWER_FROM = 41
 _THETA_SQRT = 2.05282
 _THETA_SQRT_LIMIT = 10**8
+_EDGE = 1.0 / math.log(_THETA_SQRT_LIMIT)
 
 
 def _log_tail_of(z: complex) -> Callable[[float], float]:
@@ -587,7 +624,7 @@ def _log_tail_of(z: complex) -> Callable[[float], float]:
     # The theta form is x^(1-sigma)/L*(theta_0 + theta_1/L).
     theta_0, theta_1 = _THETA_UPPER * sigma / c - 1.0, _THETA_UPPER / c + 1.0
     squares = 0.5 / (2.0 * sigma - 1.0)
-    phase, limit, log, sqrt = z.imag != 0.0, _THETA_SQRT_LIMIT, math.log, math.sqrt
+    phase, limit, log, sqrt, edge = z.imag != 0.0, _THETA_SQRT_LIMIT, math.log, math.sqrt, _EDGE
     if phase:
         # x^(1-sigma)/L*(main_0 + main_1/L + (error_0 + error_1/L)/sqrt(x)),
         # plus `far`: the terms at X, and the theta form at X.
@@ -595,7 +632,6 @@ def _log_tail_of(z: complex) -> Callable[[float], float]:
         main_0 = 1.0 / abs(z - 1.0)
         main_1 = main_0 / c
         error_0, error_1 = _THETA_SQRT * (1.0 + abs(z) / half), _THETA_SQRT / half
-        edge = 1.0 / log(limit)
         far = limit ** -c * edge * (theta_0 + theta_1 * edge + main_0 + _THETA_SQRT / sqrt(limit))
 
     def log_tail(x: float) -> float:
@@ -643,8 +679,9 @@ def tail_bound(i: int, sigma: float) -> float:
     return _log_tail_of(complex(sigma))(primes.nth_prime(i))
 
 
-def _dirichlet_tail(N: int, z: complex) -> float:
-    """Upper bound on |sum_{n > N} n^{-z}| for Re(z) = sigma > 1.
+def _dirichlet_tail_of(z: complex) -> Callable[[int], float]:
+    """N -> an upper bound on |sum_{n > N} n^{-z}| for Re(z) = sigma > 1; the
+    constants that depend on z alone are computed once.
 
     The smaller of the integral bound N^(1-sigma)/(sigma-1) and the
     second-order Euler-Maclaurin bound.  With f(x) = x^{-z},
@@ -655,9 +692,15 @@ def _dirichlet_tail(N: int, z: complex) -> float:
     by (sigma-1)/|z-1|.
     """
     sigma = z.real
-    euler_maclaurin = (N ** (1.0 - sigma) / abs(z - 1.0) + 0.5 * N ** -sigma
-                       + abs(z) * N ** (-sigma - 1.0) / 12.0 * (1.0 + abs(z + 1.0) / (sigma + 1.0)))
-    return min(_integral_tail(N, sigma), euler_maclaurin)
+    c, near, size, far = sigma - 1.0, abs(z - 1.0), abs(z), 1.0 + abs(z + 1.0) / (sigma + 1.0)
+    up, mid, down = 1.0 - sigma, -sigma, -sigma - 1.0
+
+    def tail(N: int) -> float:
+        power = N ** up
+        euler_maclaurin = power / near + 0.5 * N ** mid + size * N ** down / 12.0 * far
+        return min(power / c, euler_maclaurin)
+
+    return tail
 
 
 def _pairwise_depth(m: int) -> int:
@@ -749,14 +792,14 @@ def _rounding_of(z: complex, method: str,
     per_prime = divide + multiply
     per_block = _U * multiply
 
-    def blocks_and_factors(count: int) -> tuple[int, float]:
-        blocks = count // _CHUNK + 2 * (count.bit_length() + 1)
-        return blocks, _U * (fixed + per_prime * count)
-
+    # The walk and the bisection call these closures about 20 times per
+    # request, so they spell out the blocks, the factors' part and `_expm1`
+    # rather than call helpers for them.
     if method == METHOD_EULER_PRODUCT:
         def product(count: int, magnitude: float) -> float:
-            blocks, factors = blocks_and_factors(count)
-            e = _expm1(factors + per_block * blocks)
+            x = (_U * (fixed + per_prime * count)
+                 + per_block * (count // _CHUNK + 2 * (count.bit_length() + 1)))
+            e = math.expm1(x) if x < 709.0 else math.inf
             return magnitude * e / (1.0 - e) if e < 1.0 else math.inf
 
         return product
@@ -764,8 +807,9 @@ def _rounding_of(z: complex, method: str,
     terms = _U * (phase * log_derivative + 6.0 * prime_zeta)
 
     def reformulated(count: int, magnitude: float) -> float:
-        blocks, factors = blocks_and_factors(count)
+        blocks = count // _CHUNK + 2 * (count.bit_length() + 1)
         path = multiply * (count + blocks) + depth + blocks
+        factors = _U * (fixed + per_prime * count)
         return hi * (terms + prime_zeta * (factors + _U * path)) + _U * magnitude
 
     return reformulated
@@ -775,6 +819,7 @@ def _rounding_of(z: complex, method: str,
 # exceed the tolerance: far above the few ulps by which the walk's closed
 # forms and the logs here round.
 _RULE_OUT_MARGIN = 1e-6
+_LOG_LIMIT = math.log(MAX_PRIME_LIMIT)  # and of MAX_DIRICHLET_TERMS, the same 2^30
 
 
 def _last_ruled_out(z: complex, method: str, tolerance: float, magnitude: float) -> int:
@@ -784,7 +829,7 @@ def _last_ruled_out(z: complex, method: str, tolerance: float, magnitude: float)
     (n is a prime index); 0 if there is none.  Closed form, in logs, so
     that sigma close to 1 cannot overflow.
 
-    - Dirichlet: both forms of `_dirichlet_tail`(N) are at least
+    - Dirichlet: both forms of `_dirichlet_tail_of`(z)(N) are at least
       N^(1-sigma)/|z-1|, as |z-1| >= sigma-1, and that exceeds the
       tolerance for ln N < -ln(tolerance*|z-1|)/(sigma-1).  n stops at
       MAX_DIRICHLET_TERMS.
@@ -800,45 +845,47 @@ def _last_ruled_out(z: complex, method: str, tolerance: float, magnitude: float)
       for x below the larger of (A/T)^(1/(sigma-1)) and (B/T)^(1/(sigma-1/2)).
       The truncation exceeds the tolerance for every x < X, the least of
       MAX_PRIME_LIMIT and these thresholds.  x = `primes.prime_ceiling`(i)
-      is 11 for i < 6, and for i >= 6 at most i*(ln i + ln ln i), which is
-      below X for i <= X/(ln X + ln ln X): i is then below X, and so are
-      ln i and ln ln i.  It holds with room, X - x >= i*(ln X - ln i) >= i,
-      far above the rounding of the floats.
+      is p_i itself for i < 20, so below X for every i with p_i < X, which
+      are all 19 of them from X = 71 = p_20 on.  For i >= 6 each of its
+      forms is at most i*(ln i + ln ln i), which is below X for i <= X/(ln X
+      + ln ln X): i is then below X, and so are ln i and ln ln i.  It holds
+      with room, X - x >= i*(ln X - ln i) >= i, far above the rounding of
+      the floats.
     """
     sigma = z.real
     c = sigma - 1.0
     if method == METHOD_DIRICHLET:
         log_n = (-math.log(tolerance) - math.log(abs(z - 1.0)) - _RULE_OUT_MARGIN) / c
-        if log_n >= math.log(MAX_DIRICHLET_TERMS):
+        if log_n >= _LOG_LIMIT:
             return MAX_DIRICHLET_TERMS
         return int(math.exp(log_n)) if log_n > 0.0 else 0
-    log_max = math.log(MAX_PRIME_LIMIT)
     log_ratio = math.log(magnitude) - math.log(tolerance) - _RULE_OUT_MARGIN
-    k = min(2.0 / c, (_THETA_UPPER * sigma / c - 1.0) / log_max)
+    k = min(2.0 / c, (_THETA_UPPER * sigma / c - 1.0) / _LOG_LIMIT)
     log_x = (math.log(k) + log_ratio) / c
     if z.imag != 0.0:
         half = sigma - 0.5
-        main = (log_ratio - math.log(abs(z - 1.0) * log_max)) / c
-        error = (log_ratio + math.log(_THETA_SQRT * abs(z) / (half * log_max))) / half
+        main = (log_ratio - math.log(abs(z - 1.0) * _LOG_LIMIT)) / c
+        error = (log_ratio + math.log(_THETA_SQRT * abs(z) / (half * _LOG_LIMIT))) / half
         log_x = min(log_x, max(main, error))
-    x = MAX_PRIME_LIMIT if log_x >= math.log(MAX_PRIME_LIMIT) else math.exp(log_x)
-    if x <= 11.0:
-        return 0
+    x = MAX_PRIME_LIMIT if log_x >= _LOG_LIMIT else math.exp(log_x)
+    if x < 71.0:  # p_20
+        return bisect.bisect_left(primes._FIRST_PRIMES, x)
     log_x = math.log(x)
-    return max(5, int(x / (log_x + math.log(log_x))))
+    return max(19, int(x / (log_x + math.log(log_x))))
 
 
 def _walk_to_feasible(z: complex, method: str, tolerance: float, count: int,
                       offset: int, magnitude: float,
                       rounding_bound: Callable[[int, float], float],
-                      log_tail: Callable[[float], float] | None) -> int:
+                      tail: Callable[[float], float]) -> int:
     """Walk the doubling counts from `count` with closed forms alone and
     return the first that may certify a value of modulus >= `magnitude`;
     refuse at the first past a limit or whose rounding alone exceeds the
     tolerance, as no count after it can certify (see `_trace`).
-    `rounding_bound` and `log_tail` are the request's `_rounding_of` and
-    `_log_tail_of`, built once for every walk of a request; a Dirichlet
-    walk reads no `log_tail` and is passed None (see `_checked_trace`).
+    `rounding_bound` and `tail` are the request's `_rounding_of` and its
+    tail closure, built once for every walk of a request: `_log_tail_of`,
+    taken at a prime ceiling, or for Dirichlet `_dirichlet_tail_of`, taken
+    at the count.
 
     The walk starts past the doubling counts whose truncation
     `_last_ruled_out` proves above the tolerance, when the last of them
@@ -868,7 +915,7 @@ def _walk_to_feasible(z: complex, method: str, tolerance: float, count: int,
                     f"certifying this tolerance needs more than {MAX_DIRICHLET_TERMS} "
                     "Dirichlet terms; relax the tolerance or pick another method"
                 )
-            truncation = _dirichlet_tail(count, z)
+            truncation = tail(count)
         else:
             x = primes.prime_ceiling(offset + count)
             if x > MAX_PRIME_LIMIT:
@@ -877,7 +924,8 @@ def _walk_to_feasible(z: complex, method: str, tolerance: float, count: int,
                     f"{offset + count // 2} primes, and going further may need a sieve past "
                     f"the limit {MAX_PRIME_LIMIT}; relax the tolerance or pick another method"
                 )
-            truncation = magnitude * _expm1(log_tail(x))
+            b = tail(x)
+            truncation = magnitude * (math.expm1(b) if b < 709.0 else math.inf)
         rounding = rounding_bound(count, magnitude)
         if rounding > tolerance:
             raise RuntimeError(
@@ -948,10 +996,10 @@ def _trace(z: complex, method: str, tolerance: float, offset: int = 0,
     One failure rule: after every step that falls short, `floor` is raised
     to that step's own lower bound on every later modulus, (|value| -
     r)*exp(-b), when that is larger, with b here the sum-of-moduli bound
-    `_log_tail_of`(Re s), built once per run at complex s (at real s the
-    run's own closure is that bound): a later value differs from this one
-    by the factors of a stretch of the tail, which the phase form does not
-    cover.  The walk then resumes from twice the step's count, or from
+    `_log_tail_of`(Re s), built by the step that falls short (a request
+    that certifies at its first fold never builds it): a later value
+    differs from this one by the factors of a stretch of the tail, which
+    the phase form does not cover.  The walk then resumes from twice the step's count, or from
     `needed` when that is larger, so `needed` is at least twice every count
     folded.  No count it passes over could certify: the counts below
     `needed` it passed before, a larger floor only makes them less
@@ -985,14 +1033,11 @@ def _trace(z: complex, method: str, tolerance: float, offset: int = 0,
     zeta = _zeta_bounds(sigma)
     rounding_bound, log_tail = _rounding_of(z, method, zeta), _log_tail_of(z)
     ceiling = head_ceiling = zeta[1]
-    if z.imag == 0.0:
-        # Every factor exceeds 1, and so does every product.  The closure
-        # has no phase form here, so it is its own sum-of-moduli bound.
-        floor, moduli = 1.0, log_tail
-    else:
-        floor, moduli = _product_floor(sigma, zeta), _log_tail_of(complex(sigma))
+    floor = 1.0  # for real s: every factor exceeds 1, and so does every product
+    if z.imag != 0.0:
+        floor = _product_floor(sigma, zeta)
         if offset == 0:
-            head_floor, head_ceiling = _head_range(z, moduli)
+            head_floor, head_ceiling = _head_range(z, log_tail)
             floor = max(floor, head_floor)
     count = 1
     needed = _walk_to_feasible(z, method, tolerance, count, offset, floor, rounding_bound, log_tail)
@@ -1001,7 +1046,8 @@ def _trace(z: complex, method: str, tolerance: float, offset: int = 0,
 
     def bound(c: int, m: float) -> float:
         r = rounding_bound(c, m)
-        return (m + r) * _expm1(log_tail(int(window[offset + c - 1]))) + r
+        b = log_tail(window.item(offset + c - 1))
+        return (m + r) * (math.expm1(b) if b < 709.0 else math.inf) + r
 
     steps: list[EvaluationResult] = []
     running = complex(1.0) if method == METHOD_EULER_PRODUCT else complex(0.0)
@@ -1030,7 +1076,8 @@ def _trace(z: complex, method: str, tolerance: float, offset: int = 0,
         # The factors past p_hi change |log| of every later value by at
         # most the sum of their moduli, so each has modulus at least this,
         # and at most `ceiling`.
-        rounding, b = rounding_bound(count, abs(value)), moduli(int(window[hi - 1]))
+        rounding = rounding_bound(count, abs(value))
+        b = _log_tail_of(complex(sigma))(window.item(hi - 1))
         floor = max(floor, (abs(value) - rounding) * math.exp(-b))
         ceiling = min(ceiling, (abs(value) + rounding) * math.exp(b))
         lo = hi
@@ -1062,7 +1109,7 @@ def _checked_trace(s, method: str, tolerance: float, every_step: bool) -> list[E
 
     The Dirichlet route needs none of the product driver's state.
     `_walk_to_feasible` walks its doubling counts from 16 with closed forms
-    alone, to the first, `needed`, whose bound `_dirichlet_tail` plus
+    alone, to the first, `needed`, whose bound `_dirichlet_tail_of` plus
     r(count, 0), r = `_rounding_of`, may certify; that bound does not depend
     on the value, so it is each step's bound too, expression for expression,
     and `needed` certifies.  `convergence_trace` takes every doubling count
@@ -1080,12 +1127,12 @@ def _checked_trace(s, method: str, tolerance: float, every_step: bool) -> list[E
     if z.real <= 1.0:
         raise NonConvergentError("zeta evaluation", z)
     if method != METHOD_DIRICHLET:
-        return _trace(z, method, tolerance, every_step=every_step)
-    rounding_bound = _rounding_of(z, method, _zeta_bounds(z.real))
-    needed = _walk_to_feasible(z, method, tolerance, 16, 0, 0.0, rounding_bound, None)
+        return _trace(z, method, tolerance, 0, every_step)
+    rounding_bound, tail = _rounding_of(z, method, _zeta_bounds(z.real)), _dirichlet_tail_of(z)
+    needed = _walk_to_feasible(z, method, tolerance, 16, 0, 0.0, rounding_bound, tail)
 
     def bound(c: int) -> float:
-        return _dirichlet_tail(c, z) + rounding_bound(c, 0.0)
+        return tail(c) + rounding_bound(c, 0.0)
 
     if every_step:
         counts = [needed >> k for k in range((needed // 16).bit_length() - 1, -1, -1)]
@@ -1102,7 +1149,7 @@ def convergence_trace(s, method: str, tolerance: float) -> list[EvaluationResult
     Truncations double: prime counts 1, 2, 4, ... for the product methods,
     term counts 16, 32, 64, ... for the Dirichlet sum.
     """
-    return _checked_trace(s, method, tolerance, every_step=True)
+    return _checked_trace(s, method, tolerance, True)
 
 
 def zeta_eval(s, method: str = METHOD_REFORMULATED, tolerance: float = 1e-6) -> EvaluationResult:
@@ -1117,4 +1164,4 @@ def zeta_eval(s, method: str = METHOD_REFORMULATED, tolerance: float = 1e-6) -> 
     that step's in the last digits.  A `dirichlet` value is
     `dirichlet_partial`(terms_used) bit for bit.
     """
-    return _checked_trace(s, method, tolerance, every_step=False)[-1]
+    return _checked_trace(s, method, tolerance, False)[-1]

@@ -32,17 +32,22 @@ def _count_bound(x: int) -> int:
     return int(PI_UPPER * x / math.log(x)) + 1
 
 
+_FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67)
+
+
 def prime_ceiling(n: int) -> float:
     """An upper bound on the n-th prime, for n >= 1.
 
-    p_n < n(ln n + ln ln n) for n >= 6 (Rosser & Schoenfeld, 1962), and
-    p_n < n(ln n + ln ln n - 0.9484) for n >= 39017 (Dusart, Math. Comp.
-    68, 1999); below 6, p_5 = 11.
+    p_n itself for n < 20; p_n < n(ln n + ln ln n - 1/2) for n >= 20
+    (Rosser & Schoenfeld, Illinois J. Math. 6, 1962), and p_n < n(ln n +
+    ln ln n - 0.9484) for n >= 39017 (Dusart, Math. Comp. 68, 1999).  Every
+    value is at most 11 below n = 6 and at most n(ln n + ln ln n) from 6 on,
+    the looser ceilings it replaces.
     """
-    if n < 6:
-        return 11.0
+    if n < 20:
+        return float(_FIRST_PRIMES[n - 1])
     x = float(n)
-    shift = -0.9484 if n >= 39017 else 0.0
+    shift = -0.9484 if n >= 39017 else -0.5
     return x * (math.log(x) + math.log(math.log(x)) + shift)
 
 
@@ -150,9 +155,10 @@ def first_primes(count: int) -> np.ndarray:
     """First `count` primes, ascending, as a read-only int64 array."""
     if count < 0:
         raise ValueError("count must be >= 0")
-    cache = default_cache()
-    cache.extend_to_count(count)
-    return cache.primes[:count]
+    cache = _default_cache
+    if cache._primes.size < count:
+        cache.extend_to_count(count)
+    return cache._primes[:count]
 
 
 def primes_up_to(limit: int) -> list[int]:

@@ -299,7 +299,7 @@ def test_scalar_and_vectorised_powers_share_one_overflow_rule():
         methods._power_terms(np.array([1211.0]), z)
 
 
-@pytest.mark.parametrize("request_, message", [
+OVERFLOW_ROWS = [
     (lambda: euler_partial(3000, 2j), "the running Euler product at prime 14009"),
     (lambda: reform_partial(50, 1e-7), "the prime-indexed sum at prime 227"),
     # The sum's terms leave the range at 1547 primes, where the product
@@ -307,11 +307,91 @@ def test_scalar_and_vectorised_powers_share_one_overflow_rule():
     (lambda: reform_partial(1547, 2j), "the prime-indexed sum at prime 12983"),
     (lambda: identity_residual(1547, 2j), "the prime-indexed sum at prime 12983"),
     (lambda: induction_step_check(1547, 2j), "the prime-indexed sum at prime 12983"),
-])
+]
+
+
+@pytest.mark.parametrize("request_, message", OVERFLOW_ROWS)
 def test_overflow_names_what_left_the_range(request_, message):
     with pytest.raises(PowerOverflowError) as got:
         request_()
     assert str(got.value).startswith(f"{message} exceeds the double-precision range at s = ")
+
+
+def as_bits(value):
+    """A result as hex, exactly: complex and float parts, and an
+    EvaluationResult's value, terms_used and bound."""
+    if isinstance(value, list):
+        return [as_bits(v) for v in value]
+    if isinstance(value, methods.EvaluationResult):
+        return as_bits(value.value), value.terms_used, value.tail_error_bound.hex()
+    if isinstance(value, complex):
+        return value.real.hex(), value.imag.hex()
+    if isinstance(value, float):
+        return value.hex()
+    return repr(value)  # None, or a witness, whose float repr round-trips
+
+
+def outcome(request, *args):
+    """`as_bits` of what `request(*args)` returns, or the type and message
+    of what it raises (a numpy RuntimeWarning raises under pytest)."""
+    try:
+        return as_bits(request(*args))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def error_state_grid(sigmas, routes, heights=(0.0, 1e-45, -14.1, 1e3, 1e8)):
+    """(request, *args) for `routes` at Re s in `sigmas` and Im s in
+    `heights`: the certified requests at 1e-8, and the finite folds at a
+    few sizes."""
+    requests = []
+    for s in (complex(sigma, t) for sigma in sigmas for t in heights):
+        for method in routes:
+            requests += [(zeta_eval, s, method, 1e-8), (convergence_trace, s, method, 1e-8)]
+        if METHOD_DIRICHLET in routes:
+            requests += [(dirichlet_partial, N, s) for N in (1, 2, 5, 100, 5000)]
+            requests += [(in_exclusion_set, s, i) for i in (1, 7, 100)]
+        if METHOD_EULER_PRODUCT in routes:
+            requests += [(fold, i, s) for fold in (euler_partial, reform_partial) for i in (1, 2)]
+    return requests
+
+
+def same_under_raise(requests):
+    with np.errstate(divide="warn", over="warn", under="ignore", invalid="warn"):  # the default
+        expected = [outcome(*request) for request in requests]
+    with np.errstate(all="raise"):
+        assert [outcome(*request) for request in requests] == expected
+    return expected
+
+
+def test_the_callers_error_state_changes_no_result():
+    # Every public route at Re s from 1.01 to 400 and |Im s| up to 1e8, with
+    # powers on both sides of `_power_terms`' rule for entering np.errstate
+    # (Re s*ln n past 600, |Im s| below 1e-40, where a part of n^{-s} can
+    # underflow at Im s = 1e-300), and the overflows above,
+    # under numpy's default state and under all="raise": the same bits and
+    # the same errors.  A dropped np.errstate where a flag can arise fails.
+    # The prime folds at Re s = 400 are the next test's.
+    requests = [(request,) for request, _ in OVERFLOW_ROWS]
+    requests += error_state_grid((1.01, 1.5, 3.0, 20.0, 90.0), METHODS)
+    requests += error_state_grid((400.0,), (METHOD_DIRICHLET,))
+    requests += error_state_grid((1.01, 3.0, 400.0), (METHOD_DIRICHLET,), (1e-300,))
+    expected = same_under_raise(requests)
+    kinds = {row.split(":")[0] for row in expected if isinstance(row, str) and ": " in row}
+    assert kinds == {"PowerOverflowError", "RuntimeError"}, kinds
+
+
+def test_prime_folds_underflow_in_silence_under_any_error_state():
+    # At large Re s a factor's imaginary part is tiny, and 1/(1 - p^{-s})
+    # underflows in it.  Each fold holds its own np.errstate around its
+    # blocks, so a caller's all="raise" changes nothing there either.
+    products = (METHOD_EULER_PRODUCT, METHOD_REFORMULATED)
+    requests = error_state_grid((400.0,), products)
+    requests += error_state_grid((3.0, 90.0), products, (1e-300,))
+    requests += [(euler_partial, 100, 90 + 1j), (identity_residual, 100, 90 + 1e3j),
+                 (induction_step_check, 7, 400 + 1e-45j)]
+    expected = same_under_raise(requests)
+    assert not any("Error" in str(row) or "Warning" in str(row) for row in expected)
 
 
 # ----------------------------------------------------------------------
@@ -575,7 +655,16 @@ def test_tail_bound_takes_the_theta_form_from_41_on():
         assert tail_bound(i, sigma) < by_pi(p, sigma) < 2 * p ** (1 - sigma) / (sigma - 1)
 
 
-def test_theta_bounds_hold_at_every_prime_up_to_1e8():
+@pytest.fixture(scope="module")
+def primes_to_1e8():
+    """Every prime up to 10^8, from one private sieve for the checks by
+    exhaustion below; the shared cache stays as it was."""
+    cache = primes.PrimeCache()
+    cache.extend_to(methods._THETA_SQRT_LIMIT)
+    return cache.primes
+
+
+def test_theta_bounds_hold_at_every_prime_up_to_1e8(primes_to_1e8):
     # The three inequalities of Rosser & Schoenfeld the product tail rests
     # on, checked on [2, 10^8] by exhaustion.  theta is constant between
     # primes and t - theta(t), t*(1 - 1/ln t) grow with t, so the worst t
@@ -583,12 +672,9 @@ def test_theta_bounds_hold_at_every_prime_up_to_1e8():
     # below p_k+1 (or 10^8) for the two lower bounds.  np.log is within one
     # ulp, and np.cumsum adds in order, block after block onto the carry, so
     # the float theta at the k-th prime is within (k + 4)*u*theta of the
-    # exact one.  A private cache leaves the shared one as it was, and
-    # blocks of 2^20 primes keep the arrays small.
+    # exact one.  Blocks of 2^20 primes keep the arrays small.
     limit = methods._THETA_SQRT_LIMIT
-    cache = primes.PrimeCache()
-    cache.extend_to(limit)
-    p, block, carry = cache.primes, 1 << 20, 0.0
+    p, block, carry = primes_to_1e8, 1 << 20, 0.0
     below, above = [], []
     for a in range(0, p.size, block):
         x = p[a : a + block + 1].astype(np.float64)  # this block and the next prime
@@ -606,6 +692,22 @@ def test_theta_bounds_hold_at_every_prime_up_to_1e8():
     assert max(below)[0] < methods._THETA_SQRT and min(above)[0] > 0.0
     assert (round(max(below)[0], 7), max(below)[1]) == (2.0528178, 1423.0)
     assert (round(min(above)[0], 2), min(above)[1]) == (0.40, 59.0)
+
+
+def test_prime_ceiling_holds_at_every_prime_up_to_1e8(primes_to_1e8):
+    # prime_ceiling(n) >= p_n at every n up to pi(10^8), by exhaustion: p_n
+    # itself below 20, n(ln n + ln ln n - 1/2) to 39,016 and Dusart's form
+    # from 39,017 on.  Each is at most 11 below 6 and n(ln n + ln ln n) from
+    # 6 on, the forms `methods._last_ruled_out` inverts.
+    p = primes_to_1e8
+    n = np.arange(1, p.size + 1, dtype=np.float64)
+    ceiling = np.fromiter(map(primes.prime_ceiling, range(1, p.size + 1)), np.float64, p.size)
+    margin = ceiling - p
+    assert p.size == 5_761_455 and (margin[:19] == 0.0).all()
+    assert (round(margin[19:39016].min(), 3), int(np.argmin(margin[19:39016])) + 20) == (0.198, 25)
+    assert margin[39016:].min() > 0.0
+    assert (ceiling[:5] <= 11.0).all()
+    assert (ceiling[5:] <= n[5:] * (np.log(n[5:]) + np.log(np.log(n[5:])))).all()
 
 
 TAIL_PRIMES = 2_000_000
@@ -675,7 +777,7 @@ def test_dirichlet_tail_bound_holds_and_is_tight():
     ratios = []
     with mpmath.workdps(40):
         for s, N in cases:
-            bound = methods._dirichlet_tail(N, s)
+            bound = methods._dirichlet_tail_of(s)(N)
             assert bound < N ** (1 - s.real) / (s.real - 1)
             tail = float(abs(mpmath.zeta(s, N + 1)))
             assert tail <= bound
@@ -865,7 +967,7 @@ def test_rounding_is_nondecreasing_in_count_and_magnitude():
                 assert all(a <= b for a, b in zip(r, r[1:])), (z, method, count)
 
 
-def stepped_walk(z, method, tolerance, count, offset, magnitude, rounding_bound, log_tail):
+def stepped_walk(z, method, tolerance, count, offset, magnitude, rounding_bound, tail):
     """The feasibility walk as it stepped every doubling count from `count`,
     the reference for `methods._walk_to_feasible`."""
     while True:
@@ -875,7 +977,7 @@ def stepped_walk(z, method, tolerance, count, offset, magnitude, rounding_bound,
                     f"certifying this tolerance needs more than {methods.MAX_DIRICHLET_TERMS} "
                     "Dirichlet terms; relax the tolerance or pick another method"
                 )
-            truncation = methods._dirichlet_tail(count, z)
+            truncation = tail(count)
         else:
             x = primes.prime_ceiling(offset + count)
             if x > methods.MAX_PRIME_LIMIT:
@@ -884,7 +986,7 @@ def stepped_walk(z, method, tolerance, count, offset, magnitude, rounding_bound,
                     f"{offset + count // 2} primes, and going further may need a sieve past "
                     f"the limit {methods.MAX_PRIME_LIMIT}; relax the tolerance or pick another method"
                 )
-            truncation = magnitude * methods._expm1(log_tail(x))
+            truncation = magnitude * methods._expm1(tail(x))
         rounding = rounding_bound(count, magnitude)
         if rounding > tolerance:
             raise RuntimeError(
@@ -925,15 +1027,15 @@ def test_walk_starts_past_the_counts_it_rules_out_and_ends_where_stepping_would(
         count = 1 << rng.randrange(25)
         zeta = methods._zeta_bounds(sigma)
         if method == METHOD_DIRICHLET:
-            # As `_checked_trace` calls it: a Dirichlet walk has no product tail.
-            offset, magnitude, log_tail = 0, 0.0, None
+            # As `_checked_trace` calls it: the Dirichlet tail, taken at the count.
+            offset, magnitude, tail = 0, 0.0, methods._dirichlet_tail_of(z)
         else:
             offset = 0 if rng.random() < 0.5 else int(10.0 ** rng.uniform(0.0, 6.0))
             floor = 1.0 if t == 0.0 else methods._product_floor(sigma, zeta)
             magnitude = rng.choice((floor, zeta[1], rng.uniform(floor, zeta[1])))
-            log_tail = methods._log_tail_of(z)
+            tail = methods._log_tail_of(z)
         args = (z, method, tolerance, count, offset, magnitude,
-                methods._rounding_of(z, method, zeta), log_tail)
+                methods._rounding_of(z, method, zeta), tail)
         got = walk_outcome(methods._walk_to_feasible, *args)
         assert got == walk_outcome(stepped_walk, *args), args[:6]
         kind = (got[0], "dirichlet" if method == METHOD_DIRICHLET else "products")
@@ -944,11 +1046,11 @@ def test_walk_starts_past_the_counts_it_rules_out_and_ends_where_stepping_would(
         # Within the limits, so the walk's skip needs no limit check.
         if method == METHOD_DIRICHLET:
             assert n <= methods.MAX_DIRICHLET_TERMS, args[:6]
-            assert methods._dirichlet_tail(n, z) > tolerance, args[:6]
+            assert tail(n) > tolerance, args[:6]
         else:
             x = primes.prime_ceiling(n)
             assert x <= methods.MAX_PRIME_LIMIT, args[:6]
-            assert magnitude * methods._expm1(log_tail(x)) > tolerance, args[:6]
+            assert magnitude * methods._expm1(tail(x)) > tolerance, args[:6]
         if n - offset >= count:
             last = count << (((n - offset) // count).bit_length() - 1)
             if method == METHOD_DIRICHLET:
@@ -1196,7 +1298,7 @@ def test_eval_dirichlet_count_is_within_a_32nd_of_the_first_that_certifies(seed)
         rounding = methods._rounding_of(complex(s), METHOD_DIRICHLET, zeta)
 
         def bound(c):
-            return methods._dirichlet_tail(c, complex(s)) + rounding(c, 0.0)
+            return methods._dirichlet_tail_of(complex(s))(c) + rounding(c, 0.0)
 
         try:
             got = zeta_eval(s, METHOD_DIRICHLET, tol)
@@ -1364,6 +1466,149 @@ def test_eval_matches_every_step_trace_and_holds_against_mpmath(monkeypatch):
                 assert error <= got.tail_error_bound <= tol, (s, tol, name)
                 outcomes["checked"] += 1
     assert min(outcomes.values()) >= 400, outcomes
+
+
+# zeta_eval and convergence_trace at twelve points, as hex: for each
+# method in METHODS order, the value's parts, terms_used and the bound (for
+# a trace, its number of steps and its last step), or the type and message
+# of the refusal.  They cover real and complex s, Dirichlet folds served
+# from the head batch (3+1i, 2.5-4i) and through windows (2, 1.5), product
+# requests that fold once and that fold twice (1.5, 2.5-4i), and a
+# rounding refusal at a large-|Im s| anchor (3+1e8i).  A faster driver
+# must not move a bit of them.
+BIT_PINS = {
+    ((2+0j), 1e-06): (
+        "0x1.a51a55a10ffd5p+0 0x0.0p+0 1015808 0x1.0842111b1b195p-20",
+        "17 steps, 0x1.a51a562530fd2p+0 0x0.0p+0 1048576 0x1.0000009be97adp-20",
+        "0x1.a51a593f45611p+0 0x0.0p+0 15104 0x1.0b240d9b2fa5fp-20",
+        "15 steps, 0x1.a51a5a6e4738ap+0 0x0.0p+0 16384 0x1.e4b1e71f0851dp-21",
+        "0x1.a51a593f447d8p+0 0x0.0p+0 15104 0x1.0b23e8f0a49eep-20",
+        "15 steps, 0x1.a51a5a6e46616p+0 0x0.0p+0 16384 0x1.e4b1978ec130ap-21",
+    ),
+    ((3+1j), 0.001): (
+        "0x1.1ba6dc1cfd9d5p+0 -0x1.3076a11568b4cp-3 22 0x1.fe419e70e8d14p-11",
+        "2 steps, 0x1.1b85a97fcf3c9p+0 -0x1.3052debdac3f6p-3 32 0x1.da7b5c61a2236p-12",
+        "0x1.1b812842e7c28p+0 -0x1.2ff47cdb17dc2p-3 8 0x1.e6af75f93a731p-11",
+        "4 steps, 0x1.1b812842e7c28p+0 -0x1.2ff47cdb17dc1p-3 8 0x1.e6af75f93a731p-11",
+        "0x1.1b812842e7c2ap+0 -0x1.2ff47cdb17dc1p-3 8 0x1.e6af75f930ff5p-11",
+        "4 steps, 0x1.1b812842e7c2ap+0 -0x1.2ff47cdb17dc2p-3 8 0x1.e6af75f930ff5p-11",
+    ),
+    ((2.5-4j), 1e-08): (
+        "0x1.b4553cb66a0a7p-1 0x1.597eb86ba9f50p-9 81920 0x1.570a7609849ccp-27",
+        "14 steps, 0x1.b4553c8107779p-1 0x1.597f14ad736e0p-9 131072 0x1.52fe9d9761f19p-28",
+        "0x1.b4553cb216bb3p-1 0x1.597edf3e46292p-9 2176 0x1.4fcb1895226c8p-27",
+        "13 steps, 0x1.b4553c6056fa8p-1 0x1.597ef729a6b77p-9 4096 0x1.9b6bd4a9d04e5p-29",
+        "0x1.b4553cb2168f8p-1 0x1.597edf3e46294p-9 2176 0x1.4fc7e2318913cp-27",
+        "13 steps, 0x1.b4553c6056d61p-1 0x1.597ef729a6bb0p-9 4096 0x1.9b539955f4d4dp-29",
+    ),
+    ((1.5+0j), 0.0045): (
+        "0x1.4dd007a71c526p+1 0x0.0p+0 200704 0x1.24924924a0ed3p-8",
+        "15 steps, 0x1.4de250c7bd896p+1 0x0.0p+0 262144 0x1.000000000f217p-8",
+        "0x1.4df9d3d7592bbp+1 0x0.0p+0 2240 0x1.219a156a3c76ep-8",
+        "13 steps, 0x1.4e1bee0ba5b05p+1 0x0.0p+0 4096 0x1.7fba6c3888f15p-9",
+        "0x1.4df9d3d7592c5p+1 0x0.0p+0 2240 0x1.219a156ae2846p-8",
+        "13 steps, 0x1.4e1bee0ba5b01p+1 0x0.0p+0 4096 0x1.7fba6c3adad31p-9",
+    ),
+    ((2.35666-475.125j), 4.1424e-07): (
+        "0x1.d0ce5dec51e58p-1 0x1.a0ee44a89e426p-4 1216 0x1.bbeaecd83c84bp-22",
+        "8 steps, 0x1.d0ce58b77031bp-1 0x1.a0ee65d6adea1p-4 2048 0x1.feb42f666789bp-24",
+        "0x1.d0ce59b08f674p-1 0x1.a0ee568678b1cp-4 1152 0x1.a78fe6a565e59p-22",
+        "12 steps, 0x1.d0ce59d5f318dp-1 0x1.a0ee565aa6a8ap-4 2048 0x1.425c92e3587c5p-23",
+        "0x1.d0ce59b08f578p-1 0x1.a0ee568678b0fp-4 1152 0x1.a78fdf9143509p-22",
+        "12 steps, 0x1.d0ce59d5f2fd8p-1 0x1.a0ee565aa6a97p-4 2048 0x1.425c738bd001cp-23",
+    ),
+    ((2.59671+784.934j), 1e-07): (
+        "0x1.c84b42128ecf0p-1 0x1.89c916e28c990p-7 1344 0x1.a04e6c00a529ap-24",
+        "8 steps, 0x1.c84b422c721fdp-1 0x1.89c8ef2bf80c0p-7 2048 0x1.b5cbbbe03fde7p-26",
+        "0x1.c84b4249a74dbp-1 0x1.89c901938fa74p-7 704 0x1.a891a1d9154e9p-24",
+        "11 steps, 0x1.c84b423edb668p-1 0x1.89c8fd41c8dd4p-7 1024 0x1.92989f7441afdp-25",
+        "0x1.c84b4249a7442p-1 0x1.89c901938fa82p-7 704 0x1.a891836818fcdp-24",
+        "11 steps, 0x1.c84b423edb5b3p-1 0x1.89c8fd41c8debp-7 1024 0x1.9298395a116aep-25",
+    ),
+    ((3+100000000j), 1e-10): (
+        "RuntimeError: rounding alone may reach 6.600e-09 at s = (3+100000000j), above the "
+        "tolerance 1.000e-10; relax the tolerance",
+        "RuntimeError: rounding alone may reach 6.600e-09 at s = (3+100000000j), above the "
+        "tolerance 1.000e-10; relax the tolerance",
+        "RuntimeError: rounding alone may reach 5.523e-09 at s = (3+100000000j), above the "
+        "tolerance 1.000e-10; relax the tolerance",
+        "RuntimeError: rounding alone may reach 5.523e-09 at s = (3+100000000j), above the "
+        "tolerance 1.000e-10; relax the tolerance",
+        "RuntimeError: rounding alone may reach 7.860e-09 at s = (3+100000000j), above the "
+        "tolerance 1.000e-10; relax the tolerance",
+        "RuntimeError: rounding alone may reach 7.860e-09 at s = (3+100000000j), above the "
+        "tolerance 1.000e-10; relax the tolerance",
+    ),
+    ((3+0j), 1e-10): (
+        "0x1.33ba004e95632p+0 0x0.0p+0 71680 0x1.ac14ed8c0dd45p-34",
+        "14 steps, 0x1.33ba004ee0621p+0 0x0.0p+0 131072 0x1.0030aca9ebfedp-35",
+        "0x1.33ba004eb6dd1p+0 0x0.0p+0 3136 0x1.a57e81d38a769p-34",
+        "13 steps, 0x1.33ba004ed92b7p+0 0x0.0p+0 4096 0x1.c5b8cb66043c5p-35",
+        "0x1.33ba004eb3060p+0 0x0.0p+0 3072 0x1.b5776bf3c1f33p-34",
+        "13 steps, 0x1.33ba004ed8eedp+0 0x0.0p+0 4096 0x1.bcca81eb52f95p-35",
+    ),
+    ((4.951+0j), 0.00021): (
+        "0x1.09d17eb686e47p+0 0x0.0p+0 16 0x1.28e3b4e07e964p-18",
+        "1 steps, 0x1.09d17eb686e47p+0 0x0.0p+0 16 0x1.28e3b4e07e964p-18",
+        "0x1.09d16f0c64c65p+0 0x0.0p+0 5 0x1.52b4d64af616bp-15",
+        "4 steps, 0x1.09d1ba799ae49p+0 0x0.0p+0 8 0x1.e09540cb6f4c9p-20",
+        "0x1.09d16f0c64c67p+0 0x0.0p+0 5 0x1.52b4d64ab2b1cp-15",
+        "4 steps, 0x1.09d1ba799ae49p+0 0x0.0p+0 8 0x1.e09540be5ca13p-20",
+    ),
+    ((6-0.5j), 1e-12): (
+        "0x1.04206f1aaae01p+0 0x1.9a0ccf6ae7f5bp-8 184 0x1.0e5d3798e60e8p-40",
+        "5 steps, 0x1.04206f1aaa22dp+0 0x1.9a0ccf6b488a8p-8 256 0x1.b66d4923889e0p-43",
+        "0x1.04206f1aaa4b1p+0 0x1.9a0ccf6b25182p-8 37 0x1.1670b847652edp-40",
+        "7 steps, 0x1.04206f1aa9f55p+0 0x1.9a0ccf6b556b2p-8 64 0x1.323c9663a269fp-44",
+        "0x1.04206f1aaa4afp+0 0x1.9a0ccf6b25182p-8 37 0x1.0f87f69268d1ap-40",
+        "7 steps, 0x1.04206f1aa9f54p+0 0x1.9a0ccf6b556afp-8 64 0x1.eda47dcbb657fp-46",
+    ),
+    ((1.8+30j), 1e-05): (
+        "0x1.907d299d08985p-1 -0x1.391adba272a4cp-2 25600 0x1.4cc3c9bef6fa0p-17",
+        "12 steps, 0x1.907c063e2377dp-1 -0x1.3919b640c3b20p-2 32768 0x1.111848602004ap-17",
+        "0x1.907cf212c3d67p-1 -0x1.3918634db40e2p-2 2688 0x1.37d2c9a570c73p-17",
+        "13 steps, 0x1.907cd55f541a4p-1 -0x1.39187fd003a4cp-2 4096 0x1.4a219f74654c7p-18",
+        "0x1.907cf212c3da7p-1 -0x1.3918634db40d1p-2 2688 0x1.37d2ccacfbd50p-17",
+        "13 steps, 0x1.907cd55f540b4p-1 -0x1.39187fd003aa3p-2 4096 0x1.4a21a89bf3972p-18",
+    ),
+    ((1.05+0j), 0.001): (
+        "RuntimeError: certifying this tolerance needs more than 1073741824 Dirichlet terms; "
+        "relax the tolerance or pick another method",
+        "RuntimeError: certifying this tolerance needs more than 1073741824 Dirichlet terms; "
+        "relax the tolerance or pick another method",
+        "RuntimeError: certifying this tolerance needs more than the first 33554432 primes, "
+        "and going further may need a sieve past the limit 1073741824; relax the tolerance or "
+        "pick another method",
+        "RuntimeError: certifying this tolerance needs more than the first 33554432 primes, "
+        "and going further may need a sieve past the limit 1073741824; relax the tolerance or "
+        "pick another method",
+        "RuntimeError: certifying this tolerance needs more than the first 33554432 primes, "
+        "and going further may need a sieve past the limit 1073741824; relax the tolerance or "
+        "pick another method",
+        "RuntimeError: certifying this tolerance needs more than the first 33554432 primes, "
+        "and going further may need a sieve past the limit 1073741824; relax the tolerance or "
+        "pick another method",
+    ),
+}
+
+
+@pytest.mark.parametrize("s, tol", sorted(BIT_PINS, key=str))
+def test_requests_keep_their_bits(s, tol):
+    def row(result):
+        value, terms, bound = as_bits(result)
+        return f"{value[0]} {value[1]} {terms} {bound}"
+
+    got = []
+    for method in METHODS:
+        for request in (zeta_eval, convergence_trace):
+            try:
+                result = request(s, method, tol)
+            except RuntimeError as exc:
+                got.append(f"RuntimeError: {exc}")
+                continue
+            got.append(row(result) if request is zeta_eval
+                       else f"{len(result)} steps, {row(result[-1])}")
+    assert tuple(got) == BIT_PINS[s, tol]
 
 
 def test_monotone_convergence_on_real_axis():

@@ -266,8 +266,9 @@ def test_each_helper_reads_and_grows_the_installed_cache(monkeypatch, helper, re
 
 def test_count_estimate_reaches_the_nth_prime():
     # extend_to_count sieves once only if its target for `count`,
-    # prime_ceiling(count) + 16, is at least p_count: n(ln n + ln ln n) below
-    # 39017 and Dusart's sharper n(ln n + ln ln n - 0.9484) from 39017 on.
+    # prime_ceiling(count) + 16, is at least p_count: p_n itself below 20,
+    # n(ln n + ln ln n - 1/2) below 39017 and Dusart's sharper
+    # n(ln n + ln ln n - 0.9484) from 39017 on.
     sieved = PrimeCache()
     sieved.extend_to_count(1 << 20)
     counts = sorted({*range(6, (1 << 20) + 1, 7), 39016, 39017, 1 << 20})
