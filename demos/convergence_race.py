@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Race the three evaluation strategies for zeta(s), Re(s) > 1.
 
-Each method doubles its truncation until its certified tail bound drops
-below the target, so "terms_used" is an honest, like-for-like cost.  The
-Dirichlet sum needs polynomially many terms in 1/tol; the two prime-product
-routes track each other exactly (they are the same object, rearranged) and
-need far fewer terms once sigma is comfortably above 1.
+Each method grows its truncation until its certified tail bound drops
+below the target, and `zeta_eval` stops within 1/32 of the first count
+that certifies (the step-by-step trace doubles), so "terms_used" is an
+honest, like-for-like cost.  The Dirichlet sum needs polynomially many
+terms in 1/tol; the two prime-product routes track each other exactly
+(they are the same object, rearranged) and need far fewer terms once
+sigma is comfortably above 1.
 """
 
 import math

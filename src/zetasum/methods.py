@@ -4,14 +4,15 @@ Re(s) > 1.
 
 One vectorised n^{-s} (`_power_terms`) serves every route.  Over primes,
 one block iterator (`_blocks`) yields p, t = p^{-s} and f = 1/(1 - t) chunk
-by chunk, with the overflow and singular-point checks, and two reductions
-consume it: the product multiplies the factors, and the prime-indexed sum
-folds forward by the paper's induction step S_{i+1} = f_{i+1}*(t_{i+1} + S_i).
-`_identity` runs both in one pass.  `oracle`'s sums and coefficient checks
-and the `exclusion` report take their powers from `_power_terms` too, the
-last two one power at a time; the library has no other n^{-s}.  Every fold
-works in cache-sized blocks of `_CHUNK` terms and holds one block at a
-time, so its memory does not grow with the number of terms.
+by chunk, with the overflow and singular-point checks, and one fold
+(`_fold`) consumes it: it multiplies the factors into the running product,
+folds the prime-indexed sum forward by the paper's induction step
+S_{i+1} = f_{i+1}*(t_{i+1} + S_i), or both in one pass, as `_identity`
+asks.  `oracle`'s sums and coefficient checks and the `exclusion` report
+take their powers from `_power_terms` too, the last two one power at a
+time; the library has no other n^{-s}.  Every fold works in cache-sized
+blocks of `_CHUNK` terms and holds one block at a time, so its memory does
+not grow with the number of terms.
 
 `_power_terms` checks finiteness in O(1).  With Re z >= 0 every |n^{-z}|
 is at most 1, and with |Im z|*ln n_max below 1e308 (room for the ulp by
@@ -25,13 +26,12 @@ at least e^-600*5.8e-41: |sin y| >= 0.84|y| for |y| <= 1, and no double
 lies nearer a nonzero multiple of pi/2 than about 4e-19, the worst case of
 argument reduction.  So nothing overflows or underflows.  A sum of powers
 needs no `np.errstate` either: an addition whose result is that small is
-exact, so none underflows.  The prime folds (`_product`, `_sum`,
-`_identity`, `induction_step_check`) enter `np.errstate(all="ignore")`
-once per call, around all their blocks: at large Re s a factor's
-imaginary part can be so small that the division and the products
-underflow in it, and at Re s <= 1 a fold can overflow, which
-`_checked_fold` then locates.  No result depends on the caller's
-floating-point error state.
+exact, so none underflows.  `_fold`, and `induction_step_check` for the
+block it reads itself, enter `np.errstate(all="ignore")` once per call,
+around all their blocks: at large Re s a factor's imaginary part can be so
+small that the division and the products underflow in it, and at Re s <= 1
+a fold can overflow, which `_checked_fold` then locates.  No result
+depends on the caller's floating-point error state.
 
 The Dirichlet sum D(x) = sum_{n <= x} n^{-s} uses the first Euler factor
 as a finite identity: every even n <= x is 2m with m <= floor(x/2), so
@@ -188,7 +188,7 @@ class EvaluationResult:
 
 
 # ----------------------------------------------------------------------
-# vectorised powers, the prime block iterator and its two reductions
+# vectorised powers, the prime block iterator and its fold
 
 def _power_terms(n: np.ndarray, z: complex) -> np.ndarray:
     """n^{-z} for every n in a nonempty array of positive integers whose
@@ -292,9 +292,9 @@ def _checked_fold(folded: complex, p: np.ndarray, carry: complex, f: np.ndarray,
                   z: complex, name: str) -> complex:
     """`folded` if finite; else raise `PowerOverflowError` at the first p where
     carry*f[0]*...*f[k], multiplied in that order, is not finite (the block's
-    last prime if none is).  The prime folds' one overflow locator: its
-    message names the fold that left the range, `name`, not p^(-s).  It runs
-    inside the folds' `np.errstate`."""
+    last prime if none is).  `_fold`'s one overflow locator: its message
+    names the carry that left the range, `name`, not p^(-s).  It runs inside
+    `_fold`'s `np.errstate`."""
     if math.isfinite(folded.real) and math.isfinite(folded.imag):
         return folded
     running = np.cumprod(np.concatenate(([carry], f)))[1:]
@@ -306,21 +306,13 @@ def _checked_fold(folded: complex, p: np.ndarray, carry: complex, f: np.ndarray,
 
 
 @np.errstate(all="ignore")
-def _product(blocks, z: complex, out: complex = complex(1.0)) -> complex:
-    """`out` times every factor f in the blocks, one block product at a time."""
-    for p, _, f in blocks:
-        out = _checked_fold(out * complex(f.prod()), p, out, f, z,
-                            "the running Euler product")
-        # Free this block before `blocks` builds the next: one block's memory.
-        del p, _, f
-    return out
+def _fold(blocks, z: complex, product: complex | None = None,
+          total: complex | None = None) -> tuple[complex | None, complex | None]:
+    """Fold the blocks into the running Euler `product`, the prime-indexed
+    sum `total`, or both; a carry left None is not folded.
 
-
-@np.errstate(all="ignore")
-def _sum(blocks, z: complex, total: complex = 0j) -> complex:
-    """Fold the blocks into the prime-indexed sum `total`.
-
-    The induction step S_{i+1} = f_{i+1}*(t_{i+1} + S_i), applied to a whole
+    The product takes each block's product of factors.  The sum takes the
+    induction step S_{i+1} = f_{i+1}*(t_{i+1} + S_i), applied to a whole
     block at once: S <- (product of the block's f)*S + sum of t times the
     block's suffix products of f.  A term t*suffix that is not finite leaves
     S not finite, and `_checked_fold` names the prime-indexed sum, at the
@@ -328,15 +320,37 @@ def _sum(blocks, z: complex, total: complex = 0j) -> complex:
     else at the block's last prime.  The terms can leave the range where
     the product does not: at s = 2i, `euler_partial`(1547) is about 5e225
     in modulus, and `reform_partial`(1547) raises at prime 12983.
+
+    Folding both computes each power once and gives each carry the bits
+    that folding it alone gives.  The product's errors and the blocks' are
+    raised at once.  A failure of the sum is raised at once when the sum is
+    folded alone, else only after the product has run over every block, so
+    the pair fails as the two separate folds do, the product's first.
+    Callers pass the carries by position: `np.errstate`'s wrapper forwards
+    keywords as **kwargs, which costs a small fold about 4% more.
     """
+    failed = None
     for p, t, f in blocks:
-        # Complex even for real s: numpy sums complex arrays in another
-        # order than real ones, and the real-s reports follow the former.
-        suffix = np.cumprod(f[::-1], dtype=complex)[::-1]
-        total = _checked_fold(complex(suffix[0]) * total + complex((t * suffix).sum()),
-                              p, 1.0 + total, f, z, "the prime-indexed sum")
-        del p, t, f, suffix  # as in `_product`
-    return total
+        if product is not None:
+            product = _checked_fold(product * complex(f.prod()), p, product, f, z,
+                                    "the running Euler product")
+        if total is not None:
+            # Complex even for real s: numpy sums complex arrays in another
+            # order than real ones, and the real-s reports follow the former.
+            suffix = np.cumprod(f[::-1], dtype=complex)[::-1]
+            try:
+                total = _checked_fold(complex(suffix[0]) * total + complex((t * suffix).sum()),
+                                      p, 1.0 + total, f, z, "the prime-indexed sum")
+            except PowerOverflowError as error:
+                if product is None:
+                    raise
+                failed, total = error, None
+            del suffix
+        # Free this block before `blocks` builds the next: one block's memory.
+        del p, t, f
+    if failed is not None:
+        raise failed
+    return product, total
 
 
 def _dirichlet_fold(N: int, z: complex) -> list[complex]:
@@ -391,26 +405,25 @@ def euler_partial(i: int, s) -> complex:
     if i < 0:
         raise ValueError("i must be >= 0")
     z = as_complex(s)
-    return _product(_blocks(primes.first_primes(i), z), z)
+    return _fold(_blocks(primes.first_primes(i), z), z, 1 + 0j)[0]
 
 
 def reform_partial(i: int, s) -> complex:
     """Sum over k <= i of p_k^{-s} times the product of 1/(1 - p_j^{-s}) for
     j = k..i; 0 for i = 0.
 
-    Folded forward block by block (see `_sum`), so the cost is one factor
+    Folded forward block by block (see `_fold`), so the cost is one factor
     evaluation per prime rather than one per (k, j) pair.
     """
     if i < 0:
         raise ValueError("i must be >= 0")
     z = as_complex(s)
-    return _sum(_blocks(primes.first_primes(i), z), z)
+    return _fold(_blocks(primes.first_primes(i), z), z, None, 0j)[1]
 
 
-@np.errstate(all="ignore")
 def _identity(i: int, s) -> tuple[complex, complex]:
-    """euler_partial(i, s) and reform_partial(i, s) from one pass over the
-    blocks, each power computed once.
+    """euler_partial(i, s) and reform_partial(i, s) from one `_fold` of
+    both carries, each power computed once.
 
     Bit-identical to the two separate calls, and fails as they do: the
     product's errors come first, and a failure of the sum alone is raised
@@ -419,18 +432,7 @@ def _identity(i: int, s) -> tuple[complex, complex]:
     if i < 0:
         raise ValueError("i must be >= 0")
     z = as_complex(s)
-    product, total, sum_error = complex(1.0), 0j, None
-    for block in _blocks(primes.first_primes(i), z):
-        product = _product([block], z, product)
-        if sum_error is None:
-            try:
-                total = _sum([block], z, total)
-            except PowerOverflowError as exc:
-                sum_error = exc
-        del block  # as in `_product`
-    if sum_error is not None:
-        raise sum_error
-    return product, total
+    return _fold(_blocks(primes.first_primes(i), z), z, 1 + 0j, 0j)
 
 
 def identity_residual(i: int, s) -> float:
@@ -451,14 +453,15 @@ def induction_step_check(i: int, s) -> float:
     |f*(t + sum_i) + 1 - product_{i+1}|, the intermediate identity of the
     inductive argument.  One pass of i + 1 powers: `_identity` gives
     product_i and sum_i, p_{i+1} is a one-prime block of `_blocks` (with
-    its checks), and product_{i+1} is product_i times its factor.
+    its checks), and product_{i+1} is product_i times its factor, by
+    `_fold`.
     """
     z = as_complex(s)
     product, total = _identity(i, z)
     block = next(_blocks(primes.first_primes(i + 1)[i:], z))
     _, t, f = block
     step = complex(f[0]) * (complex(t[0]) + total) + 1.0
-    return abs(step - _product([block], z, product))
+    return abs(step - _fold([block], z, product)[0])
 
 
 def dirichlet_partial(N: int, s) -> complex:
@@ -1065,10 +1068,10 @@ def _trace(z: complex, method: str, tolerance: float, offset: int = 0,
         if method == METHOD_EULER_PRODUCT:
             # The new primes' own product first, then into the running
             # one: that order fixes the digits euler_product reports print.
-            running *= _product(blocks, z)
+            running *= _fold(blocks, z, 1 + 0j)[0]
             value = running
         else:
-            running = _sum(blocks, z, running)
+            running = _fold(blocks, z, None, running)[1]
             value = 1.0 + running
         steps.append(EvaluationResult(value, method, count, bound(count, abs(value))))
         if steps[-1].tail_error_bound <= tolerance:

@@ -1381,10 +1381,11 @@ def test_a_failed_short_fold_resumes_the_walk(monkeypatch, s, tol):
         assert error <= got.tail_error_bound <= tol, (method, counts)
 
 
-@pytest.mark.parametrize("fold", [euler_partial, reform_partial])
+@pytest.mark.parametrize("fold", [euler_partial, reform_partial, identity_residual,
+                                  induction_step_check])
 def test_fold_memory_does_not_grow_with_the_number_of_primes(fold):
     # Each fold holds one block of _CHUNK primes at a time, so folding eight
-    # blocks peaks about where folding one does.
+    # blocks peaks about where folding one does, for one carry or both.
     chunk = methods._CHUNK
     first_primes(8 * chunk)
     peaks = []
