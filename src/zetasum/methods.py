@@ -11,8 +11,11 @@ S_{i+1} = f_{i+1}*(t_{i+1} + S_i), or both in one pass, as `_identity`
 asks.  `oracle`'s sums and coefficient checks and the `exclusion` report
 take their powers from `_power_terms` too, the last two one power at a
 time; the library has no other n^{-s}.  Every fold works in cache-sized
-blocks of `_CHUNK` terms and holds one block at a time, so its memory does
-not grow with the number of terms.
+blocks of `_CHUNK` terms, so its memory does not grow with the number of
+terms.  The prime blocks, `in_exclusion_set`'s scan and `oracle`'s
+partition chunks are computed in place, in one workspace per thread
+(`_rows`): four complex rows that grow to the largest block the thread has
+folded, so a warm fold allocates no block memory and takes no page faults.
 
 `_power_terms` checks finiteness in O(1).  With Re z >= 0 every |n^{-z}|
 is at most 1, and with |Im z|*ln n_max below 1e308 (room for the ulp by
@@ -83,6 +86,7 @@ import bisect
 import functools
 import math
 import operator
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -116,10 +120,13 @@ MAX_PARTITION_CUTOFF = 1 << 24
 
 # Terms per block in every vectorised fold, and integers per block in
 # `oracle`'s partition.  A block of 2^16 primes keeps its powers and factors
-# in 2 MiB, about one core's L2 cache; a fold's tracemalloc peak is then
-# 2.5 MiB (product) or 4 MiB (sum), whatever the number of primes.  Folding
-# 2^20 primes at s = 2+10i, fastest of 8 in-process runs on a 2-core Xeon
-# with 2 MiB of L2 per core, for blocks of 2^14 .. 2^20:
+# in 2 MiB, about one core's L2 cache.  They live in the thread's rows
+# (`_rows`), which are live only inside one `_blocks`/`_fold` pass, one
+# `in_exclusion_set` scan or one partition chunk; a thread that has folded
+# a full block keeps its four rows, 4 MiB, and a fold of any number of
+# primes allocates nothing more per block.  Folding 2^20 primes at
+# s = 2+10i, fastest of 8 in-process runs on a 2-core Xeon with 2 MiB of L2
+# per core, for blocks of 2^14 .. 2^20:
 #   product         57  60  60  61  54  73  76 ms
 #   sum             64  60  57  66  70  96  99 ms
 #   dirichlet_partial(2^21)
@@ -135,6 +142,26 @@ MAX_PARTITION_CUTOFF = 1 << 24
 # crosscheck identity point of bench seeds 1-200 stays within 0.46*i*eps
 # at both sizes.
 _CHUNK = 1 << 16
+
+_local = threading.local()
+
+
+def _rows(m: int) -> list[np.ndarray]:
+    """This thread's block workspace: four complex rows of at least m
+    entries, then their float64 views, each twice as long.
+
+    The rows are made on a thread's first block and grow to the largest
+    block it has asked for, so repeated folds allocate no block memory and
+    take no page faults, and threads never share a row.  A row is live only
+    inside one `_blocks`/`_fold` pass, one `in_exclusion_set` scan or one
+    `oracle` partition chunk, none of which runs inside another on one
+    thread."""
+    rows = getattr(_local, "rows", None)
+    if rows is None or len(rows[0]) < m:
+        rows = [np.empty(m, dtype=complex) for _ in range(4)]
+        rows += [row.view(np.float64) for row in rows]
+        _local.rows = rows
+    return rows
 
 
 def _check_tolerance(tolerance: float) -> None:
@@ -190,18 +217,29 @@ class EvaluationResult:
 # ----------------------------------------------------------------------
 # vectorised powers, the prime block iterator and its fold
 
-def _power_terms(n: np.ndarray, z: complex) -> np.ndarray:
-    """n^{-z} for every n in a nonempty array of positive integers whose
-    largest is its first or last entry, checked finite, and computed
-    without `np.errstate` where no flag can arise (module docstring)."""
-    base = np.asarray(n, dtype=np.float64)
-    top = math.log(max(base[0], base[-1]))
+def _power_terms(n, z: complex, out=None) -> np.ndarray:
+    """n^{-z} for every n in a nonempty int64 or float64 array (or list) of
+    positive integers whose largest is its first or last entry, checked
+    finite, and computed without `np.errstate` where no flag can arise
+    (module docstring).
+
+    `out`, if given, is this thread's `_rows`: the powers go into row 0,
+    as its float64 view for real z, and for complex z the logs into row 3's
+    float64 view."""
+    top = math.log(max(n[0], n[-1]))
     finite = z.real >= 0.0 and abs(z.imag) * top < 1e308
     tiny = 0.0 < z.real < 1e-40 or 0.0 < abs(z.imag) < 1e-40
+    real, powers, logs = z.imag == 0.0, None, None
+    if out is not None:
+        powers, logs = out[4 if real else 0][: len(n)], out[7][: len(n)]
+    # Outputs go by position: a ufunc parses an `out=` keyword more slowly.
     if finite and z.real * top <= 600.0 and not tiny:
-        return np.power(base, -z.real) if z.imag == 0.0 else np.exp(-z * np.log(base))
+        if real:
+            return np.power(n, -z.real, powers)
+        return np.exp(np.multiply(-z, np.log(n, logs), powers), powers)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        t = np.power(base, -z.real) if z.imag == 0.0 else np.exp(-z * np.log(base))
+        t = np.power(n, -z.real, powers) if real else np.exp(
+            np.multiply(-z, np.log(n, logs), powers), powers)
     if not finite and not np.isfinite(t).all():
         bad = np.flatnonzero(~np.isfinite(t))
         raise PowerOverflowError(int(n[bad[0]]), z)
@@ -225,10 +263,11 @@ def _clear_of_singular(sigma: float, tol: float) -> bool:
     return 1.0 - 2.0 ** -abs(sigma) >= 2.0 * tol
 
 
-def _least_gap(p: np.ndarray, d: np.ndarray) -> tuple[int, float]:
-    """The prime of least |d| = |1 - p^{-z}| among `p` and that gap; ties go
-    to the smallest prime, as `np.argmin` gives."""
-    gap = np.abs(d)
+def _least_gap(p: np.ndarray, d: np.ndarray, out: np.ndarray) -> tuple[int, float]:
+    """The prime of least |d| = |1 - p^{-z}| among `p` and that gap, with
+    the gaps written into the float64 row `out`; ties go to the smallest
+    prime, as `np.argmin` gives."""
+    gap = np.abs(d, out)
     worst = int(np.argmin(gap))
     return int(p[worst]), float(gap[worst])
 
@@ -243,28 +282,30 @@ def _blocks(p_all: np.ndarray, z: complex):
     (Re z > 1, which is asked first).  `in_exclusion_set` asks the same test.
     """
     scan = z.real <= 1.0 and not _clear_of_singular(z.real, DEFAULT_SINGULAR_TOL)
+    rows = _rows(min(len(p_all), _CHUNK))
+    # t in row 0 (`_power_terms`), 1 - t and then f in row 1, the gaps in
+    # row 2's float64 view; row 1 is a float64 view too for real z.
+    factors = rows[5] if z.imag == 0.0 else rows[1]
     for a in range(0, len(p_all), _CHUNK):
         p = p_all[a : a + _CHUNK]
-        t = _power_terms(p, z)
-        d = 1.0 - t
+        t = _power_terms(p, z, rows)
+        d = np.subtract(1.0, t, factors[: len(p)])
         if scan:
-            prime, gap = _least_gap(p, d)
+            prime, gap = _least_gap(p, d, rows[6][: len(p)])
             if gap < DEFAULT_SINGULAR_TOL:
                 raise SingularPointError(prime, z, gap)
-        yield p, t, np.divide(1.0, d, out=d)
-        # This frame lives on across the yield: hold no array once the
-        # consumer asks for the next block.
-        del t, d
+        yield p, t, np.divide(1.0, d, d)
 
 
 def in_exclusion_set(s, i: int, tol: float = DEFAULT_SINGULAR_TOL) -> ExclusionWitness | None:
     """The singular point of the prime among the first i whose factor the
     folds refuse, or None.
 
-    The test is `_blocks`' own: the first i primes' |1 - p^{-s}|, from one
-    `_power_terms` call, and the prime of least gap when that gap is below
-    tol (ties go to the smallest prime).  Its witness is the lattice point
-    k = round(Im(s)*ln p/(2*pi)) of that prime, at Euclidean distance from s.
+    The test is `_blocks`' own: the first i primes' |1 - p^{-s}|, scanned
+    in blocks of `_CHUNK` through this thread's rows, and the prime of
+    least gap when that gap is below tol (ties go to the smallest prime).
+    Its witness is the lattice point k = round(Im(s)*ln p/(2*pi)) of that
+    prime, at Euclidean distance from s.
     With tol = DEFAULT_SINGULAR_TOL, s is a member exactly when
     `euler_partial`(i, s) raises `SingularPointError`.  An s where
     `_clear_of_singular` holds, as from |Re s| of about 2.9*tol on for small
@@ -279,8 +320,14 @@ def in_exclusion_set(s, i: int, tol: float = DEFAULT_SINGULAR_TOL) -> ExclusionW
     z = as_complex(s)
     if _clear_of_singular(z.real, tol):
         return None
-    p = primes.first_primes(i)
-    prime, gap = _least_gap(p, 1.0 - _power_terms(p, z))
+    p_all, rows = primes.first_primes(i), _rows(min(i, _CHUNK))
+    factors = rows[5] if z.imag == 0.0 else rows[1]  # as in `_blocks`
+    prime, gap = 0, math.inf
+    for p in (p_all[a : a + _CHUNK] for a in range(0, i, _CHUNK)):
+        d = np.subtract(1.0, _power_terms(p, z, rows), factors[: len(p)])
+        least = _least_gap(p, d, rows[6][: len(p)])
+        if least[1] < gap:  # ties go to the earlier block
+            prime, gap = least
     if not gap < tol:
         return None
     ln_p = math.log(prime)
@@ -332,22 +379,28 @@ def _fold(blocks, z: complex, product: complex | None = None,
     failed = None
     for p, t, f in blocks:
         if product is not None:
-            product = _checked_fold(product * complex(f.prod()), p, product, f, z,
+            product = _checked_fold(product * complex(np.multiply.reduce(f)), p, product, f, z,
                                     "the running Euler product")
         if total is not None:
+            m = len(f)
+            rows = _rows(m)
             # Complex even for real s: numpy sums complex arrays in another
             # order than real ones, and the real-s reports follow the former.
-            suffix = np.cumprod(f[::-1], dtype=complex)[::-1]
+            # The factors go reversed into row 3, as complex: accumulate
+            # would cast real ones into a new array.  The suffix products
+            # stay reversed in row 2, and t*suffix goes into row 3, not over
+            # t: numpy multiplies complex arrays by other loops, with other
+            # bits, when they are laid out otherwise.
+            np.copyto(rows[3][:m], f[::-1])
+            suffix = np.multiply.accumulate(rows[3][:m], out=rows[2][:m])[::-1]
+            terms = np.multiply(t, suffix, rows[3][:m])
             try:
-                total = _checked_fold(complex(suffix[0]) * total + complex((t * suffix).sum()),
+                total = _checked_fold(complex(suffix[0]) * total + complex(terms.sum()),
                                       p, 1.0 + total, f, z, "the prime-indexed sum")
             except PowerOverflowError as error:
                 if product is None:
                     raise
                 failed, total = error, None
-            del suffix
-        # Free this block before `blocks` builds the next: one block's memory.
-        del p, t, f
     if failed is not None:
         raise failed
     return product, total

@@ -61,7 +61,8 @@ def smooth_sum_oracle(i: int, s, bound: int) -> complex:
         raise NonConvergentError("the smooth-number sum", z)
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    return complex(methods._power_terms(primes.smooth_numbers(i, bound), z).sum())
+    return complex(methods._power_terms(np.asarray(primes.smooth_numbers(i, bound),
+                                                   dtype=np.float64), z).sum())
 
 
 def spf_partition_sum(s, N: int) -> PartitionTable:
@@ -103,16 +104,25 @@ def spf_partition_sum(s, N: int) -> PartitionTable:
     found = np.flatnonzero(rank[2:] < 0) + 2
     rank[found] = np.arange(found.size)
     sums = np.zeros(found.size, dtype=np.complex128)
-    last = len(base)
-    for a in range(2, N + 1, methods._CHUNK):
-        n = np.arange(a, min(N + 1, a + methods._CHUNK), dtype=np.float64)
-        t = methods._power_terms(n, z)
-        r = rank[a : a + n.size]
-        group = np.minimum(r, last, dtype=np.intp)
-        sums.real[:last] += np.bincount(group, weights=t.real, minlength=last + 1)[:last]
-        sums.imag[:last] += np.bincount(group, weights=t.imag, minlength=last + 1)[:last]
-        big = r >= last
+    last, chunk = len(base), methods._CHUNK
+    # The chunk's powers go into row 0 of this thread's rows and their logs
+    # into row 3 (`methods._power_terms`), its groups and weights into the
+    # two halves of row 2, and its mask into row 3.
+    size = min(N - 1, chunk)
+    rows = methods._rows(size)
+    groups, weights, masks = rows[2].view(np.intp), rows[6][size:], rows[3].view(bool)
+    n = np.arange(2, size + 2, dtype=np.float64)
+    for a in range(2, N + 1, chunk):
+        m = min(N + 1 - a, chunk)
+        t = methods._power_terms(n[:m], z, rows)
+        r = rank[a : a + m]
+        group, w = np.minimum(r, last, dtype=np.intp, out=groups[:m]), weights[:m]
+        for part, into in ((t.real, sums.real), (t.imag, sums.imag)):
+            np.copyto(w, part)  # contiguous, or bincount copies it
+            into[:last] += np.bincount(group, weights=w, minlength=last + 1)[:last]
+        big = np.greater_equal(r, last, out=masks[:m])
         sums[r[big]] += t[big]
+        n += chunk
     found.flags.writeable = sums.flags.writeable = False
     return PartitionTable(cutoff_N=N, primes=found, sums=sums)
 

@@ -7,6 +7,7 @@ import csv
 import io
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scalar_reference import euler_factor, power_term, prime_power_term
-from zetasum import cli, kernel
+from zetasum import cli, kernel, methods
 from zetasum.kernel import (
     DEFAULT_SINGULAR_TOL,
     PowerOverflowError,
@@ -200,6 +201,38 @@ def test_in_exclusion_set_agrees_with_the_fold():
         w = in_exclusion_set(s, i)
         assert (None if w is None else w.prime) == prime, (s, i)
     assert 100 < refused < 200
+
+
+def test_in_exclusion_set_names_the_same_witness_in_blocks_of_any_size(monkeypatch):
+    # The scan reads its primes `_CHUNK` at a time.  Blocks of 3 primes name
+    # the witness one block names, ties included: at s = 0 every gap is 0,
+    # and the smallest prime wins.
+    rng = random.Random(28)
+    points = [(0j, 10, DEFAULT_SINGULAR_TOL), (1e-10 + 5j, 10, 0.5)]
+    for _ in range(300):
+        j = rng.randint(1, 10)
+        s = singular_point(SMALL_PRIMES[j - 1], rng.randint(-50, 50)) + complex(
+            rng.uniform(-3.0, 3.0) * 1e-9, rng.uniform(-3.0, 3.0) * 1e-9)
+        points.append((s, rng.randint(j, 10), rng.choice((1e-9, 1e-3))))
+    expected = [in_exclusion_set(*point) for point in points]
+    assert expected[0].prime == 2 and sum(w is not None for w in expected) > 50
+    monkeypatch.setattr(methods, "_CHUNK", 3)
+    assert [in_exclusion_set(*point) for point in points] == expected
+
+
+def test_in_exclusion_set_memory_does_not_grow_with_the_number_of_primes():
+    # Near Re s = 0 every gap is scanned, one block at a time, through this
+    # thread's rows: eight blocks peak far below one row's 1 MiB.
+    chunk = methods._CHUNK
+    first_primes(8 * chunk)
+    in_exclusion_set(1e-10 + 5j, chunk)
+    tracemalloc.start()
+    try:
+        in_exclusion_set(1e-10 + 5j, 8 * chunk)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024, peak
 
 
 def test_in_exclusion_set_covers_every_singular_row_of_the_report(capsys):

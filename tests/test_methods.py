@@ -3,7 +3,9 @@
 import importlib.util
 import math
 import random
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -515,9 +517,9 @@ def test_induction_step_evaluates_each_of_its_primes_once(i, monkeypatch):
     seen = []
     power_terms = methods._power_terms
 
-    def counted(n, z):
+    def counted(n, z, *rows):
         seen.append(np.array(n))
-        return power_terms(n, z)
+        return power_terms(n, z, *rows)
 
     monkeypatch.setattr(methods, "_power_terms", counted)
     induction_step_check(i, 3 - 4j)
@@ -1235,9 +1237,9 @@ def test_eval_folds_only_the_counts_the_certificate_allows(seed, monkeypatch):
     power_terms, blocks, walk = methods._power_terms, methods._blocks, methods._walk_to_feasible
     sizes, windows, walks = [], [], []
 
-    def counted(n, z):
+    def counted(n, z, *rows):
         sizes.append(len(n))
-        return power_terms(n, z)
+        return power_terms(n, z, *rows)
 
     def counted_blocks(p_all, z):
         windows.append(len(p_all))
@@ -1381,22 +1383,68 @@ def test_a_failed_short_fold_resumes_the_walk(monkeypatch, s, tol):
         assert error <= got.tail_error_bound <= tol, (method, counts)
 
 
-@pytest.mark.parametrize("fold", [euler_partial, reform_partial, identity_residual,
-                                  induction_step_check])
-def test_fold_memory_does_not_grow_with_the_number_of_primes(fold):
-    # Each fold holds one block of _CHUNK primes at a time, so folding eight
-    # blocks peaks about where folding one does, for one carry or both.
+@pytest.mark.parametrize("fold, s", [(euler_partial, 2 + 10j), (reform_partial, 2 + 10j),
+                                     (identity_residual, 2 + 10j),
+                                     (induction_step_check, 2 + 10j), (identity_residual, 3)],
+                         ids=["euler_partial", "reform_partial", "identity_residual",
+                              "induction_step_check", "identity_residual_at_real_s"])
+def test_fold_memory_does_not_grow_with_the_number_of_primes(fold, s):
+    # Every block, for one carry or both and at real s too, is folded in
+    # this thread's four rows of _CHUNK entries, which one warm-up fold
+    # grows.  A fold of eight blocks then allocates no block memory: its
+    # peak stays far below one row's 1 MiB, and the rows do not grow.
     chunk = methods._CHUNK
-    first_primes(8 * chunk)
-    peaks = []
-    for count in (chunk, 8 * chunk):
-        tracemalloc.start()
-        try:
-            fold(count, 2 + 10j)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] <= 1.5 * peaks[0], peaks
+    first_primes(8 * chunk + 1)
+    fold(chunk, s)
+    tracemalloc.start()
+    try:
+        fold(8 * chunk, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024, peak
+    assert [len(row) for row in methods._rows(0)[:4]] == [chunk] * 4
+
+
+def test_folds_on_two_threads_match_the_sequential_ones():
+    # Each thread folds in rows of its own, so folds of two blocks running
+    # side by side give the bits they give one after another.
+    requests = [(fold, i, s) for fold in (euler_partial, reform_partial, identity_residual)
+                for i, s in ((70_000, 2 + 10j), (85_003, 0.75 + 123.4j), (100_000, 3),
+                             (91_237, 0.5 - 7j))]
+    requests.append((in_exclusion_set, 1j * math.tau / math.log(nth_prime(99_991)), 100_000))
+    expected = [outcome(*request) for request in requests]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(2) as pool:
+            got = list(pool.map(lambda request: outcome(*request), requests * 2, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expected * 2
+
+
+# convergence_trace(2.65385+383.762i, "reformulated", 1.06261e-08), as hex:
+# one of the traces whose bits change if t*suffix is written over t.
+PINNED_REFORMULATED_TRACE = [
+    (("0x1.d1fc26b3a1ca6p-1", "-0x1.d609d67172b7cp-4"), 1, "0x1.b82bffb727f9cp-2"),
+    (("0x1.e4ae321a356cdp-1", "-0x1.36a9949b39766p-3"), 2, "0x1.aa6d300c232a7p-3"),
+    (("0x1.e37d48aa67e7ep-1", "-0x1.46f9fdff39b3ap-3"), 4, "0x1.8516a87346710p-5"),
+    (("0x1.e2d03103d4fafp-1", "-0x1.452ead00f6b78p-3"), 8, "0x1.4be0eca715700p-9"),
+    (("0x1.e2a888d45ec00p-1", "-0x1.4471db646d254p-3"), 16, "0x1.683f0872145bfp-12"),
+    (("0x1.e2af9a441218ep-1", "-0x1.4478b65c591edp-3"), 32, "0x1.f2730e6910e8dp-15"),
+    (("0x1.e2aed3aea15bap-1", "-0x1.44766ce20a33ep-3"), 64, "0x1.804425116efacp-17"),
+    (("0x1.e2aebed4285dfp-1", "-0x1.44766a85ae23ap-3"), 128, "0x1.42364f50835e3p-19"),
+    (("0x1.e2aec248cc275p-1", "-0x1.4476710c27440p-3"), 256, "0x1.22750345de538p-21"),
+    (("0x1.e2aec2bc85496p-1", "-0x1.4476746120de0p-3"), 512, "0x1.072884f34fce6p-23"),
+    (("0x1.e2aec2bca0bf8p-1", "-0x1.447673d9e4ac9p-3"), 1024, "0x1.f512b21fd7989p-26"),
+    (("0x1.e2aec2be5d6d0p-1", "-0x1.447673e3ea58cp-3"), 2048, "0x1.efdbbbb6480e7p-28"),
+]
+
+
+def test_reformulated_trace_bits_are_pinned():
+    got = convergence_trace(2.65385 + 383.762j, METHOD_REFORMULATED, 1.06261e-08)
+    assert as_bits(got) == PINNED_REFORMULATED_TRACE
 
 
 def certified_grid(count, seed):

@@ -202,6 +202,7 @@ def test_smooth_sum_bits_are_pinned(i, s, bound, re, im):
 def test_partition_table_holds_two_read_only_arrays():
     N = 10**6
     primes_up_to(math.isqrt(N))  # grow the shared prime cache outside the trace
+    methods._rows(methods._CHUNK)  # and this thread's block rows, which it keeps
     tracemalloc.start()
     try:
         table = spf_partition_sum(3, N)
