@@ -8,14 +8,19 @@ by chunk, with the overflow and singular-point checks, and one fold
 (`_fold`) consumes it: it multiplies the factors into the running product,
 folds the prime-indexed sum forward by the paper's induction step
 S_{i+1} = f_{i+1}*(t_{i+1} + S_i), or both in one pass, as `_identity`
-asks.  `oracle`'s sums and coefficient checks and the `exclusion` report
-take their powers from `_power_terms` too, the last two one power at a
-time; the library has no other n^{-s}.  Every fold works in cache-sized
-blocks of `_CHUNK` terms, so its memory does not grow with the number of
-terms.  The prime blocks, `in_exclusion_set`'s scan and `oracle`'s
+asks.  `euler_partial`, `reform_partial` and `_identity` reach it through
+one checked entry over the first i primes (`_fold_first`).  The limits
+served only for Re(s) > 1 (the Dirichlet partial sum, zeta evaluation, the
+tail product and `oracle`'s two sums) refuse the rest by one check,
+`_convergent`.  `oracle`'s sums and coefficient checks and the `exclusion`
+report take their powers from `_power_terms` too, the last two one power
+at a time; the library has no other n^{-s}.  Every fold works in
+cache-sized blocks of `_CHUNK` terms, so its memory does not grow with the
+number of terms.  The prime blocks, `in_exclusion_set`'s scan and `oracle`'s
 partition chunks are computed in place, in one workspace per thread
 (`_rows`): four complex rows that grow to the largest block the thread has
-folded, so a warm fold allocates no block memory and takes no page faults.
+folded, so a warm prime fold allocates no block memory and takes no page
+faults.
 
 `_power_terms` checks finiteness in O(1).  With Re z >= 0 every |n^{-z}|
 is at most 1, and with |Im z|*ln n_max below 1e308 (room for the ulp by
@@ -175,6 +180,16 @@ class NonConvergentError(ValueError):
     def __init__(self, what: str, s: complex):
         self.s = complex(s)
         super().__init__(f"{what} requires Re(s) > 1, got Re(s) = {self.s.real}")
+
+
+def _convergent(s, what: str) -> complex:
+    """s as a finite complex, refused with `NonConvergentError` naming
+    `what` unless Re(s) > 1: the one refusal of every limit that the
+    library serves only there."""
+    z = as_complex(s)
+    if z.real <= 1.0:
+        raise NonConvergentError(what, z)
+    return z
 
 
 @dataclass(frozen=True)
@@ -453,12 +468,20 @@ def _dirichlet_fold(N: int, z: complex) -> list[complex]:
 # ----------------------------------------------------------------------
 # the finite objects
 
-def euler_partial(i: int, s) -> complex:
-    """Product of 1/(1 - p^{-s}) over the first i primes; 1 for i = 0."""
+def _fold_first(i: int, s, product: complex | None,
+                total: complex | None) -> tuple[complex | None, complex | None]:
+    """`_fold` over the first i primes, from the carries given (None is not
+    folded): the one checked entry of `euler_partial`, `reform_partial` and
+    `_identity`."""
     if i < 0:
         raise ValueError("i must be >= 0")
     z = as_complex(s)
-    return _fold(_blocks(primes.first_primes(i), z), z, 1 + 0j)[0]
+    return _fold(_blocks(primes.first_primes(i), z), z, product, total)
+
+
+def euler_partial(i: int, s) -> complex:
+    """Product of 1/(1 - p^{-s}) over the first i primes; 1 for i = 0."""
+    return _fold_first(i, s, 1 + 0j, None)[0]
 
 
 def reform_partial(i: int, s) -> complex:
@@ -468,10 +491,7 @@ def reform_partial(i: int, s) -> complex:
     Folded forward block by block (see `_fold`), so the cost is one factor
     evaluation per prime rather than one per (k, j) pair.
     """
-    if i < 0:
-        raise ValueError("i must be >= 0")
-    z = as_complex(s)
-    return _fold(_blocks(primes.first_primes(i), z), z, None, 0j)[1]
+    return _fold_first(i, s, None, 0j)[1]
 
 
 def _identity(i: int, s) -> tuple[complex, complex]:
@@ -482,10 +502,7 @@ def _identity(i: int, s) -> tuple[complex, complex]:
     product's errors come first, and a failure of the sum alone is raised
     only after the product has run over every block.
     """
-    if i < 0:
-        raise ValueError("i must be >= 0")
-    z = as_complex(s)
-    return _fold(_blocks(primes.first_primes(i), z), z, 1 + 0j, 0j)
+    return _fold_first(i, s, 1 + 0j, 0j)
 
 
 def identity_residual(i: int, s) -> float:
@@ -534,9 +551,7 @@ def dirichlet_partial(N: int, s) -> complex:
     N = int(N)
     if N < 1:
         raise ValueError("N must be >= 1")
-    z = as_complex(s)
-    if z.real <= 1.0:
-        raise NonConvergentError("the Dirichlet partial sum", z)
+    z = _convergent(s, "the Dirichlet partial sum")
     return _dirichlet_fold(N, z)[-1]
 
 
@@ -1153,9 +1168,7 @@ def correction_coefficient(k: int, s, spec: TruncationSpec) -> EvaluationResult:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    z = as_complex(s)
-    if z.real <= 1.0:
-        raise NonConvergentError("the tail product", z)
+    z = _convergent(s, "the tail product")
     return _trace(z, METHOD_EULER_PRODUCT, spec.tolerance, offset=k - 1, every_step=False)[-1]
 
 
@@ -1180,8 +1193,7 @@ def _checked_trace(s, method: str, tolerance: float, every_step: bool) -> list[E
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     _check_tolerance(tolerance)
-    if z.real <= 1.0:
-        raise NonConvergentError("zeta evaluation", z)
+    _convergent(z, "zeta evaluation")
     if method != METHOD_DIRICHLET:
         return _trace(z, method, tolerance, 0, every_step)
     rounding_bound, tail = _rounding_of(z, method, _zeta_bounds(z.real)), _dirichlet_tail_of(z)

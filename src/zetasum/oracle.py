@@ -23,7 +23,7 @@ import numpy as np
 
 from . import methods, primes
 from .kernel import as_complex
-from .methods import NonConvergentError, TruncationSpec, correction_coefficient
+from .methods import TruncationSpec, correction_coefficient
 
 
 @dataclass(frozen=True)
@@ -56,9 +56,7 @@ class PartitionTable:
 def smooth_sum_oracle(i: int, s, bound: int) -> complex:
     """Sum of n^{-s} over every n <= bound whose prime factors lie among the
     first i primes.  Converges in `bound` to the i-prime Euler product."""
-    z = as_complex(s)
-    if z.real <= 1.0:
-        raise NonConvergentError("the smooth-number sum", z)
+    z = methods._convergent(s, "the smooth-number sum")
     if bound < 1:
         raise ValueError("bound must be >= 1")
     return complex(methods._power_terms(np.asarray(primes.smooth_numbers(i, bound),
@@ -89,9 +87,7 @@ def spf_partition_sum(s, N: int) -> PartitionTable:
     about 6 MB per 2^20 integers, so N past `methods.MAX_PARTITION_CUTOFF`
     is refused before it is built.
     """
-    z = as_complex(s)
-    if z.real <= 1.0:
-        raise NonConvergentError("the partition", z)
+    z = methods._convergent(s, "the partition")
     N = int(N)
     if N < 2:
         raise ValueError("N must be >= 2")

@@ -41,8 +41,7 @@ def prime_ceiling(n: int) -> float:
     p_n itself for n < 20; p_n < n(ln n + ln ln n - 1/2) for n >= 20
     (Rosser & Schoenfeld, Illinois J. Math. 6, 1962), and p_n < n(ln n +
     ln ln n - 0.9484) for n >= 39017 (Dusart, Math. Comp. 68, 1999).  Every
-    value is at most 11 below n = 6 and at most n(ln n + ln ln n) from 6 on,
-    the looser ceilings it replaces.
+    value is at most 11 below n = 6 and at most n(ln n + ln ln n) from 6 on.
     """
     if n < 20:
         return float(_FIRST_PRIMES[n - 1])

@@ -176,6 +176,24 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1]
     assert "argument --method: unknown method 'bogus'" in errors[0]
+    # Each bad flag value exits 2 with argparse's usage and one error line.
+    for argv, line in [
+        (["eval", "--s", "2", "--tol", "abc"], "argument --tol: invalid tolerance 'abc'"),
+        (["identity-check", "--s", "2", "--i", "x"], "argument --i: invalid integer 'x'"),
+        (["identity-check", "--s", "2", "--i", "0"],
+         "argument --i: expected a positive integer, got 0"),
+        (["converge", "--s", "2", "--methods", ","], "argument --methods: empty method list"),
+        (["eval", "--s", "2", "--format", "xml"],
+         "argument --format: unknown format 'xml'; choose from csv, json, human"),
+    ]:
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        captured = capsys.readouterr()
+        assert (info.value.code, captured.out) == (2, "")
+        assert captured.err.splitlines()[-1] == f"zetasum {argv[0]}: error: {line}"
+    # A ValueError raised inside a command body is a usage error too.
+    code, out, err = run_cli(capsys, "eval", "--s", "inf")
+    assert (code, out, err) == (2, "", "usage error: s must be finite, got (inf+0j)\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -275,6 +275,16 @@ def test_in_exclusion_set_validates_arguments():
         in_exclusion_set(0, 1, tol=-1.0)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: singular_point(1, 0), "p must be >= 2"),
+    (lambda: explicit_exclusion_point(1, 0), "p must be >= 2"),
+    (lambda: explicit_exclusion_points(0, range(1)), "i must be >= 1"),
+], ids=["singular_point", "explicit_exclusion_point", "explicit_exclusion_points"])
+def test_lattice_fixtures_validate_arguments(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_explicit_exclusion_points_examples():
     pts = explicit_exclusion_points(1, range(0, 1))
     assert pts == [complex(0.0, math.pi / math.log(2))]

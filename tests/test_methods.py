@@ -146,6 +146,15 @@ def test_dirichlet_partial_refuses_boundary(no_work):
         dirichlet_partial(0, 2)
 
 
+@pytest.mark.parametrize("fold", [euler_partial, reform_partial, identity_residual,
+                                  induction_step_check], ids=lambda fold: fold.__name__)
+def test_prime_folds_refuse_a_negative_count(fold, no_work):
+    work = no_work("zetasum.primes.first_primes", "zetasum.methods._power_terms")
+    with pytest.raises(ValueError, match=r"^i must be >= 0$"):
+        fold(-1, 2 + 1j)
+    work.undo()
+
+
 def scalar_dirichlet(N: int, s) -> tuple[complex, float]:
     # The finite sum one power_term at a time, and the sum of the moduli.
     total, scale = complex(0.0), 0.0
@@ -857,6 +866,9 @@ def test_zeta_eval_rejects_bad_requests():
         zeta_eval(2, METHOD_REFORMULATED, 1e-13)
     with pytest.raises(ValueError):
         zeta_eval(2, "secant", 1e-6)
+    # s is coerced before the method is checked.
+    with pytest.raises(ValueError, match=r"^s must be finite, got \(nan\+0j\)$"):
+        zeta_eval(complex("nan"), "bogus")
 
 
 def test_zeta_eval_infeasible_tolerance_is_a_clear_error():
@@ -1728,6 +1740,8 @@ def test_correction_coefficient_starts_at_one_prime(k, s, tol):
 def test_correction_coefficient_rejects_boundary():
     with pytest.raises(NonConvergentError):
         correction_coefficient(1, 1, TruncationSpec(tolerance=1e-6))
+    with pytest.raises(ValueError, match=r"^k must be >= 1$"):
+        correction_coefficient(0, 3, TruncationSpec())
 
 
 def test_truncation_spec_validation():

@@ -172,6 +172,17 @@ def test_smooth_numbers_examples(cache):
     assert smooth_numbers(1, 1).tolist() == [1]
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: first_primes(-1), "count must be >= 0"),
+    (lambda: smooth_numbers(0, 10), "i must be >= 1"),
+    (lambda: smooth_numbers(1, 0), "bound must be >= 1"),
+], ids=["first_primes", "smooth_numbers_i", "smooth_numbers_bound"])
+def test_counts_and_bounds_below_their_floor_are_refused(cache, call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+    assert cache.source_limit == 1  # nothing sieved
+
+
 def test_smooth_numbers_read_no_prime_past_the_bound(cache):
     # The 25 primes <= 100 are all a bound of 100 admits, so a million more
     # change nothing and must not be sieved.
